@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Iterator
 
-from .errors import CapacityError, NotAnEndomorphismError
+from .errors import NotAnEndomorphismError
 from .pairs import enumerate_P, is_permissible
 from .transformations import (
     Transformation,
@@ -298,10 +298,6 @@ def multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:
     return sigma4(compose(coset_rep_fixing_4(alpha.g), beta.g))
 
 
-def rank_and_type(alpha: Endomorphism) -> tuple[int, TypeTag]:
-    return alpha.rank, alpha.type_tag
-
-
 # -- identification and oracle ---------------------------------------------
 
 
@@ -379,8 +375,7 @@ def oracle_multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:
     n = alpha.n
     if beta.n != n:
         raise ValueError(f"degree mismatch: {n} vs {beta.n}")
-    if n > MAX_ORACLE_DEGREE:
-        raise CapacityError(f"oracle multiplication is guarded at n <= {MAX_ORACLE_DEGREE}")
+    check_capacity(n, MAX_ORACLE_DEGREE, "oracle multiplication")
     return identify(lambda s: apply(beta, apply(alpha, s)), n)
 
 
@@ -390,8 +385,7 @@ def oracle_multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:
 def enumerate_End(n: int) -> Iterator[Endomorphism]:
     """All of End(T_n): n! automorphisms, the singular phis, and at n = 4
     the twenty-four rank-7 maps."""
-    if n > MAX_END_DEGREE:
-        check_capacity(n, MAX_END_DEGREE, "End(T_n) enumeration")
+    check_capacity(n, MAX_END_DEGREE, "End(T_n) enumeration")
     for g in enumerate_permutations(n):
         yield aut(g)
     if n >= 2:

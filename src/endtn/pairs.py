@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapacityError
 from .transformations import Transformation, check_capacity, compose, enumerate_all
 
 MAX_PAIR_DEGREE = 6
@@ -144,16 +143,12 @@ def enumerate_pairs_for(t: Transformation) -> Iterator[PermissiblePair]:
                 if y not in f:  # y in It; step once more into I
                     y = t(y)
                 word[x1 - 1] = f[y] - 1
-            e = Transformation(tuple(word))
-            if __debug__:
-                assert is_permissible(t, e), (t, e)
-            yield PermissiblePair(t, e)
+            yield PermissiblePair(t, Transformation(tuple(word)))
 
 
 def enumerate_P(n: int) -> Iterator[PermissiblePair]:
     """All permissible pairs of degree n, grouped by t in lexicographic order."""
-    if n > MAX_PAIR_DEGREE:
-        check_capacity(n, MAX_PAIR_DEGREE, "permissible pair enumeration")
+    check_capacity(n, MAX_PAIR_DEGREE, "permissible pair enumeration")
     for t in enumerate_all(n):
         if is_in_U(t):
             yield from enumerate_pairs_for(t)
@@ -165,6 +160,5 @@ def brute_force_partners(t: Transformation) -> list[Transformation]:
     Independent oracle for the counting formula and the constructive
     enumeration; deliberately ignorant of the J/K/I/It/M structure.
     """
-    if t.n > MAX_PAIR_DEGREE:
-        raise CapacityError("brute-force partner scan is guarded at n <= 6")
+    check_capacity(t.n, MAX_PAIR_DEGREE, "brute-force partner scan")
     return [e for e in enumerate_all(t.n) if is_permissible(t, e)]

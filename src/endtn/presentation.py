@@ -5,7 +5,8 @@ presenting the automorphism group in Coxeter style, and p-symbols, one
 canonical representative per essential orbit of singular elements.  Four
 p-symbols are distinguished as markers (p^od, p^ev, p^np, p^tr), one per
 multiplicative type, and the relation families R1..R10 rewrite any word
-to the shape  p q...q  or  p p q...q.
+to the shape  p q...q  or  p p q...q.  The singular orbits, their
+stabilisers and the conjugating q-tails come from ``endtn.cosets``.
 """
 
 from __future__ import annotations
@@ -20,24 +21,15 @@ from .endomorphisms import (
     Endomorphism,
     TypeTag,
     aut,
-    enumerate_End,
     epsilon,
     multiply,
-    phi,
     phi_trivial,
     star_map,
 )
+from .cosets import get_cosets
 from .errors import CapacityError, RewriteBudgetExceeded
-from .pairs import enumerate_P
-from .transformations import (
-    Transformation,
-    check_capacity,
-    compose,
-    conjugate,
-    enumerate_permutations,
-)
+from .transformations import Transformation, compose, enumerate_permutations
 
-MAX_ORBIT_DEGREE = 6
 PRESENTATION_DEGREES = (5, 6)
 REWRITE_STEP_BUDGET = 10_000
 
@@ -58,30 +50,6 @@ class Orbit:
     essential: bool
 
 
-def _orbit_canonical_words(n: int):
-    """Canonical (lexicographically least conjugate) key for every
-    permissible pair, vectorised over the whole of P_n at once.
-
-    Returns the list of singular elements in enumeration order and their
-    canonical-orbit keys.
-    """
-    phis = [phi(p.t, p.e) for p in enumerate_P(n)]
-    m = len(phis)
-    T = np.array([el.t.word for el in phis], dtype=np.int64)
-    E = np.array([el.e.word for el in phis], dtype=np.int64)
-    weights_t = n ** np.arange(2 * n - 1, n - 1, -1, dtype=np.int64)
-    weights_e = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    best = np.full(m, np.iinfo(np.int64).max)
-    for g in enumerate_permutations(n):
-        gw = np.array(g.word)
-        ginv = np.array(g.inverse().word)
-        tg = gw[T[:, ginv]]
-        eg = gw[E[:, ginv]]
-        key = tg @ weights_t + eg @ weights_e
-        np.minimum(best, key, out=best)
-    return phis, best
-
-
 def orbits(n: int) -> list[Orbit]:
     """All orbits: the automorphism group, the rank-7 block at n = 4, and
     the singular orbits grouped by simultaneous conjugacy of (t, e)."""
@@ -90,7 +58,7 @@ def orbits(n: int) -> list[Orbit]:
 
 @lru_cache(maxsize=None)
 def _orbits(n: int) -> tuple[Orbit, ...]:
-    check_capacity(n, MAX_ORBIT_DEGREE, "orbit enumeration")
+    cosets = get_cosets(n)
     out = [
         Orbit(
             representative=epsilon(n),
@@ -112,47 +80,29 @@ def _orbits(n: int) -> tuple[Orbit, ...]:
                 essential=True,
             )
         )
-    if n == 1:
-        return tuple(out)
-
-    phis, keys = _orbit_canonical_words(n)
-    groups: dict[int, list[Endomorphism]] = {}
-    for el, key in zip(phis, keys):
-        groups.setdefault(int(key), []).append(el)
-    singular = []
-    for members in groups.values():
-        rep = min(members, key=Endomorphism.sort_key)
-        singular.append((rep, frozenset(members)))
-    singular.sort(key=lambda pair: pair[0].sort_key())
+    reps = cosets.representatives
 
     # A rank-2 orbit fails to be essential exactly when it is hit by a
     # product of two rank-3 elements; with an even-type rank-3 element
     # present those products are the plus-companions of rank-3 elements.
-    has_even_rank3 = any(
-        rep.type_tag == TypeTag.EVEN and rep.rank == 3 for rep, _ in singular
-    )
     hit: set[Endomorphism] = set()
-    if has_even_rank3:
-        for rep, _ in singular:
-            if rep.rank == 3:
-                hit.add(star_map(rep, "+"))
-    hit_members = set()
-    for rep, members in singular:
-        if members & hit:
-            hit_members |= members
+    if any(rep.type_tag == TypeTag.EVEN and rep.rank == 3 for rep in reps):
+        hit = {
+            cosets.representative(star_map(rep, "+")) for rep in reps if rep.rank == 3
+        }
 
     trivial = phi_trivial(n)
-    for rep, members in singular:
+    for rep in reps:
         if rep.rank == 3:
             essential = True
         elif rep.rank == 2:
-            essential = not (members & hit_members)
+            essential = rep not in hit
         else:
             essential = rep is trivial
         out.append(
             Orbit(
                 representative=rep,
-                members=members,
+                members=cosets.orbit(rep),
                 rank=rep.rank,
                 type=rep.type_tag,
                 essential=essential,
@@ -256,7 +206,6 @@ def p_symbol(alpha: Endomorphism) -> str:
     )
 
 
-MARKERS = ("p^od", "p^ev", "p^np", "p^tr")
 _MARKER_TYPES = {
     "p^od": TypeTag.ODD,
     "p^ev": TypeTag.EVEN,
@@ -281,7 +230,6 @@ class Presentation:
     q_symbols: tuple[str, ...]
     p_symbols: tuple[str, ...]
     images: dict[str, Endomorphism]
-    markers: dict[str, str]  # marker -> its symbol (markers name themselves)
     relations: tuple[Relation, ...]
 
     def theta(self, word: Word) -> Endomorphism:
@@ -292,15 +240,6 @@ class Presentation:
                 raise ValueError(f"unknown symbol {symbol!r}")
             result = multiply(result, image)
         return result
-
-
-def _fix_subgroup(alpha: Endomorphism) -> list[Transformation]:
-    t, e = alpha.t, alpha.e
-    return [
-        g
-        for g in enumerate_permutations(t.n)
-        if conjugate(t, g) == t and conjugate(e, g) == e
-    ]
 
 
 @lru_cache(maxsize=None)
@@ -361,39 +300,29 @@ def presentation(n: int) -> Presentation:
             relations.append(Relation("R1", (q, p), (p,)))
 
     # R2: one canonical word per non-trivial element fixing a generator.
+    cosets = get_cosets(n)
     for p in p_symbols:
-        el = images[p]
-        for g in _fix_subgroup(el):
+        for g in sorted(cosets.stabiliser(images[p])):
             if not g.is_identity:
                 relations.append(Relation("R2", (p,) + canonical_word(g), (p,)))
 
     # R3: products landing outside the essential orbits rewrite to the
     # canonical generator pair of their orbit, with a q-tail carrying the
     # conjugating permutation.
-    pair_products: dict[str, list[tuple[str, str]]] = {}
-    orbit_key_of: dict[Endomorphism, str] = {}
-    all_orbits = orbits(n)
-    for orbit in all_orbits:
-        for member in orbit.members:
-            orbit_key_of[member] = orbit.representative.key()
-    essential_keys = {o.representative.key() for o in all_orbits if o.essential}
+    pair_products: dict[Endomorphism, list[tuple[str, str]]] = {}
+    essential_reps = {o.representative for o in orbits(n) if o.essential}
     for p1 in p_symbols:
         for p2 in p_symbols:
-            product = multiply(images[p1], images[p2])
-            key = orbit_key_of[product]
-            if key not in essential_keys:
-                pair_products.setdefault(key, []).append((p1, p2))
-    for key, pairs in pair_products.items():
+            rep = cosets.representative(multiply(images[p1], images[p2]))
+            if rep not in essential_reps:
+                pair_products.setdefault(rep, []).append((p1, p2))
+    for pairs in pair_products.values():
         pairs.sort()
         u1, u2 = pairs[0]
         target = multiply(images[u1], images[u2])
         for p1, p2 in pairs:
             product = multiply(images[p1], images[p2])
-            g = next(
-                g
-                for g in enumerate_permutations(n)
-                if multiply(product, aut(g)) is target
-            )
+            g = cosets.least_conjugator(product, target)
             if (p1, p2) == (u1, u2) and g.is_identity:
                 continue
             relations.append(
@@ -435,7 +364,6 @@ def presentation(n: int) -> Presentation:
         q_symbols=q_symbols,
         p_symbols=p_symbols,
         images=images,
-        markers={m: m for m in MARKERS},
         relations=tuple(relations),
     )
 
@@ -539,40 +467,24 @@ def normal_form(word, n: int) -> Word:
     # canonical ones for their orbit and the tail by the least coset word.
     spend(len(prefix) + len(tail))
     value = pres.theta(tuple(prefix) + (final,) + tail)
+    cosets = get_cosets(n)
     if len(prefix) == 0:
         target = pres.images[final]
         # value = target * psi_g for some g; take the least such g.
-        g = next(
-            g
-            for g in enumerate_permutations(n)
-            if multiply(target, aut(g)) is value
-        )
-        return (final,) + canonical_word(g)
+        return (final,) + canonical_word(cosets.least_conjugator(target, value))
     # Two-generator shape: canonicalise the pair per orbit of the value.
-    u1, u2 = _canonical_pairs(n)[_orbit_key_map(n)[value]]
+    u1, u2 = _canonical_pairs(n)[cosets.representative(value)]
     base = pres.theta((u1, u2))
-    g = next(
-        g for g in enumerate_permutations(n) if multiply(base, aut(g)) is value
-    )
-    return (u1, u2) + canonical_word(g)
+    return (u1, u2) + canonical_word(cosets.least_conjugator(base, value))
 
 
 @lru_cache(maxsize=None)
-def _orbit_key_map(n: int) -> dict[Endomorphism, str]:
-    return {
-        member: orbit.representative.key()
-        for orbit in _orbits(n)
-        for member in orbit.members
-    }
-
-
-@lru_cache(maxsize=None)
-def _canonical_pairs(n: int) -> dict[str, tuple[str, str]]:
+def _canonical_pairs(n: int) -> dict[Endomorphism, tuple[str, str]]:
     """Lexicographically least generator pair reaching each product orbit."""
     pres = presentation(n)
-    key_of = _orbit_key_map(n)
-    pairs: dict[str, tuple[str, str]] = {}
+    cosets = get_cosets(n)
+    pairs: dict[Endomorphism, tuple[str, str]] = {}
     for p1, p2 in itertools.product(sorted(pres.p_symbols), repeat=2):
-        key = key_of[multiply(pres.images[p1], pres.images[p2])]
-        pairs.setdefault(key, (p1, p2))
+        rep = cosets.representative(multiply(pres.images[p1], pres.images[p2]))
+        pairs.setdefault(rep, (p1, p2))
     return pairs

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cosets import MAX_COSET_DEGREE, get_cosets
 from .endomorphisms import (
+    MAX_END_DEGREE,
     Endomorphism,
     TypeTag,
     enumerate_End,
@@ -24,7 +26,7 @@ from .endomorphisms import (
     phi,
     sigma4,
 )
-from .errors import CapacityError, VerificationError
+from .errors import VerificationError
 from .pairs import PermissiblePair
 from .transformations import (
     Transformation,
@@ -184,7 +186,7 @@ def idempotent_partition(n: int) -> IdempotentPartition:
     Works one degree beyond the product-table guard because both sides
     only need a single pass over the elements.
     """
-    check_capacity(n, 6, "idempotent enumeration")
+    check_capacity(n, MAX_END_DEGREE, "idempotent enumeration")
     groups = {"epsilon": set(), "E_7": set(), "E_3": set(), "E_2": set(), "E_1": set()}
     brute = set()
     klein = set(klein_four())
@@ -278,10 +280,12 @@ def _formula_green_classes(uni: Universe, relation: str) -> list[set[int]]:
     for name in ("E_3", "E_2", "E_1"):
         if comp[name]:
             classes.append(set(comp[name]))
+    cosets = get_cosets(n)
     for name in ("A", "B", "C"):
-        orbit_groups: dict[int, set[int]] = {}
+        orbit_groups: dict[Endomorphism, set[int]] = {}
         for i in comp[name]:
-            orbit_groups.setdefault(int(uni.orbit_ids[i]), set()).add(i)
+            rep = cosets.representative(uni.elements[i])
+            orbit_groups.setdefault(rep, set()).add(i)
         classes.extend(orbit_groups.values())
     return classes
 
@@ -362,14 +366,14 @@ def _formula_right_ideal(uni: Universe, alpha: Endomorphism) -> set[int]:
         return set(range(uni.size)) - set(comp["Aut"])
     if name == "E_3":
         return set(range(uni.size)) - set(comp["Aut"]) - set(comp["D"])
-    i = uni.of(alpha)
-    if name == "A":
-        return uni.orbit_of(i) | set(comp["E_2"]) | set(comp["C"]) | set(comp["E_1"])
     if name == "E_2":
         return set(comp["E_2"]) | set(comp["C"]) | set(comp["E_1"])
-    if name in ("B", "C"):
-        return uni.orbit_of(i) | set(comp["E_1"])
-    return set(comp["E_1"])
+    if name == "E_1":
+        return set(comp["E_1"])
+    orbit = uni.index_set(get_cosets(uni.n).orbit(alpha))
+    if name == "A":
+        return orbit | set(comp["E_2"]) | set(comp["C"]) | set(comp["E_1"])
+    return orbit | set(comp["E_1"])  # B or C
 
 
 def _formula_two_sided_ideal(uni: Universe, alpha: Endomorphism) -> set[int]:
@@ -378,9 +382,9 @@ def _formula_two_sided_ideal(uni: Universe, alpha: Endomorphism) -> set[int]:
     # The one case where the right ideal is not already two-sided: closing
     # an orbit of B under the plus map lands in the companion C-orbit.
     comp = _components(uni)
-    i = uni.of(alpha)
-    companion = uni.of(phi(alpha.t2, alpha.e))
-    return uni.orbit_of(i) | uni.orbit_of(companion) | set(comp["E_1"])
+    cosets = get_cosets(uni.n)
+    both = cosets.orbit(alpha) | cosets.orbit(phi(alpha.t2, alpha.e))
+    return uni.index_set(both) | set(comp["E_1"])
 
 
 def principal_ideals(alpha: Endomorphism) -> PrincipalIdeals:
@@ -413,6 +417,7 @@ def j_leq(alpha: Endomorphism, beta: Endomorphism) -> bool:
     if alpha.n != beta.n:
         raise ValueError("degree mismatch")
     uni = get_universe(alpha.n)
+    rep_of = get_cosets(alpha.n).representative
     comp_a, comp_b = component_of(alpha), component_of(beta)
     if comp_a == "Aut":
         result = True
@@ -422,24 +427,19 @@ def j_leq(alpha: Endomorphism, beta: Endomorphism) -> bool:
         result = comp_b not in ("Aut", "D")
     elif comp_a == "A":
         result = comp_b in ("E_2", "C", "E_1") or (
-            comp_b == "A"
-            and uni.orbit_ids[uni.of(alpha)] == uni.orbit_ids[uni.of(beta)]
+            comp_b == "A" and rep_of(alpha) is rep_of(beta)
         )
     elif comp_a == "E_2":
         result = comp_b in ("E_2", "C", "E_1")
     elif comp_a == "B":
         result = comp_b == "E_1" or (
-            comp_b == "B"
-            and uni.orbit_ids[uni.of(alpha)] == uni.orbit_ids[uni.of(beta)]
+            comp_b == "B" and rep_of(alpha) is rep_of(beta)
         ) or (
-            comp_b == "C"
-            and uni.orbit_ids[uni.of(phi(alpha.t2, alpha.e))]
-            == uni.orbit_ids[uni.of(beta)]
+            comp_b == "C" and rep_of(phi(alpha.t2, alpha.e)) is rep_of(beta)
         )
     elif comp_a == "C":
         result = comp_b == "E_1" or (
-            comp_b == "C"
-            and uni.orbit_ids[uni.of(alpha)] == uni.orbit_ids[uni.of(beta)]
+            comp_b == "C" and rep_of(alpha) is rep_of(beta)
         )
     else:  # E_1
         result = comp_b == "E_1"
@@ -513,10 +513,11 @@ def _describe_ideal(uni: Universe, indices: frozenset[int]) -> IdealDescription:
         form = "even-closed"
     else:
         form = "nonperm-closed"
+    cosets = get_cosets(uni.n)
     orbit_sets = {"A": set(), "B": set(), "C": set()}
     for name in ("A", "B", "C"):
         for i in set(comp[name]) & indices:
-            orbit_sets[name].add(uni.elements[int(uni.orbit_ids[i])].key())
+            orbit_sets[name].add(cosets.representative(uni.elements[i]).key())
     return IdealDescription(
         form=form,
         X=frozenset(orbit_sets["A"]),
@@ -640,27 +641,16 @@ class FixSet:
 
 
 def fix_set(pair: PermissiblePair) -> FixSet:
-    check_capacity(pair.t.n, 6, "fixed-point subgroup computation")
+    """By definition, scanning S_n; ``Cosets.stabiliser`` gives the same
+    set by lookup."""
+    check_capacity(pair.t.n, MAX_COSET_DEGREE, "fixed-point subgroup computation")
     t, e = pair.t, pair.e
     members = frozenset(
         g
         for g in enumerate_permutations(t.n)
         if conjugate(t, g) == t and conjugate(e, g) == e
     )
-    assert Transformation.identity(t.n) in members
     return FixSet(pair, members)
-
-
-_fix_key_cache: dict[tuple, frozenset] = {}
-
-
-def _fix_key(alpha: Endomorphism) -> frozenset:
-    key = (alpha.t.word, alpha.e.word)
-    cached = _fix_key_cache.get(key)
-    if cached is None:
-        cached = fix_set(PermissiblePair(alpha.t, alpha.e)).elements
-        _fix_key_cache[key] = cached
-    return cached
 
 
 # -- extended Green's relations ---------------------------------------------
@@ -786,12 +776,13 @@ def _extended_formula_classes(uni: Universe, relation: str) -> list[set[int]]:
     if relation == "L*":
         classes = [set(comp["Aut"])] + sigma_by_target()
         classes += [{i} for i in idem if i != eps_i and not uni.elements[i].is_sigma4]
+        cosets = get_cosets(n)
         fix_groups: dict[tuple, set[int]] = {}
         for name in nonreg_names:
             for i in comp[name]:
                 el = uni.elements[i]
                 fix_groups.setdefault(
-                    (el.type_tag, _fix_key(el)), set()
+                    (el.type_tag, cosets.stabiliser(el)), set()
                 ).add(i)
         classes += list(fix_groups.values())
         return [c for c in classes if c]

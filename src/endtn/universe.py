@@ -20,7 +20,7 @@ from .endomorphisms import (
     klein_four,
     multiply,
 )
-from .transformations import Transformation, check_capacity, enumerate_permutations
+from .transformations import check_capacity
 
 MAX_TABLE_DEGREE = 5
 
@@ -48,7 +48,6 @@ class Universe:
             [i for i, el in enumerate(self.elements) if el.is_sigma4], dtype=np.int64
         )
         self.table = self._build_table()
-        self._orbit_ids: np.ndarray | None = None
         self._two_sided_cache: dict[bytes, frozenset[int]] = {}
 
     # -- construction ------------------------------------------------------
@@ -127,30 +126,11 @@ class Universe:
 
     # -- structural subsets (from the defining parameter conditions) -------
 
-    def type_indices(self, tag: TypeTag) -> list[int]:
-        return [i for i, el in enumerate(self.elements) if el.type_tag == tag]
-
     @property
     def idempotent_indices(self) -> np.ndarray:
         """Brute-force idempotents: fixed points of the diagonal."""
         diag = self.table[np.arange(self.size), np.arange(self.size)]
         return np.nonzero(diag == np.arange(self.size))[0]
-
-    # -- orbits ------------------------------------------------------------
-
-    @property
-    def orbit_ids(self) -> np.ndarray:
-        """Orbit (right Aut-coset) identifier per element: the minimal index
-        in the orbit."""
-        if self._orbit_ids is None:
-            ids = np.empty(self.size, dtype=np.int64)
-            for i in range(self.size):
-                ids[i] = int(self.table[i, self.aut_indices].min())
-            self._orbit_ids = ids
-        return self._orbit_ids
-
-    def orbit_of(self, i: int) -> frozenset[int]:
-        return frozenset(int(x) for x in np.unique(self.table[i, self.aut_indices]))
 
     # -- ideals ------------------------------------------------------------
 
@@ -175,11 +155,6 @@ class Universe:
         mask = np.zeros(self.size, dtype=bool)
         mask[idx] = True
         return bool(mask[self.table[:, idx]].all() and mask[self.table[idx, :]].all())
-
-    # -- permutation helpers ----------------------------------------------
-
-    def permutations(self) -> list[Transformation]:
-        return list(enumerate_permutations(self.n))
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
 from endtn.cli import main
+from endtn.endomorphisms import enumerate_End, oracle_multiply
 
 
 def run(capsys, *argv):
@@ -53,6 +55,25 @@ class TestVerification:
         code1, out1, _ = run(capsys, *args)
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0 and out1 == out2
+
+    def test_verify_mult_checks_pairs_drawn_from_seed(self, capsys, monkeypatch):
+        import endtn.cli as cli
+
+        checked = []
+
+        def recording(a, b):
+            checked.append((a, b))
+            return oracle_multiply(a, b)
+
+        monkeypatch.setattr(cli, "oracle_multiply", recording)
+        code, _, _ = run(
+            capsys, "verify-mult", "--n", "5", "--samples", "50", "--seed", "3"
+        )
+        assert code == 0
+        elements = sorted(enumerate_End(5))
+        rng = random.Random(3)
+        drawn = [(rng.randrange(3226), rng.randrange(3226)) for _ in range(50)]
+        assert checked == [(elements[i], elements[j]) for i, j in drawn]
 
     def test_counts_with_brute(self, capsys):
         code, out, _ = run(
@@ -106,6 +127,17 @@ class TestStructureVerbs:
         assert code == 0
         assert data["size"] == 3 + data["r_3"] + data["r_2"]
 
+    def test_gens_table(self, capsys):
+        code, out, _ = run(capsys, "gens", "--n", "5", "--verify")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split() == ["generator", "value", "type"]
+        assert lines[1].split() == ["size", "35"]
+        assert ["verified", "generates"] in [line.split() for line in lines]
+        generators = [line.split() for line in lines if line.startswith("phi:")]
+        assert len(generators) == 33
+        assert all(rank in ("1", "2", "3") for _, rank, _ in generators)
+
     def test_fix(self, capsys):
         code, out, _ = run(
             capsys, "fix", "--n", "5", "--t", "1 3 2 1 5", "--e", "1 1 1 1 1"
@@ -120,8 +152,17 @@ class TestExitCodes:
         assert code == 3 and "capacity" in err
 
     def test_usage_bad_relation(self, capsys):
-        code, _, err = run(capsys, "green", "--n", "3", "--relation", "Q")
-        assert code == 2 and "unknown" in err
+        for verb in ("green", "extended"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([verb, "--n", "3", "--relation", "Q"])
+            assert excinfo.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
+    def test_usage_flag_on_verb_that_ignores_it(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["green", "--n", "3", "--seed", "4"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_usage_bad_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -134,3 +175,9 @@ class TestExitCodes:
             capsys, "fix", "--n", "3", "--t", "2 3 1", "--e", "1 1 1"
         )
         assert code == 2 and "permissible" in err
+
+    def test_usage_fix_degree_mismatch(self, capsys):
+        code, out, err = run(
+            capsys, "fix", "--n", "9", "--t", "1 2 3", "--e", "1 1 1"
+        )
+        assert code == 2 and out == "" and "degree" in err

@@ -17,11 +17,10 @@ from endtn.endomorphisms import (
     oracle_multiply,
     phi,
     phi_trivial,
-    rank_and_type,
     sigma4,
     star_map,
 )
-from endtn.errors import NotAnEndomorphismError
+from endtn.errors import CapacityError, NotAnEndomorphismError
 from endtn.transformations import (
     Transformation,
     compose,
@@ -170,11 +169,6 @@ class TestMultiplication:
         assert multiply(beta, beta) is star_map(beta, "-")
         assert multiply(phi_trivial(5), beta) is star_map(beta, "0")
 
-    def test_rank_and_type(self):
-        c = Transformation.constant(4, 1)
-        alpha = phi(Transformation.transposition(4, 2, 3), c)
-        assert rank_and_type(alpha) == (3, TypeTag.ODD)
-
 
 class TestIdentify:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -195,6 +189,14 @@ class TestIdentify:
         els = list(enumerate_End(3))
         for a, b in itertools.product(els, repeat=2):
             assert oracle_multiply(a, b) is multiply(a, b)
+
+    def test_oracle_capacity_guard_honours_override(self, monkeypatch):
+        trivial = phi_trivial(7)
+        monkeypatch.delenv("ENDTN_CAPACITY_OVERRIDE", raising=False)
+        with pytest.raises(CapacityError):
+            oracle_multiply(trivial, trivial)
+        monkeypatch.setenv("ENDTN_CAPACITY_OVERRIDE", "1")
+        assert oracle_multiply(trivial, trivial) is trivial
 
 
 class TestEnumeration:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -184,3 +186,29 @@ class TestNormalForm:
     def test_rejects_unknown_symbols(self):
         with pytest.raises(ValueError):
             normal_form(("p:bogus",), 5)
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    """Digests recorded before orbits, stabilisers and conjugators moved to
+    endtn.cosets; the move must leave the output byte-identical."""
+
+    def test_relations(self, pres):
+        assert len(pres.relations) == 21_778
+        assert _sha256([rel.to_json() for rel in pres.relations]) == (
+            "d5030a7181b4ec9e494189640901843e8380e552fa06308eaeb3adfb2e7ba486"
+        )
+
+    def test_normal_forms(self, pres):
+        rng = random.Random(0)
+        alphabet = list(pres.q_symbols) + list(pres.p_symbols)
+        forms = []
+        for _ in range(200):
+            word = tuple(rng.choice(alphabet) for _ in range(rng.randrange(0, 16)))
+            forms.append(list(normal_form(word, 5)))
+        assert _sha256(forms) == (
+            "1e23ad14e6df1b2da7703cc32dd286c4b153ee9c36c99090117d452a138df72d"
+        )

@@ -47,17 +47,6 @@ class TestDerivedSets:
             assert (int(uni4.table[i, i]) == i) == (i in idem)
         assert len(idem) == 1 + 4 + 24 + 40 + 41
 
-    def test_orbits_partition(self, uni4):
-        ids = uni4.orbit_ids
-        seen = {}
-        for i in range(uni4.size):
-            seen.setdefault(int(ids[i]), set()).add(i)
-        total = 0
-        for rep, members in seen.items():
-            assert uni4.orbit_of(rep) == frozenset(members)
-            total += len(members)
-        assert total == uni4.size
-
     def test_principal_ideals_contain_generator_products(self, uni4):
         rng = random.Random(5)
         for _ in range(30):
