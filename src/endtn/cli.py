@@ -3,7 +3,9 @@
 Every verb is a deterministic, machine-readable run: the same flags (and
 seed) produce byte-identical output.  Verification verbs exit with
 status 1 and print the first counterexample; capacity guards exit with
-status 3; flag errors exit with status 2.
+status 3; flag errors (``UsageError`` or argparse) exit with status 2.
+Any other exception is a fault of the program and propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 import sys
 
 from .endomorphisms import enumerate_End, multiply, oracle_multiply
-from .errors import CapacityError, RewriteBudgetExceeded, VerificationError
+from .errors import CapacityError, RewriteBudgetExceeded, UsageError, VerificationError
 from .pairs import (
     PermissiblePair,
     brute_force_partners,
@@ -281,17 +283,29 @@ def cmd_presentation_check(args) -> int:
 
 
 def cmd_fix(args) -> int:
-    t = Transformation.from_text(args.t)
-    e = Transformation.from_text(args.e)
-    if t.n != args.n:
-        raise ValueError(f"--n {args.n} differs from the degree {t.n} of --t")
-    result = fix_set(PermissiblePair(t, e))
+    try:
+        pair = PermissiblePair(
+            Transformation.from_text(args.t), Transformation.from_text(args.e)
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if pair.t.n != args.n:
+        raise UsageError(f"--n {args.n} differs from the degree {pair.t.n} of --t")
+    result = fix_set(pair)
     rows = [[g.to_text()] for g in sorted(result.elements)]
     _emit(args, ["g"], rows)
     return EXIT_OK
 
 
 # -- plumbing ---------------------------------------------------------------
+
+
+def degree(text: str) -> int:
+    """argparse type of --n: a positive integer."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"degree must be positive, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text, sampled=False, verify=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--n", type=int, required=True, help="degree")
+        p.add_argument("--n", type=degree, required=True, help="degree")
         p.add_argument(
             "--format",
             choices=("json", "csv", "table"),
@@ -382,7 +396,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -21,9 +21,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .endomorphisms import Endomorphism, phi
+from .endomorphisms import Endomorphism, phi_of
 from .pairs import enumerate_P
-from .transformations import Transformation, check_capacity, enumerate_permutations
+from .transformations import (
+    Transformation,
+    check_capacity,
+    conjugate_words,
+    enumerate_permutations,
+    word_codes,
+)
 
 MAX_COSET_DEGREE = 6
 
@@ -35,20 +41,19 @@ class Cosets:
         check_capacity(n, MAX_COSET_DEGREE, "orbit enumeration")
         # At degree 1 the only permissible pair gives the identity, which
         # is not singular.
-        phis = [phi(p.t, p.e) for p in enumerate_P(n)] if n > 1 else []
+        phis = [phi_of(p) for p in enumerate_P(n)] if n > 1 else []
         # Conjugate each distinct t or e word once per g, then combine the
         # codes: far fewer rows than one (t, e) row per element.
         index: dict[Transformation, int] = {}
         ti = np.array([index.setdefault(el.t, len(index)) for el in phis], dtype=int)
         ei = np.array([index.setdefault(el.e, len(index)) for el in phis], dtype=int)
         words = np.array([w.word for w in index], dtype=np.int64).reshape(-1, n)
-        weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
         def codes(rows):
             # Base-n code of the (t, e) word: numeric order is sort_key order.
             return rows[ti] * n**n + rows[ei]
 
-        own = codes(words @ weights)
+        own = codes(word_codes(words))
         perms = list(enumerate_permutations(n))
         best = own.copy()
         conj = np.zeros(len(phis), dtype=int)  # perms[0] is the identity
@@ -56,8 +61,7 @@ class Cosets:
         for k, g in enumerate(perms):
             # Code of alpha psi_{g^-1}: it reaches the orbit minimum first
             # at the least g with rep psi_g = alpha.
-            ginv = np.array(g.inverse().word)
-            key = codes(ginv[words[:, list(g.word)]] @ weights)
+            key = codes(word_codes(conjugate_words(words, g.inverse())))
             better = key < best
             best[better] = key[better]
             conj[better] = k
@@ -84,7 +88,6 @@ class Cosets:
             for j in fixed[is_rep[fixed]].tolist():
                 stab.setdefault(phis[j], []).append(g.word)
         self._stab = {rep: np.array(ws) for rep, ws in stab.items()}
-        self._word_weights = weights
 
     def representative(self, alpha: Endomorphism) -> Endomorphism:
         """The member of alpha's orbit with the least (t, e) word."""
@@ -115,7 +118,7 @@ class Cosets:
         ca_inv = np.argsort(self._conj[alpha].word)
         cb = np.array(self._conj[beta].word)
         words = cb[self._stab[rep][:, ca_inv]]
-        least = words[np.argmin(words @ self._word_weights)]
+        least = words[np.argmin(word_codes(words))]
         return Transformation(tuple(least.tolist()))
 
 

@@ -17,7 +17,7 @@ import enum
 from typing import Callable, Iterator
 
 from .errors import NotAnEndomorphismError
-from .pairs import enumerate_P, is_permissible
+from .pairs import PermissiblePair, enumerate_P, is_permissible
 from .transformations import (
     Transformation,
     check_capacity,
@@ -173,19 +173,23 @@ def aut(g: Transformation) -> Endomorphism:
 
 def phi(t: Transformation, e: Transformation) -> Endomorphism:
     """The singular endomorphism determined by the permissible pair (t, e)."""
+    cached = _intern.get((_PHI, t.word, e.word))
+    if cached is not None:
+        return cached
+    return phi_of(PermissiblePair(t, e))
+
+
+def phi_of(pair: PermissiblePair) -> Endomorphism:
+    """``phi(pair.t, pair.e)``; constructing the pair has already checked
+    that it is permissible."""
+    t, e = pair.t, pair.e
     if t.n == 1:
-        # At degree 1 the only singular candidate is the identity map itself.
-        if not (t.is_identity and e.is_identity):
-            raise ValueError("no singular endomorphisms exist at degree 1")
+        # At degree 1 the only permissible pair gives the identity map itself.
         return epsilon(1)
     key = (_PHI, t.word, e.word)
     cached = _intern.get(key)
     if cached is not None:
         return cached
-    if not is_permissible(t, e):
-        raise ValueError(
-            f"({t.to_text()}, {e.to_text()}) is not a permissible pair"
-        )
     t2 = compose(t, t)
     if t.is_identity and e.is_identity:
         tag = TypeTag.TRIVIAL
@@ -390,7 +394,7 @@ def enumerate_End(n: int) -> Iterator[Endomorphism]:
         yield aut(g)
     if n >= 2:
         for pair in enumerate_P(n):
-            yield phi(pair.t, pair.e)
+            yield phi_of(pair)
     if n == 4:
         for g in enumerate_permutations(4):
             yield sigma4(g)

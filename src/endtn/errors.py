@@ -9,6 +9,10 @@ class CapacityError(Exception):
     """
 
 
+class UsageError(ValueError):
+    """A command-line argument is malformed or inconsistent with another."""
+
+
 class NotAnEndomorphismError(ValueError):
     """A value table does not describe a semigroup endomorphism."""
 

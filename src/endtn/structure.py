@@ -11,6 +11,7 @@ on any disagreement, so a returned value is always doubly attested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,6 +120,18 @@ def _classes_from_keys(keys) -> list[set[int]]:
     for i, key in enumerate(keys):
         by_key.setdefault(key, set()).add(i)
     return list(by_key.values())
+
+
+def _row_keys(bits: np.ndarray) -> list[bytes]:
+    return [row.tobytes() for row in bits]
+
+
+def _labels(size: int, classes) -> np.ndarray:
+    """The number of each element's class, as an array over the elements."""
+    label = np.empty(size, dtype=np.int64)
+    for k, cls in enumerate(classes):
+        label[list(cls)] = k
+    return label
 
 
 def _check_same_partition(relation: str, uni: Universe, formula, brute) -> None:
@@ -291,16 +304,12 @@ def _formula_green_classes(uni: Universe, relation: str) -> list[set[int]]:
 
 
 def _brute_green_classes(uni: Universe, relation: str) -> list[set[int]]:
-    table = uni.table
     if relation == "R":
-        keys = [uni.right_ideal(i).tobytes() for i in range(uni.size)]
-        return _classes_from_keys(keys)
+        return _classes_from_keys(_row_keys(uni.right_bits))
     if relation == "L":
-        cols = [np.unique(table[:, i]).tobytes() for i in range(uni.size)]
-        return _classes_from_keys(cols)
+        return _classes_from_keys(_row_keys(uni.left_bits))
     if relation == "H":
-        right = [uni.right_ideal(i).tobytes() for i in range(uni.size)]
-        left = [np.unique(table[:, i]).tobytes() for i in range(uni.size)]
+        left, right = _row_keys(uni.left_bits), _row_keys(uni.right_bits)
         return _classes_from_keys(list(zip(left, right)))
     if relation == "D":
         return _merge_join(
@@ -514,10 +523,11 @@ def _describe_ideal(uni: Universe, indices: frozenset[int]) -> IdealDescription:
     else:
         form = "nonperm-closed"
     cosets = get_cosets(uni.n)
-    orbit_sets = {"A": set(), "B": set(), "C": set()}
+    orbit_sets = {}
     for name in ("A", "B", "C"):
-        for i in set(comp[name]) & indices:
-            orbit_sets[name].add(cosets.representative(uni.elements[i]).key())
+        members = set(comp[name]) & indices
+        reps = {cosets.representative(uni.elements[i]) for i in members}
+        orbit_sets[name] = {rep.key() for rep in reps}
     return IdealDescription(
         form=form,
         X=frozenset(orbit_sets["A"]),
@@ -536,12 +546,12 @@ FULL_IDEAL_ENUM_CLASS_LIMIT = 16
 def enumerate_ideals(n: int) -> list[IdealDescription]:
     """Ideals of End(T_n), as down-closed unions of J-classes.
 
-    For small degrees (n <= 4) this is the complete list, re-checked
-    against a fully independent run driven by the brute-force J-classes
-    and ideal-inclusion order.  At n = 5 the complete lattice is far too
-    large to materialise, so only the ideals generated by one or two
-    J-classes are emitted.  Every emitted set is re-verified to be
-    two-sided closed either way.
+    For small degrees (n <= 4) this is the complete list.  At n = 5 the
+    complete lattice is far too large to materialise, so only the ideals
+    generated by one or two J-classes are emitted.  Either way the list
+    is re-checked against a fully independent run driven by the
+    brute-force J-classes and ideal-inclusion order, and every emitted
+    set is re-verified to be two-sided closed.
     """
     uni = get_universe(n)
     ideals = _ideal_index_sets(uni, brute=False)
@@ -551,11 +561,8 @@ def enumerate_ideals(n: int) -> list[IdealDescription]:
                 "emitted ideal is not two-sided closed",
                 counterexample=uni.element_set(indices),
             )
-    if n <= 4:
-        if set(ideals) != set(_ideal_index_sets(uni, brute=True)):
-            raise VerificationError(
-                "formula-driven ideal list disagrees with brute force"
-            )
+    if set(ideals) != set(_ideal_index_sets(uni, brute=True)):
+        raise VerificationError("formula-driven ideal list disagrees with brute force")
     return [_describe_ideal(uni, indices) for indices in ideals]
 
 
@@ -656,91 +663,103 @@ def fix_set(pair: PermissiblePair) -> FixSet:
 # -- extended Green's relations ---------------------------------------------
 
 
+# Rows per step of _kernel_keys; bounds its temporaries to a few MB at n = 5.
+_KERNEL_ROWS = 128
+
+
 def _kernel_keys(rows: np.ndarray) -> list[bytes]:
-    """Canonical key of the kernel (partition by equal values) of each row."""
+    """Canonical key of the kernel (partition by equal values) of each row:
+    at every position, the first position that holds the same value."""
     out = []
-    for row in rows:
-        _, first, inv = np.unique(row, return_index=True, return_inverse=True)
-        relabel = np.argsort(np.argsort(first))
-        out.append(relabel[inv].astype(np.int32).tobytes())
+    for start in range(0, len(rows), _KERNEL_ROWS):
+        block = rows[start : start + _KERNEL_ROWS]
+        order = np.argsort(block, axis=1, kind="stable")
+        values = np.take_along_axis(block, order, axis=1)
+        # In sorted order a value's run starts at its first position.
+        run_start = np.ones(block.shape, dtype=bool)
+        run_start[:, 1:] = values[:, 1:] != values[:, :-1]
+        cols = np.arange(block.shape[1])
+        run_of = np.maximum.accumulate(np.where(run_start, cols, 0), axis=1)
+        first = np.take_along_axis(order, run_of, axis=1)
+        keys = np.empty(block.shape, dtype=np.int32)
+        np.put_along_axis(keys, order, first, axis=1)
+        out.extend(_row_keys(keys))
     return out
 
 
-def _extended_brute_classes(uni: Universe, relation: str) -> list[set[int]]:
+@lru_cache(maxsize=None)
+def _extended_brute_classes(uni: Universe, relation: str) -> tuple[frozenset[int], ...]:
+    """Classes of one extended relation from its definition on the table.
+
+    Memoised per universe: H, D and J are built from the L and R classes,
+    and ``abundance_report`` reads the one-sided relations again.
+    """
     table = uni.table
     idem = uni.idempotent_indices
     if relation == "R*":
-        return _classes_from_keys(_kernel_keys(table[idem, :].T))
-    if relation == "L*":
-        return _classes_from_keys(_kernel_keys(table))
-    if relation == "R~":
+        classes = _classes_from_keys(_kernel_keys(table[idem, :].T))
+    elif relation == "L*":
+        classes = _classes_from_keys(_kernel_keys(table))
+    elif relation == "R~":
         keys = [(table[idem, i] == i).tobytes() for i in range(uni.size)]
-        return _classes_from_keys(keys)
-    if relation == "L~":
+        classes = _classes_from_keys(keys)
+    elif relation == "L~":
         keys = [(table[i, idem] == i).tobytes() for i in range(uni.size)]
-        return _classes_from_keys(keys)
-    if relation in ("H*", "H~"):
+        classes = _classes_from_keys(keys)
+    elif relation in ("H*", "H~"):
         suffix = relation[1]
         left = _extended_brute_classes(uni, "L" + suffix)
         right = _extended_brute_classes(uni, "R" + suffix)
-        return _meet(uni.size, left, right)
-    if relation in ("D*", "D~"):
+        classes = _meet(uni.size, left, right)
+    elif relation in ("D*", "D~"):
         suffix = relation[1]
-        return _merge_join(
+        classes = _merge_join(
             uni.size,
             (
                 _extended_brute_classes(uni, "L" + suffix),
                 _extended_brute_classes(uni, "R" + suffix),
             ),
         )
-    if relation in ("J*", "J~"):
+    elif relation in ("J*", "J~"):
         suffix = relation[1]
-        d_classes = _extended_brute_classes(uni, "D" + suffix)
-        side_classes = _extended_brute_classes(
-            uni, "L" + suffix
-        ) + _extended_brute_classes(uni, "R" + suffix)
-        class_of = {}
-        for cls in side_classes:
-            fc = frozenset(cls)
-            for i in cls:
-                class_of.setdefault(i, []).append(fc)
+        labels = [
+            _labels(uni.size, _extended_brute_classes(uni, side + suffix))
+            for side in "LR"
+        ]
         keys = {}
-        for cls in d_classes:
-            sat = _saturated_ideal(uni, cls, class_of)
+        for cls in _extended_brute_classes(uni, "D" + suffix):
+            sat = _saturated_ideal(uni, cls, labels)
             for i in cls:
                 keys[i] = sat
-        return _classes_from_keys([keys[i] for i in range(uni.size)])
-    raise ValueError(f"unknown extended relation {relation!r}")
+        classes = _classes_from_keys([keys[i] for i in range(uni.size)])
+    else:
+        raise ValueError(f"unknown extended relation {relation!r}")
+    return tuple(frozenset(c) for c in classes)
 
 
 def _meet(size: int, left, right) -> list[set[int]]:
-    lkey, rkey = {}, {}
-    for label, cls in enumerate(left):
-        for i in cls:
-            lkey[i] = label
-    for label, cls in enumerate(right):
-        for i in cls:
-            rkey[i] = label
-    return _classes_from_keys([(lkey[i], rkey[i]) for i in range(size)])
+    return _classes_from_keys(
+        zip(_labels(size, left).tolist(), _labels(size, right).tolist())
+    )
 
 
-def _saturated_ideal(uni: Universe, seed, class_of) -> frozenset[int]:
-    """Smallest ideal containing the seed that is a union of the given
-    side-relation classes (alternating closure to a fixed point)."""
-    current = set(seed)
+def _saturated_ideal(uni: Universe, seed, labels) -> frozenset[int]:
+    """Smallest ideal containing the seed that is a union of classes of
+    each side relation, given as class labels (alternating closure to a
+    fixed point)."""
+    current = uni.pack(seed)
     while True:
-        idx = np.fromiter(current, dtype=np.int64)
-        left = np.unique(uni.table[:, idx])
-        closed = set(np.unique(uni.table[left, :]).tolist()) | set(
-            left.tolist()
-        ) | current
-        saturated = set()
-        for i in closed:
-            saturated.add(i)
-            for cls in class_of[i]:
-                saturated |= cls
-        if saturated == current:
-            return frozenset(current)
+        left = np.bitwise_or.reduce(uni.left_bits[uni.members(current)], axis=0)
+        right = np.bitwise_or.reduce(uni.right_bits[uni.members(left)], axis=0)
+        closed = np.unpackbits(right | left | current, count=uni.size).astype(bool)
+        saturated = closed.copy()
+        for label in labels:
+            hit = np.zeros(label.max() + 1, dtype=bool)
+            hit[label[closed]] = True
+            saturated |= hit[label]
+        saturated = np.packbits(saturated)
+        if np.array_equal(saturated, current):
+            return frozenset(uni.members(current).tolist())
         current = saturated
 
 
@@ -849,7 +868,7 @@ def extended_probe_check(
     The partition itself rests on the idempotent reduction (for R*) and
     full translation kernels (for L*); this draws random (gamma, delta)
     pairs and checks that no probe separates two elements placed in the
-    same class.  For n <= 3 the check is exhaustive instead of sampled.
+    same class.  For n <= 4 the check is exhaustive instead of sampled.
     """
     if relation not in ("R*", "L*"):
         raise ValueError("probe check applies to R* and L* only")
@@ -860,20 +879,13 @@ def extended_probe_check(
     for cls in classes:
         members = sorted(cls)
         reps.append(members[: min(len(members), 4)])
-    rng = np.random.default_rng(seed)
-    if n <= 3:
-        gammas = np.arange(uni.size)
-        deltas = np.arange(uni.size)
-        pairs = [(g, d) for g in gammas for d in deltas]
+    if n <= 4:
+        g_idx = np.repeat(np.arange(uni.size), uni.size)
+        d_idx = np.tile(np.arange(uni.size), uni.size)
     else:
-        pairs = list(
-            zip(
-                rng.integers(0, uni.size, size=samples),
-                rng.integers(0, uni.size, size=samples),
-            )
-        )
-    g_idx = np.fromiter((p[0] for p in pairs), dtype=np.int64)
-    d_idx = np.fromiter((p[1] for p in pairs), dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        g_idx = rng.integers(0, uni.size, size=samples)
+        d_idx = rng.integers(0, uni.size, size=samples)
     for members in reps:
         base = members[0]
         for other in members[1:]:

@@ -13,6 +13,8 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .errors import CapacityError
 
 # Full enumeration is n^n; 7^7 ~ 8e5 is the largest anything here needs.
@@ -225,6 +227,18 @@ def conjugate(t: Transformation, g: Transformation) -> Transformation:
     ginv = g.inverse()
     gw, tw = g.word, t.word
     return Transformation(tuple(gw[tw[x]] for x in ginv.word))
+
+
+def conjugate_words(words: np.ndarray, g: Transformation) -> np.ndarray:
+    """``conjugate`` over the rows of an array of image words."""
+    gw = np.array(g.word)
+    return gw[words[:, np.argsort(gw)]]
+
+
+def word_codes(words: np.ndarray) -> np.ndarray:
+    """Base-n code of each row of image words; numeric order is word order."""
+    n = words.shape[1]
+    return words @ (n ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
 def enumerate_all(n: int) -> Iterator[Transformation]:

@@ -5,11 +5,16 @@ Green's relations, kernels of left/right translations).  It is filled
 from the symbolic multiplication, which is itself verified against the
 function-composition oracle elsewhere; the two verification paths stay
 separate.
+
+The value sets of the table's rows and columns (the principal right and
+left ideals) are kept as packed bitsets, one row of ``ceil(N / 8)``
+bytes per element, so that unions, inclusions and equality keys of
+ideals are byte operations over every cell of the table.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -19,10 +24,16 @@ from .endomorphisms import (
     enumerate_End,
     klein_four,
     multiply,
+    star_map,
 )
-from .transformations import check_capacity
+from .errors import VerificationError
+from .transformations import check_capacity, conjugate_words, word_codes
 
 MAX_TABLE_DEGREE = 5
+
+# Rows per step when scattering the table into bitsets; bounds the index
+# temporaries to a few MB at n = 5.
+_SCATTER_ROWS = 256
 
 
 class Universe:
@@ -68,8 +79,6 @@ class Universe:
         zero = np.empty(N, dtype=np.int32)
         for j in phis:
             el = els[j]
-            from .endomorphisms import star_map
-
             plus[j] = idx[star_map(el, "+")]
             minus[j] = idx[star_map(el, "-")]
             zero[j] = idx[star_map(el, "0")]
@@ -84,9 +93,9 @@ class Universe:
             table[np.ix_(auts, phis)] = phis[np.newaxis, :]
 
         # phi rows.
+        if len(phis):
+            table[np.ix_(phis, auts)] = self._phi_aut_block()
         for i in phis:
-            for j in auts:
-                table[i, j] = idx[multiply(els[i], els[j])]
             for j in sigmas:
                 table[i, j] = idx[multiply(els[i], els[j])]
         if len(phis):
@@ -113,6 +122,37 @@ class Universe:
             table[np.ix_(sigmas, phis)] = phis[np.newaxis, :]
         return table
 
+    def _phi_aut_block(self) -> np.ndarray:
+        """table[phis, auts]: phi(t, e) aut(g) = phi(t^g, e^g), by gathers.
+
+        Each (t, e) is keyed by its base-n word code, and the conjugated
+        codes are mapped back to element indices by binary search.
+        """
+        n = self.n
+        phis = [self.elements[i] for i in self.phi_indices]
+        t_words = np.array([el.t.word for el in phis], dtype=np.int64)
+        e_words = np.array([el.e.word for el in phis], dtype=np.int64)
+
+        def pair_codes(t, e):
+            return word_codes(t) * n**n + word_codes(e)
+
+        codes = pair_codes(t_words, e_words)
+        order = np.argsort(codes)
+        sorted_codes = codes[order]
+        block = np.empty((len(phis), len(self.aut_indices)), dtype=np.int32)
+        for col, i in enumerate(self.aut_indices):
+            g = self.elements[i].g
+            key = pair_codes(conjugate_words(t_words, g), conjugate_words(e_words, g))
+            pos = np.minimum(np.searchsorted(sorted_codes, key), len(codes) - 1)
+            missing = np.flatnonzero(sorted_codes[pos] != key)
+            if len(missing):
+                raise VerificationError(
+                    "a conjugated permissible pair is not an element",
+                    counterexample=(phis[missing[0]], self.elements[i]),
+                )
+            block[:, col] = self.phi_indices[order[pos]]
+        return block
+
     # -- indexing helpers --------------------------------------------------
 
     def of(self, alpha: Endomorphism) -> int:
@@ -132,29 +172,66 @@ class Universe:
         diag = self.table[np.arange(self.size), np.arange(self.size)]
         return np.nonzero(diag == np.arange(self.size))[0]
 
+    # -- value sets of rows and columns ------------------------------------
+
+    @cached_property
+    def right_bits(self) -> np.ndarray:
+        """right_bits[i] is the set of values of table[i, :] as packed bits."""
+        return self._value_sets(self.table)
+
+    @cached_property
+    def left_bits(self) -> np.ndarray:
+        """left_bits[j] is the set of values of table[:, j] as packed bits."""
+        return self._value_sets(self.table.T)
+
+    def _value_sets(self, rows: np.ndarray) -> np.ndarray:
+        N = self.size
+        out = np.empty((N, (N + 7) // 8), dtype=np.uint8)
+        for start in range(0, N, _SCATTER_ROWS):
+            block = rows[start : start + _SCATTER_ROWS]
+            hit = np.zeros((len(block), N), dtype=bool)
+            np.put_along_axis(hit, block, True, axis=1)
+            out[start : start + len(block)] = np.packbits(hit, axis=1)
+        return out
+
+    def pack(self, indices) -> np.ndarray:
+        """The packed bitset of a set of indices."""
+        mask = np.zeros(self.size, dtype=bool)
+        mask[np.fromiter(indices, dtype=np.int64)] = True
+        return np.packbits(mask)
+
+    def members(self, bits: np.ndarray) -> np.ndarray:
+        """The sorted indices in a packed bitset."""
+        return np.flatnonzero(np.unpackbits(bits, count=self.size))
+
     # -- ideals ------------------------------------------------------------
 
     def right_ideal(self, i: int) -> np.ndarray:
-        return np.unique(self.table[i])
+        return self.members(self.right_bits[i])
 
     def left_ideal(self, i: int) -> np.ndarray:
-        return np.unique(self.table[:, i])
+        return self.members(self.left_bits[i])
 
     def two_sided_ideal(self, i: int) -> frozenset[int]:
-        """End a End, memoised by right ideal (End(aEnd) is already two-sided)."""
-        right = self.right_ideal(i)
-        key = right.tobytes()
+        """End a End, the union of the left ideals of the members of a End;
+        memoised by right ideal (End(aEnd) is already two-sided)."""
+        key = self.right_bits[i].tobytes()
         cached = self._two_sided_cache.get(key)
         if cached is None:
-            cached = frozenset(int(x) for x in np.unique(self.table[:, right]))
+            union = np.bitwise_or.reduce(self.left_bits[self.right_ideal(i)], axis=0)
+            cached = frozenset(self.members(union).tolist())
             self._two_sided_cache[key] = cached
         return cached
 
     def is_two_sided_closed(self, indices: frozenset[int]) -> bool:
+        """Whether every row and column of every member has its values in
+        the set."""
         idx = np.fromiter(indices, dtype=np.int64)
-        mask = np.zeros(self.size, dtype=bool)
-        mask[idx] = True
-        return bool(mask[self.table[:, idx]].all() and mask[self.table[idx, :]].all())
+        outside = ~self.pack(idx)
+        return not (
+            (self.right_bits[idx] & outside).any()
+            or (self.left_bits[idx] & outside).any()
+        )
 
 
 @lru_cache(maxsize=None)

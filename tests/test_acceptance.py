@@ -179,7 +179,7 @@ def test_criterion_06_green_relations(n):
 def test_criterion_07_ideals():
     for n in (3, 4):
         # enumerate_ideals cross-checks against the brute-force downset
-        # enumeration internally at these degrees and raises on mismatch.
+        # enumeration internally and raises on mismatch.
         descriptions = enumerate_ideals(n)
         uni = get_universe(n)
         for desc in descriptions:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -138,6 +139,23 @@ class TestStructureVerbs:
         assert len(generators) == 33
         assert all(rank in ("1", "2", "3") for _, rank, _ in generators)
 
+    # sha256 of the table output at n = 4, recorded before the brute side
+    # moved onto the row and column bitsets of the product table.
+    @pytest.mark.parametrize(
+        "verb, digest",
+        [
+            ("green", "c764df1335ec6752797e0f1311bcd387ffe83124a33676ab7fa4c7ebcdc978b8"),
+            ("extended", "9c4f4c6ca36c07998af512b23fcf9f2fbae390da5d79525bcfae6ba7b9f3dc67"),
+            ("ideals", "a39b697fa1e79b6d53a44b5f49d291b1e4616f0e9b9e3cf8c189d4f25722662a"),
+            ("regular", "2cffa1f76bf2a0ea217c4a32583a4c62b812c70d5c91b85ddb5058a2b6aec8ac"),
+            ("idempotents", "24b734f2ff74953689ad29eaa2ef25bd5845894e6bc24f907bdce5f1681344b0"),
+        ],
+    )
+    def test_pinned_table_output(self, capsys, verb, digest):
+        code, out, _ = run(capsys, verb, "--n", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_fix(self, capsys):
         code, out, _ = run(
             capsys, "fix", "--n", "5", "--t", "1 3 2 1 5", "--e", "1 1 1 1 1"
@@ -165,16 +183,27 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_usage_bad_flag(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["enumerate", "--n", "not-a-number"])
-        assert excinfo.value.code == 2
-        capsys.readouterr()
+        for value in ("not-a-number", "0", "-1"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["enumerate", "--n", value])
+            assert excinfo.value.code == 2
+            capsys.readouterr()
 
     def test_usage_bad_fix_pair(self, capsys):
         code, _, err = run(
             capsys, "fix", "--n", "3", "--t", "2 3 1", "--e", "1 1 1"
         )
         assert code == 2 and "permissible" in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        import endtn.cli as cli
+
+        def broken(n, relation):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "green_partition", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["green", "--n", "3"])
 
     def test_usage_fix_degree_mismatch(self, capsys):
         code, out, err = run(

@@ -212,3 +212,21 @@ class TestEnumeration:
     def test_sigma_only_at_four(self):
         assert not any(el.is_sigma4 for el in enumerate_End(3))
         assert sum(1 for el in enumerate_End(4) if el.is_sigma4) == 24
+
+    def test_each_pair_is_checked_once(self, monkeypatch):
+        import endtn.endomorphisms as endomorphisms
+        import endtn.pairs as pairs
+
+        checked = []
+        real = pairs.is_permissible
+
+        def counting(t, e):
+            checked.append((t, e))
+            return real(t, e)
+
+        monkeypatch.setattr(pairs, "is_permissible", counting)
+        monkeypatch.setattr(endomorphisms, "is_permissible", counting)
+        # A fresh intern table, so that no element is already built.
+        monkeypatch.setattr(endomorphisms, "_intern", {})
+        singular = [el for el in endomorphisms.enumerate_End(4) if el.is_phi]
+        assert len(checked) == len(set(checked)) == len(singular) == 297

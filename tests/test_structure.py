@@ -1,14 +1,24 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from endtn.endomorphisms import aut, epsilon, multiply, phi, sigma4
+from endtn.endomorphisms import aut, epsilon, multiply, phi, phi_trivial, sigma4
+from endtn.errors import VerificationError
 from endtn.pairs import PermissiblePair
 from endtn.structure import (
     COMPONENTS,
     EXTENDED_RELATIONS,
     GREEN_RELATIONS,
+    _brute_green_classes,
+    _extended_brute_classes,
+    _kernel_keys,
+    _labels,
+    _saturated_ideal,
     abundance_report,
     component_of,
     enumerate_ideals,
@@ -24,6 +34,49 @@ from endtn.structure import (
 )
 from endtn.transformations import Transformation
 from endtn.universe import get_universe
+
+
+# Per-element readings of the table, kept as references for the bitset and
+# sort-based brute side.
+
+
+def reference_kernel_keys(rows):
+    out = []
+    for row in rows:
+        _, first, inv = np.unique(row, return_index=True, return_inverse=True)
+        relabel = np.argsort(np.argsort(first))
+        out.append(relabel[inv].astype(np.int32).tobytes())
+    return out
+
+
+def reference_green_classes(table, relation):
+    right = [np.unique(table[i]).tobytes() for i in range(len(table))]
+    left = [np.unique(table[:, i]).tobytes() for i in range(len(table))]
+    keys = {"R": right, "L": left, "H": list(zip(left, right))}[relation]
+    return partition_of(keys)
+
+
+def reference_saturated_ideal(table, seed, class_of):
+    current = set(seed)
+    while True:
+        idx = np.fromiter(current, dtype=np.int64)
+        left = np.unique(table[:, idx])
+        closed = set(np.unique(table[left, :]).tolist()) | set(left.tolist()) | current
+        saturated = set()
+        for i in closed:
+            saturated.add(i)
+            for cls in class_of[i]:
+                saturated |= cls
+        if saturated == current:
+            return frozenset(current)
+        current = saturated
+
+
+def partition_of(keys):
+    by_key = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, set()).add(i)
+    return {frozenset(c) for c in by_key.values()}
 
 
 class TestComponents:
@@ -113,6 +166,13 @@ class TestGreens:
         g = aut(Transformation.transposition(3, 1, 2))
         assert part.related(epsilon(3), g)
 
+    @pytest.mark.parametrize("relation", ["R", "L", "H"])
+    def test_brute_classes_match_per_element_reference(self, relation):
+        for n in (1, 2, 3, 4):
+            uni = get_universe(n)
+            brute = {frozenset(c) for c in _brute_green_classes(uni, relation)}
+            assert brute == reference_green_classes(uni.table, relation)
+
 
 class TestPrincipalIdeals:
     def test_unit_generates_everything(self):
@@ -164,6 +224,19 @@ class TestIdeals:
         whole = [d for d in descs if d.form == "whole"]
         assert len(whole) == 1 and len(whole[0].elements) == uni_size(3)
 
+    def test_brute_cross_check_runs_at_five(self, monkeypatch):
+        import endtn.structure as structure
+
+        real = structure._ideal_index_sets
+
+        def skewed(uni, brute):
+            ideals = real(uni, brute)
+            return ideals[1:] if brute else ideals
+
+        monkeypatch.setattr(structure, "_ideal_index_sets", skewed)
+        with pytest.raises(VerificationError):
+            enumerate_ideals(5)
+
     def test_dot_output(self):
         dot = j_order_dot(3)
         assert dot.startswith("digraph") and "->" in dot
@@ -212,6 +285,55 @@ class TestExtended:
         assert extended_probe_check(3, "L*")
         with pytest.raises(ValueError):
             extended_probe_check(3, "H*")
+
+    def test_probe_check_is_exhaustive_at_four(self, monkeypatch):
+        import endtn.structure as structure
+
+        uni = get_universe(4)
+        # Wrong on purpose: the identity and the trivial-type map share a class.
+        a, b = uni.of(epsilon(4)), uni.of(phi_trivial(4))
+        classes = tuple(
+            frozenset({i}) for i in range(uni.size) if i not in (a, b)
+        ) + (frozenset({a, b}),)
+        monkeypatch.setattr(structure, "_extended_brute_classes", lambda u, r: classes)
+        for relation in ("R*", "L*"):
+            with pytest.raises(VerificationError):
+                extended_probe_check(4, relation, samples=0)
+
+    def test_saturated_ideals_match_reference(self):
+        for n in (2, 3, 4):
+            uni = get_universe(n)
+            for suffix in "*~":
+                sides = [_extended_brute_classes(uni, side + suffix) for side in "LR"]
+                labels = [_labels(uni.size, classes) for classes in sides]
+                class_of = {i: [] for i in range(uni.size)}
+                for classes in sides:
+                    for cls in classes:
+                        for i in cls:
+                            class_of[i].append(cls)
+                for cls in _extended_brute_classes(uni, "D" + suffix):
+                    assert _saturated_ideal(uni, cls, labels) == (
+                        reference_saturated_ideal(uni.table, cls, class_of)
+                    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=arrays(
+            np.int32,
+            st.tuples(st.integers(1, 300), st.integers(1, 12)),
+            elements=st.integers(0, 4),
+        ),
+        relabel=st.permutations(range(5)),
+    )
+    def test_kernel_keys_match_reference(self, rows, relabel):
+        keys = _kernel_keys(rows)
+        reference = reference_kernel_keys(rows)
+        # Same partition of the rows, and each key has its row's kernel.
+        assert partition_of(keys) == partition_of(reference)
+        decoded = np.array([np.frombuffer(k, dtype=np.int32) for k in keys])
+        assert reference_kernel_keys(decoded) == reference
+        # The key depends on the kernel only, not on the values.
+        assert _kernel_keys(np.array(relabel, dtype=np.int32)[rows]) == keys
 
     def test_abundance_small(self):
         report = abundance_report(2)

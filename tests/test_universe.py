@@ -5,12 +5,35 @@ import pytest
 
 from endtn.endomorphisms import epsilon, multiply
 from endtn.errors import CapacityError
+from endtn.structure import enumerate_ideals
 from endtn.universe import Universe, get_universe
 
 
 @pytest.fixture(scope="module")
 def uni4():
     return get_universe(4)
+
+
+# Per-element readings of the table, kept as references for the bitsets.
+
+
+def reference_right_ideal(table, i):
+    return np.unique(table[i])
+
+
+def reference_left_ideal(table, i):
+    return np.unique(table[:, i])
+
+
+def reference_two_sided_ideal(table, i):
+    return frozenset(np.unique(table[:, np.unique(table[i])]).tolist())
+
+
+def reference_is_two_sided_closed(table, indices):
+    idx = np.fromiter(indices, dtype=np.int64)
+    mask = np.zeros(len(table), dtype=bool)
+    mask[idx] = True
+    return bool(mask[table[:, idx]].all() and mask[table[idx, :]].all())
 
 
 class TestTable:
@@ -23,12 +46,18 @@ class TestTable:
         assert get_universe(4).size == 345
 
     def test_table_matches_symbolic_product(self, uni4):
-        rng = random.Random(3)
-        for _ in range(2000):
-            i = rng.randrange(uni4.size)
-            j = rng.randrange(uni4.size)
-            expected = multiply(uni4.elements[i], uni4.elements[j])
-            assert uni4.elements[uni4.table[i, j]] is expected
+        els = uni4.elements
+        for i, a in enumerate(els):
+            expected = [uni4.of(multiply(a, b)) for b in els]
+            assert uni4.table[i].tolist() == expected
+
+    def test_phi_aut_block_matches_symbolic_product(self):
+        uni = get_universe(5)
+        els = uni.elements
+        auts = [els[j] for j in uni.aut_indices]
+        for i in uni.phi_indices:
+            expected = [uni.of(multiply(els[i], b)) for b in auts]
+            assert uni.table[i, uni.aut_indices].tolist() == expected
 
     def test_identity_row_and_column(self, uni4):
         e = uni4.of(epsilon(4))
@@ -62,3 +91,53 @@ class TestDerivedSets:
 
     def test_closure_check_rejects_non_ideal(self, uni4):
         assert not uni4.is_two_sided_closed(frozenset({uni4.of(epsilon(4))}))
+
+
+class TestBitsets:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_principal_ideals_match_references(self, n):
+        uni = get_universe(n)
+        for i in range(uni.size):
+            right, left = uni.right_ideal(i), uni.left_ideal(i)
+            assert np.array_equal(right, reference_right_ideal(uni.table, i))
+            assert np.array_equal(left, reference_left_ideal(uni.table, i))
+            assert uni.two_sided_ideal(i) == reference_two_sided_ideal(uni.table, i)
+            # One-sided ideals are closed on one side only, unless two-sided.
+            for one_sided in (right, left):
+                assert uni.is_two_sided_closed(frozenset(one_sided.tolist())) == (
+                    reference_is_two_sided_closed(uni.table, one_sided)
+                )
+
+    def test_row_and_column_sets_at_five(self):
+        uni = get_universe(5)
+        table = uni.table
+        for i in range(uni.size):
+            assert np.array_equal(uni.right_ideal(i), reference_right_ideal(table, i))
+            assert np.array_equal(uni.left_ideal(i), reference_left_ideal(table, i))
+
+    def test_pack_and_members_round_trip(self, uni4):
+        rng = random.Random(7)
+        for _ in range(50):
+            subset = sorted(rng.sample(range(uni4.size), rng.randrange(uni4.size)))
+            assert uni4.members(uni4.pack(subset)).tolist() == subset
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_closure_on_ideals_less_one_element(self, n):
+        uni = get_universe(n)
+        rng = random.Random(n)
+        for desc in enumerate_ideals(n):
+            ideal = uni.index_set(desc.elements)
+            assert uni.is_two_sided_closed(ideal)
+            smaller = ideal - {rng.choice(sorted(ideal))}
+            assert uni.is_two_sided_closed(smaller) == (
+                reference_is_two_sided_closed(uni.table, smaller)
+            )
+
+    def test_closure_on_random_subsets(self, uni4):
+        rng = random.Random(11)
+        for _ in range(300):
+            size = rng.randrange(uni4.size + 1)
+            subset = frozenset(rng.sample(range(uni4.size), size))
+            assert uni4.is_two_sided_closed(subset) == (
+                reference_is_two_sided_closed(uni4.table, subset)
+            )
