@@ -4,8 +4,8 @@ Every verb is a deterministic, machine-readable run: the same flags (and
 seed) produce byte-identical output.  Verification verbs exit with
 status 1 and print the first counterexample; capacity guards exit with
 status 3; flag errors (``UsageError`` or argparse) exit with status 2.
-Any other exception is a fault of the program and propagates with its
-traceback.
+Any other exception is a fault of the program: its traceback goes to
+stderr and the status is 4.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import io
 import json
 import random
 import sys
+import traceback
 
 from .endomorphisms import enumerate_End, multiply, oracle_multiply
 from .errors import CapacityError, RewriteBudgetExceeded, UsageError, VerificationError
@@ -53,6 +54,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_FAULT = 4
 
 
 # -- output -----------------------------------------------------------------
@@ -399,6 +401,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_FAULT
 
 
 if __name__ == "__main__":

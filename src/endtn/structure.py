@@ -11,7 +11,7 @@ on any disagreement, so a returned value is always doubly attested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,17 +64,33 @@ def component_of(alpha: Endomorphism) -> str:
     return "C" if alpha.t == alpha.t2 else "B"
 
 
-_component_cache: dict[int, dict[str, list[int]]] = {}
-
-
+@lru_cache(maxsize=None)
 def _components(uni: Universe) -> dict[str, list[int]]:
-    cached = _component_cache.get(uni.n)
-    if cached is None:
-        cached = {name: [] for name in COMPONENTS}
-        for i, el in enumerate(uni.elements):
-            cached[component_of(el)].append(i)
-        _component_cache[uni.n] = cached
-    return cached
+    members = {name: [] for name in COMPONENTS}
+    for i, el in enumerate(uni.elements):
+        members[component_of(el)].append(i)
+    return members
+
+
+@lru_cache(maxsize=None)
+def _component_bits(uni: Universe) -> dict[str, np.ndarray]:
+    """Each component of the decomposition as a packed mask."""
+    return {name: uni.pack(members) for name, members in _components(uni).items()}
+
+
+def _union_of_components(uni: Universe, names) -> np.ndarray:
+    masks = _component_bits(uni)
+    return np.bitwise_or.reduce([masks[name] for name in names])
+
+
+@lru_cache(maxsize=None)
+def _orbit_bits(uni: Universe, rep: Endomorphism) -> np.ndarray:
+    """The orbit of a representative under Aut(T_n), as a packed mask."""
+    return uni.pack(uni.of(el) for el in get_cosets(uni.n).orbit(rep))
+
+
+def _orbit_bits_of(uni: Universe, alpha: Endomorphism) -> np.ndarray:
+    return _orbit_bits(uni, get_cosets(uni.n).representative(alpha))
 
 
 # -- partitions -------------------------------------------------------------
@@ -91,11 +107,15 @@ class GreenPartition:
     relation: str
     classes: tuple[frozenset[Endomorphism], ...]
 
+    @cached_property
+    def _class_by_element(self) -> dict[Endomorphism, frozenset[Endomorphism]]:
+        return {el: cls for cls in self.classes for el in cls}
+
     def class_of(self, alpha: Endomorphism) -> frozenset[Endomorphism]:
-        for cls in self.classes:
-            if alpha in cls:
-                return cls
-        raise KeyError(f"{alpha!r} lies in no class of {self.relation}")
+        try:
+            return self._class_by_element[alpha]
+        except KeyError:
+            raise KeyError(f"{alpha!r} lies in no class of {self.relation}") from None
 
     def related(self, alpha: Endomorphism, beta: Endomorphism) -> bool:
         return beta in self.class_of(alpha)
@@ -317,8 +337,8 @@ def _brute_green_classes(uni: Universe, relation: str) -> list[set[int]]:
             (_brute_green_classes(uni, "L"), _brute_green_classes(uni, "R")),
         )
     if relation == "J":
-        keys = [uni.two_sided_ideal(i) for i in range(uni.size)]
-        return _classes_from_keys(keys)
+        _, label = uni.two_sided_ideals
+        return _classes_from_keys(label.tolist())
     raise ValueError(f"unknown Green's relation {relation!r}")
 
 
@@ -343,17 +363,14 @@ class PrincipalIdeals:
     two_sided: frozenset[Endomorphism]
 
 
-def _formula_left_ideal(uni: Universe, alpha: Endomorphism) -> set[int]:
+def _formula_left_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
     if alpha.is_aut:
-        return set(range(uni.size))
+        return _union_of_components(uni, COMPONENTS)
     if alpha.is_phi:
         t, e, t2 = alpha.t, alpha.e, alpha.t2
-        return {
-            uni.of(alpha),
-            uni.of(phi(t2, e)),
-            uni.of(phi(e, e)),
-            uni.of(phi(t2, t2)),
-        }
+        return uni.pack(
+            [uni.of(alpha), uni.of(phi(t2, e)), uni.of(phi(e, e)), uni.of(phi(t2, t2))]
+        )
     # rank-7 case: images under every left multiplier, by characterisation
     from .endomorphisms import apply, coset_rep_fixing_4
 
@@ -363,65 +380,90 @@ def _formula_left_ideal(uni: Universe, alpha: Endomorphism) -> set[int]:
     for j in uni.phi_indices:
         el = uni.elements[j]
         out.add(uni.of(phi(apply(alpha, el.t), apply(alpha, el.e))))
-    return out
+    return uni.pack(out)
 
 
-def _formula_right_ideal(uni: Universe, alpha: Endomorphism) -> set[int]:
-    comp = _components(uni)
+# The components a principal right ideal holds whole, by the component of
+# its generator; for A, B and C the generator's own orbit is added.
+_RIGHT_IDEAL_COMPONENTS = {
+    "Aut": COMPONENTS,
+    "D": COMPONENTS[1:],
+    "E_3": COMPONENTS[2:],
+    "A": ("E_2", "C", "E_1"),
+    "B": ("E_1",),
+    "E_2": ("E_2", "C", "E_1"),
+    "C": ("E_1",),
+    "E_1": ("E_1",),
+}
+
+
+def _formula_right_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
     name = component_of(alpha)
-    if name == "Aut":
-        return set(range(uni.size))
-    if name == "D":
-        return set(range(uni.size)) - set(comp["Aut"])
-    if name == "E_3":
-        return set(range(uni.size)) - set(comp["Aut"]) - set(comp["D"])
-    if name == "E_2":
-        return set(comp["E_2"]) | set(comp["C"]) | set(comp["E_1"])
-    if name == "E_1":
-        return set(comp["E_1"])
-    orbit = uni.index_set(get_cosets(uni.n).orbit(alpha))
-    if name == "A":
-        return orbit | set(comp["E_2"]) | set(comp["C"]) | set(comp["E_1"])
-    return orbit | set(comp["E_1"])  # B or C
+    bits = _union_of_components(uni, _RIGHT_IDEAL_COMPONENTS[name])
+    if name in ("A", "B", "C"):
+        bits |= _orbit_bits_of(uni, alpha)
+    return bits
 
 
-def _formula_two_sided_ideal(uni: Universe, alpha: Endomorphism) -> set[int]:
-    if component_of(alpha) != "B":
-        return _formula_right_ideal(uni, alpha)
-    # The one case where the right ideal is not already two-sided: closing
-    # an orbit of B under the plus map lands in the companion C-orbit.
-    comp = _components(uni)
-    cosets = get_cosets(uni.n)
-    both = cosets.orbit(alpha) | cosets.orbit(phi(alpha.t2, alpha.e))
-    return uni.index_set(both) | set(comp["E_1"])
+def _formula_two_sided_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
+    bits = _formula_right_ideal(uni, alpha)
+    if component_of(alpha) == "B":
+        # The one case where the right ideal is not already two-sided:
+        # closing an orbit of B under the plus map lands in the companion
+        # C-orbit.
+        bits |= _orbit_bits_of(uni, phi(alpha.t2, alpha.e))
+    return bits
+
+
+def _brute_j_leq(uni: Universe, a: int, b: int) -> bool:
+    """Whether the two-sided ideal of element b lies in that of element a."""
+    return not (uni.two_sided_bits(b) & ~uni.two_sided_bits(a)).any()
 
 
 def principal_ideals(alpha: Endomorphism) -> PrincipalIdeals:
-    """Left/right/two-sided principal ideals, verified against the table."""
+    """Left/right/two-sided principal ideals, verified against the table.
+
+    Every call compares, for each of the three ideals, the closed form's
+    packed mask with the brute-force bitset read off the table (a row of
+    ``Universe.left_bits`` or ``right_bits``, or ``two_sided_bits(i)``) and
+    raises ``VerificationError`` on any difference.  Memoised along the
+    way: the formula masks of each component and of each orbit, the brute
+    two-sided rows (one union per distinct right ideal), and the returned
+    element sets (one per distinct ideal, looked up only once the bytes
+    have matched; the left ideal of a singular element, at most four
+    elements, is built afresh).
+    """
     uni = get_universe(alpha.n)
     i = uni.of(alpha)
     checks = (
-        ("left", _formula_left_ideal(uni, alpha), set(uni.left_ideal(i).tolist())),
-        ("right", _formula_right_ideal(uni, alpha), set(uni.right_ideal(i).tolist())),
-        ("two-sided", _formula_two_sided_ideal(uni, alpha), set(uni.two_sided_ideal(i))),
+        ("left", _formula_left_ideal(uni, alpha), uni.left_bits[i]),
+        ("right", _formula_right_ideal(uni, alpha), uni.right_bits[i]),
+        ("two-sided", _formula_two_sided_ideal(uni, alpha), uni.two_sided_bits(i)),
     )
     out = {}
     for which, formula, brute in checks:
-        if formula != brute:
-            diff = uni.elements[next(iter(formula ^ brute))]
+        if not np.array_equal(formula, brute):
+            diff = uni.elements[uni.members(formula ^ brute)[0]]
             raise VerificationError(
                 f"{which} principal ideal of {alpha!r} disagrees with brute force",
                 counterexample=diff,
             )
-        out[which] = uni.element_set(formula)
+        if which == "left" and alpha.is_phi:
+            # At most four members: cheaper to build than to keep one per
+            # element.
+            out[which] = uni.element_set(uni.members(brute))
+        else:
+            out[which] = uni.bits_element_set(brute)
     return PrincipalIdeals(out["left"], out["right"], out["two-sided"])
 
 
 def j_leq(alpha: Endomorphism, beta: Endomorphism) -> bool:
     """Whether beta lies in the two-sided ideal generated by alpha.
 
-    Decided by the case analysis on the component of alpha and verified
-    against inclusion of brute-force two-sided ideals.
+    Decided by the case analysis on the component of alpha.  Every call
+    also checks the answer against inclusion of the brute-force two-sided
+    ideals, as bitsets (``Universe.two_sided_bits``, one union per distinct
+    right ideal, built once per universe).
     """
     if alpha.n != beta.n:
         raise ValueError("degree mismatch")
@@ -452,7 +494,7 @@ def j_leq(alpha: Endomorphism, beta: Endomorphism) -> bool:
         )
     else:  # E_1
         result = comp_b == "E_1"
-    brute = uni.two_sided_ideal(uni.of(beta)) <= uni.two_sided_ideal(uni.of(alpha))
+    brute = _brute_j_leq(uni, uni.of(alpha), uni.of(beta))
     if result != brute:
         raise VerificationError(
             "case analysis for the J-order disagrees with ideal inclusion",
@@ -571,10 +613,7 @@ def _ideal_index_sets(uni: Universe, brute: bool) -> list[frozenset[int]]:
         classes = [frozenset(c) for c in _brute_green_classes(uni, "J")]
         reps = [min(c) for c in classes]
         order = [
-            [
-                uni.two_sided_ideal(reps[j]) <= uni.two_sided_ideal(reps[i])
-                for j in range(len(classes))
-            ]
+            [_brute_j_leq(uni, reps[i], reps[j]) for j in range(len(classes))]
             for i in range(len(classes))
         ]
     else:

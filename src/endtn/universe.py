@@ -7,9 +7,10 @@ function-composition oracle elsewhere; the two verification paths stay
 separate.
 
 The value sets of the table's rows and columns (the principal right and
-left ideals) are kept as packed bitsets, one row of ``ceil(N / 8)``
-bytes per element, so that unions, inclusions and equality keys of
-ideals are byte operations over every cell of the table.
+left ideals) and the principal two-sided ideals are kept as packed
+bitsets, one row of ``ceil(N / 8)`` bytes per element, so that unions,
+inclusions and equality keys of ideals are byte operations over every
+cell of the table.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class Universe:
             [i for i, el in enumerate(self.elements) if el.is_sigma4], dtype=np.int64
         )
         self.table = self._build_table()
-        self._two_sided_cache: dict[bytes, frozenset[int]] = {}
+        self._element_sets: dict[bytes, frozenset[Endomorphism]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -164,6 +165,15 @@ class Universe:
     def index_set(self, elements) -> frozenset[int]:
         return frozenset(self.index[el] for el in elements)
 
+    def bits_element_set(self, bits: np.ndarray) -> frozenset[Endomorphism]:
+        """The elements in a packed bitset, built once per distinct set."""
+        key = bits.tobytes()
+        cached = self._element_sets.get(key)
+        if cached is None:
+            cached = self.element_set(self.members(bits))
+            self._element_sets[key] = cached
+        return cached
+
     # -- structural subsets (from the defining parameter conditions) -------
 
     @property
@@ -212,16 +222,37 @@ class Universe:
     def left_ideal(self, i: int) -> np.ndarray:
         return self.members(self.left_bits[i])
 
+    @cached_property
+    def two_sided_ideals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct principal two-sided ideals End a End as packed rows,
+        and for each element the number of its row.
+
+        Each is the union of the left ideals of the members of a End,
+        computed once per distinct right ideal (End(aEnd) is already
+        two-sided).  Equal ideals share a row, so the row numbers label
+        the J-classes.
+        """
+        rows: dict[bytes, int] = {}
+        row_of_right: dict[bytes, int] = {}
+        label = np.empty(self.size, dtype=np.int64)
+        for i, right in enumerate(self.right_bits):
+            key = right.tobytes()
+            if key not in row_of_right:
+                left = self.left_bits[self.members(right)]
+                union = np.bitwise_or.reduce(left, axis=0)
+                row_of_right[key] = rows.setdefault(union.tobytes(), len(rows))
+            label[i] = row_of_right[key]
+        packed = np.frombuffer(b"".join(rows), dtype=np.uint8)
+        return packed.reshape(len(rows), -1), label
+
+    def two_sided_bits(self, i: int) -> np.ndarray:
+        """End a End as packed bits, where a is element i."""
+        rows, label = self.two_sided_ideals
+        return rows[label[i]]
+
     def two_sided_ideal(self, i: int) -> frozenset[int]:
-        """End a End, the union of the left ideals of the members of a End;
-        memoised by right ideal (End(aEnd) is already two-sided)."""
-        key = self.right_bits[i].tobytes()
-        cached = self._two_sided_cache.get(key)
-        if cached is None:
-            union = np.bitwise_or.reduce(self.left_bits[self.right_ideal(i)], axis=0)
-            cached = frozenset(self.members(union).tolist())
-            self._two_sided_cache[key] = cached
-        return cached
+        """The members of ``two_sided_bits(i)``."""
+        return frozenset(self.members(self.two_sided_bits(i)).tolist())
 
     def is_two_sided_closed(self, indices: frozenset[int]) -> bool:
         """Whether every row and column of every member has its values in

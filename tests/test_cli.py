@@ -195,15 +195,16 @@ class TestExitCodes:
         )
         assert code == 2 and "permissible" in err
 
-    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+    def test_internal_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         import endtn.cli as cli
 
         def broken(n, relation):
             raise ValueError("internal fault")
 
         monkeypatch.setattr(cli, "green_partition", broken)
-        with pytest.raises(ValueError, match="internal fault"):
-            main(["green", "--n", "3"])
+        code, out, err = run(capsys, "green", "--n", "3")
+        assert code == 4 and out == ""
+        assert "Traceback" in err and "ValueError: internal fault" in err
 
     def test_usage_fix_degree_mismatch(self, capsys):
         code, out, err = run(

@@ -15,6 +15,7 @@ from endtn.structure import (
     EXTENDED_RELATIONS,
     GREEN_RELATIONS,
     _brute_green_classes,
+    _component_bits,
     _extended_brute_classes,
     _kernel_keys,
     _labels,
@@ -34,6 +35,11 @@ from endtn.structure import (
 )
 from endtn.transformations import Transformation
 from endtn.universe import get_universe
+from test_universe import (
+    reference_left_ideal,
+    reference_right_ideal,
+    reference_two_sided_ideal,
+)
 
 
 # Per-element readings of the table, kept as references for the bitset and
@@ -173,6 +179,17 @@ class TestGreens:
             brute = {frozenset(c) for c in _brute_green_classes(uni, relation)}
             assert brute == reference_green_classes(uni.table, relation)
 
+    def test_class_of_matches_scan(self):
+        elements = get_universe(4).elements
+        for relation in GREEN_RELATIONS:
+            part = green_partition(4, relation)
+            for el in elements:
+                scanned = next(cls for cls in part.classes if el in cls)
+                assert part.class_of(el) is scanned
+                assert part.related(el, min(scanned))
+        with pytest.raises(KeyError, match="lies in no class of J"):
+            part.class_of(epsilon(3))
+
 
 class TestPrincipalIdeals:
     def test_unit_generates_everything(self):
@@ -180,18 +197,48 @@ class TestPrincipalIdeals:
         everything = frozenset(get_universe(3).elements)
         assert ideals.left == ideals.right == ideals.two_sided == everything
 
-    def test_sampled_against_table(self):
+    def test_exhaustive_against_table(self):
+        for n in (1, 2, 3, 4, 5):
+            uni = get_universe(n)
+            sets = {}  # reference index sets as element sets, built once each
+
+            def as_elements(indices):
+                key = tuple(sorted(indices))
+                if key not in sets:
+                    sets[key] = uni.element_set(key)
+                return sets[key]
+
+            # The two-sided ideal M a M depends on a only through a M.
+            two_sided = {}
+            for i, el in enumerate(uni.elements):
+                right = reference_right_ideal(uni.table, i)
+                key = right.tobytes()
+                if key not in two_sided:
+                    two_sided[key] = reference_two_sided_ideal(uni.table, i)
+                ideals = principal_ideals(el)
+                left = reference_left_ideal(uni.table, i)
+                assert ideals.left == as_elements(left.tolist())
+                assert ideals.right == as_elements(right.tolist())
+                assert ideals.two_sided == as_elements(two_sided[key])
+
+    def test_warm_caches_still_check_the_formula(self, monkeypatch):
         uni = get_universe(4)
-        rng = random.Random(1)
-        for _ in range(20):
-            el = uni.elements[rng.randrange(uni.size)]
-            ideals = principal_ideals(el)
-            i = uni.of(el)
-            assert uni.index_set(ideals.right) == frozenset(
-                uni.right_ideal(i).tolist()
-            )
-            assert uni.index_set(ideals.left) == frozenset(uni.left_ideal(i).tolist())
-            assert uni.index_set(ideals.two_sided) == uni.two_sided_ideal(i)
+        alpha = next(el for el in uni.elements if component_of(el) == "E_1")
+        principal_ideals(alpha)  # fills the mask and element-set caches
+        masks = _component_bits(uni)
+        members = set(uni.members(masks["E_1"]).tolist())
+        wrong = uni.pack(members | {uni.of(epsilon(4))})
+        monkeypatch.setitem(masks, "E_1", wrong)
+        with pytest.raises(VerificationError, match="right principal ideal"):
+            principal_ideals(alpha)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_j_leq_matches_reference_inclusion(self, n):
+        uni = get_universe(n)
+        two_sided = [reference_two_sided_ideal(uni.table, i) for i in range(uni.size)]
+        for a, alpha in enumerate(uni.elements):
+            for b, beta in enumerate(uni.elements):
+                assert j_leq(alpha, beta) == (two_sided[b] <= two_sided[a])
 
     def test_j_leq_is_a_preorder(self):
         uni = get_universe(3)
