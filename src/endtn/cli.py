@@ -79,10 +79,11 @@ def _emit(args, header: list[str], rows: list[list], payload=None) -> None:
             max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
             for i, h in enumerate(header)
         ]
-        lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
-        text = "\n".join(line.rstrip() for line in lines) + "\n"
+        lines = [
+            "  ".join(str(x).ljust(w) for x, w in zip(row, widths)).rstrip()
+            for row in [header, *rows]
+        ]
+        text = "\n".join(lines) + "\n"
     if args.output in (None, "-"):
         sys.stdout.write(text)
     else:

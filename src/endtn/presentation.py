@@ -141,19 +141,21 @@ def minimal_generating_set(n: int) -> frozenset[Endomorphism]:
 
 
 def verify_generates(generators, n: int) -> bool:
-    """Whether the multiplicative closure of the set is all of End(T_n)."""
+    """Whether the multiplicative closure of the set is all of End(T_n).
+
+    The closure of G is G together with its products by G on the right, so
+    a breadth-first search that multiplies only the newly reached elements
+    by the generators finds all of it (Froidure & Pin, 1997).
+    """
     from .universe import get_universe
 
     uni = get_universe(n)
     member = np.zeros(uni.size, dtype=bool)
-    frontier = np.unique(np.fromiter((uni.of(el) for el in generators), dtype=np.int64))
-    member[frontier] = True
+    gens = np.unique(np.fromiter((uni.of(el) for el in generators), dtype=np.int64))
+    member[gens] = True
+    frontier = gens
     while len(frontier):
-        current = np.nonzero(member)[0]
-        reached = np.union1d(
-            np.unique(uni.table[np.ix_(frontier, current)]),
-            np.unique(uni.table[np.ix_(current, frontier)]),
-        )
+        reached = np.unique(uni.table[np.ix_(frontier, gens)])
         frontier = reached[~member[reached]]
         member[frontier] = True
     return bool(member.all())

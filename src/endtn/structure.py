@@ -21,7 +21,6 @@ from .endomorphisms import (
     Endomorphism,
     TypeTag,
     enumerate_End,
-    epsilon,
     klein_four,
     multiply,
     phi,
@@ -65,17 +64,37 @@ def component_of(alpha: Endomorphism) -> str:
 
 
 @lru_cache(maxsize=None)
-def _components(uni: Universe) -> dict[str, list[int]]:
-    members = {name: [] for name in COMPONENTS}
-    for i, el in enumerate(uni.elements):
-        members[component_of(el)].append(i)
-    return members
+def _component_labels(uni: Universe) -> np.ndarray:
+    """Each element's component, as its position in ``COMPONENTS``."""
+    labels = np.array([COMPONENTS.index(component_of(el)) for el in uni.elements])
+    labels.flags.writeable = False
+    return labels
+
+
+def _in_components(uni: Universe, names) -> np.ndarray:
+    """The mask of the elements in the named components."""
+    return np.isin(_component_labels(uni), [COMPONENTS.index(name) for name in names])
+
+
+@lru_cache(maxsize=None)
+def _orbit_labels(uni: Universe) -> np.ndarray:
+    """For each singular element the index of its orbit's representative
+    under Aut(T_n); -1 for the units and the rank-7 maps."""
+    rep = get_cosets(uni.n).representative
+    labels = np.full(uni.size, -1, dtype=np.int64)
+    for i in uni.phi_indices.tolist():
+        labels[i] = uni.of(rep(uni.elements[i]))
+    labels.flags.writeable = False
+    return labels
 
 
 @lru_cache(maxsize=None)
 def _component_bits(uni: Universe) -> dict[str, np.ndarray]:
     """Each component of the decomposition as a packed mask."""
-    return {name: uni.pack(members) for name, members in _components(uni).items()}
+    labels = _component_labels(uni)
+    return {
+        name: uni.pack(np.flatnonzero(labels == k)) for k, name in enumerate(COMPONENTS)
+    }
 
 
 def _union_of_components(uni: Universe, names) -> np.ndarray:
@@ -84,16 +103,21 @@ def _union_of_components(uni: Universe, names) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _orbit_bits(uni: Universe, rep: Endomorphism) -> np.ndarray:
-    """The orbit of a representative under Aut(T_n), as a packed mask."""
-    return uni.pack(uni.of(el) for el in get_cosets(uni.n).orbit(rep))
+def _orbit_bits(uni: Universe, rep: int) -> np.ndarray:
+    """The orbit of the representative with index rep, as a packed mask."""
+    return uni.pack(np.flatnonzero(_orbit_labels(uni) == rep))
 
 
 def _orbit_bits_of(uni: Universe, alpha: Endomorphism) -> np.ndarray:
-    return _orbit_bits(uni, get_cosets(uni.n).representative(alpha))
+    return _orbit_bits(uni, int(_orbit_labels(uni)[uni.of(alpha)]))
 
 
 # -- partitions -------------------------------------------------------------
+#
+# Inside this module a partition of the elements is one int array over the
+# element indices: each element's label is the index of the least member of
+# its class.  ``Universe.elements`` is sorted, so that numbering is also the
+# output order, and two partitions are equal exactly when their arrays are.
 
 
 @dataclass(frozen=True)
@@ -129,70 +153,69 @@ class GreenPartition:
         }
 
 
-def _as_partition(relation: str, uni: Universe, classes) -> GreenPartition:
-    sets = [uni.element_set(cls) for cls in classes]
-    sets.sort(key=lambda s: min(s).sort_key())
-    return GreenPartition(relation, tuple(sets))
+def _labels_by_key(keys) -> np.ndarray:
+    """The partition into classes of equal keys, from one hashable key per
+    element in index order.  Only the distinct keys are kept."""
+    first: dict = {}
+    return np.fromiter(
+        (first.setdefault(key, i) for i, key in enumerate(keys)), dtype=np.int64
+    )
 
 
-def _classes_from_keys(keys) -> list[set[int]]:
-    by_key: dict = {}
-    for i, key in enumerate(keys):
-        by_key.setdefault(key, set()).add(i)
-    return list(by_key.values())
+def _labels_by_row(rows: np.ndarray) -> np.ndarray:
+    return _labels_by_key(row.tobytes() for row in rows)
 
 
-def _row_keys(bits: np.ndarray) -> list[bytes]:
-    return [row.tobytes() for row in bits]
+def _meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _labels_by_key(zip(a.tolist(), b.tolist()))
 
 
-def _labels(size: int, classes) -> np.ndarray:
-    """The number of each element's class, as an array over the elements."""
-    label = np.empty(size, dtype=np.int64)
-    for k, cls in enumerate(classes):
-        label[list(cls)] = k
-    return label
+def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The join of two partitions: spread the least member over each class
+    of either side until nothing moves."""
+    label = a
+    while True:
+        before = label
+        for side in (a, b):
+            least = np.full(len(label), len(label))
+            np.minimum.at(least, side, label)
+            label = least[side]
+        if np.array_equal(label, before):
+            return label
 
 
-def _check_same_partition(relation: str, uni: Universe, formula, brute) -> None:
-    f = {frozenset(c) for c in formula}
-    b = {frozenset(c) for c in brute}
-    if f == b:
-        return
-    # Find one element whose two classes disagree, for the error report.
-    f_of = {i: frozenset(c) for c in formula for i in c}
-    b_of = {i: frozenset(c) for c in brute for i in c}
-    for i in range(uni.size):
-        if f_of[i] != b_of[i]:
-            j = next(iter(f_of[i] ^ b_of[i]))
-            raise VerificationError(
-                f"{relation}-classes disagree between characterisation and "
-                f"brute force at {uni.elements[i]!r}",
-                counterexample=(uni.elements[i], uni.elements[j]),
-            )
-    raise VerificationError(f"{relation}-partitions disagree")
+def _classes(label: np.ndarray) -> list[np.ndarray]:
+    """The sorted members of each class, in the order of their least
+    members."""
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _merge_join(size: int, partitions) -> list[set[int]]:
-    """Join of equivalence relations by iterated class merging (union-find)."""
-    parent = list(range(size))
+def _attest(
+    relation: str, uni: Universe, formula: np.ndarray, brute: np.ndarray
+) -> None:
+    """Raise ``VerificationError`` unless both sides give one partition.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    The counterexample is the first element i whose labels differ and the
+    lesser j of its two labels.  j < i, and as i is the first difference j
+    is its own label on both sides, so exactly one side puts j in i's
+    class.
+    """
+    differ = np.flatnonzero(formula != brute)
+    if len(differ):
+        i = differ[0]
+        j = min(formula[i], brute[i])
+        raise VerificationError(
+            f"{relation}-classes disagree between characterisation and "
+            f"brute force at {uni.elements[i]!r}",
+            counterexample=(uni.elements[i], uni.elements[j]),
+        )
 
-    for classes in partitions:
-        for cls in classes:
-            it = iter(cls)
-            root = find(next(it))
-            for other in it:
-                parent[find(other)] = root
-    groups: dict[int, set[int]] = {}
-    for i in range(size):
-        groups.setdefault(find(i), set()).add(i)
-    return list(groups.values())
+
+def _as_partition(relation: str, uni: Universe, label: np.ndarray) -> GreenPartition:
+    return GreenPartition(
+        relation, tuple(uni.element_set(members) for members in _classes(label))
+    )
 
 
 # -- idempotents ------------------------------------------------------------
@@ -265,80 +288,63 @@ def regular_elements(n: int) -> frozenset[Endomorphism]:
     """
     uni = get_universe(n)
     table = uni.table
-    regular = set()
-    for i in range(uni.size):
-        # alpha beta alpha over all beta in one vectorised sweep
-        if np.any(table[table[i], i] == i):
-            regular.add(i)
-    comp = _components(uni)
+    # alpha beta alpha over all beta in one vectorised sweep per alpha
+    regular = np.array([np.any(table[table[i], i] == i) for i in range(uni.size)])
     if n <= 2:
-        expected = set(range(uni.size))
+        expected = np.ones(uni.size, dtype=bool)
     elif n == 3:
-        expected = set(range(uni.size)) - set(comp["C"])
+        expected = ~_in_components(uni, ("C",))
     else:
-        idem = set(int(x) for x in uni.idempotent_indices)
-        expected = set(comp["Aut"]) | set(comp["D"]) | idem
-    if regular != expected:
-        diff = uni.elements[next(iter(regular ^ expected))]
+        expected = _in_components(uni, ("Aut", "D"))
+        expected[uni.idempotent_indices] = True
+    differ = np.flatnonzero(regular != expected)
+    if len(differ):
         raise VerificationError(
             "regular-element description disagrees with brute force",
-            counterexample=diff,
+            counterexample=uni.elements[differ[0]],
         )
-    return uni.element_set(regular)
+    return uni.element_set(np.flatnonzero(regular))
 
 
 # -- Green's relations ------------------------------------------------------
 
 
-def _formula_green_classes(uni: Universe, relation: str) -> list[set[int]]:
-    comp = _components(uni)
-    n = uni.n
+def _left_keys(uni: Universe) -> list:
+    """Keys of the closed form's L-classes: the units share one, the rank-7
+    maps sigma^g share one per image of 4 under g, and every other element
+    is keyed by its own index."""
+    keys = list(range(uni.size))
+    for i in uni.aut_indices.tolist():
+        keys[i] = -1
+    for i in uni.sigma_indices.tolist():
+        keys[i] = -2 - uni.elements[i].g.word[3]
+    return keys
+
+
+def _formula_green_labels(uni: Universe, relation: str) -> np.ndarray:
     if relation in ("L", "H"):
-        classes = [set(comp["Aut"])]
-        if n == 4:
-            by_target: dict[int, set[int]] = {}
-            for i in comp["D"]:
-                by_target.setdefault(uni.elements[i].g.word[3], set()).add(i)
-            classes.extend(by_target.values())
-        singles = [
-            {i}
-            for name in ("E_3", "A", "B", "E_2", "C", "E_1")
-            for i in comp[name]
-        ]
-        return classes + singles
-    # R, D and J share the same classes.
-    classes = [set(comp["Aut"])]
-    if comp["D"]:
-        classes.append(set(comp["D"]))
-    for name in ("E_3", "E_2", "E_1"):
-        if comp[name]:
-            classes.append(set(comp[name]))
-    cosets = get_cosets(n)
-    for name in ("A", "B", "C"):
-        orbit_groups: dict[Endomorphism, set[int]] = {}
-        for i in comp[name]:
-            rep = cosets.representative(uni.elements[i])
-            orbit_groups.setdefault(rep, set()).add(i)
-        classes.extend(orbit_groups.values())
-    return classes
+        return _labels_by_key(_left_keys(uni))
+    # R, D and J share the same classes: whole components, except that A, B
+    # and C split into their orbits.
+    keys = np.where(
+        _in_components(uni, ("A", "B", "C")),
+        _orbit_labels(uni),
+        -1 - _component_labels(uni),
+    )
+    return _labels_by_key(keys.tolist())
 
 
-def _brute_green_classes(uni: Universe, relation: str) -> list[set[int]]:
+def _brute_green_labels(uni: Universe, relation: str) -> np.ndarray:
     if relation == "R":
-        return _classes_from_keys(_row_keys(uni.right_bits))
+        return _labels_by_row(uni.right_bits)
     if relation == "L":
-        return _classes_from_keys(_row_keys(uni.left_bits))
-    if relation == "H":
-        left, right = _row_keys(uni.left_bits), _row_keys(uni.right_bits)
-        return _classes_from_keys(list(zip(left, right)))
-    if relation == "D":
-        return _merge_join(
-            uni.size,
-            (_brute_green_classes(uni, "L"), _brute_green_classes(uni, "R")),
-        )
+        return _labels_by_row(uni.left_bits)
+    if relation in ("H", "D"):
+        left, right = (_brute_green_labels(uni, side) for side in "LR")
+        return _meet(left, right) if relation == "H" else _join(left, right)
     if relation == "J":
         _, label = uni.two_sided_ideals
-        return _classes_from_keys(label.tolist())
+        return _labels_by_key(label.tolist())
     raise ValueError(f"unknown Green's relation {relation!r}")
 
 
@@ -347,9 +353,8 @@ def green_partition(n: int, relation: str) -> GreenPartition:
     if relation not in GREEN_RELATIONS:
         raise ValueError(f"relation must be one of {GREEN_RELATIONS}")
     uni = get_universe(n)
-    formula = _formula_green_classes(uni, relation)
-    brute = _brute_green_classes(uni, relation)
-    _check_same_partition(relation, uni, formula, brute)
+    formula = _formula_green_labels(uni, relation)
+    _attest(relation, uni, formula, _brute_green_labels(uni, relation))
     return _as_partition(relation, uni, formula)
 
 
@@ -554,27 +559,29 @@ def _downsets(order: list[list[bool]]) -> list[frozenset[int]]:
 
 
 def _describe_ideal(uni: Universe, indices: frozenset[int]) -> IdealDescription:
-    comp = _components(uni)
-    aut = set(comp["Aut"]) & indices
-    if aut:
+    comp = _component_labels(uni)
+    inside = np.zeros(uni.size, dtype=bool)
+    inside[np.fromiter(indices, dtype=np.int64)] = True
+    present = {COMPONENTS[k] for k in np.unique(comp[inside]).tolist()}
+    if "Aut" in present:
         form = "whole"
-    elif (set(comp["E_3"]) | set(comp["D"])) & indices:
+    elif present & {"E_3", "D"}:
         form = "singular"
-    elif set(comp["A"]) & indices or set(comp["E_2"]) & indices:
+    elif present & {"A", "E_2"}:
         form = "even-closed"
     else:
         form = "nonperm-closed"
-    cosets = get_cosets(uni.n)
-    orbit_sets = {}
-    for name in ("A", "B", "C"):
-        members = set(comp[name]) & indices
-        reps = {cosets.representative(uni.elements[i]) for i in members}
-        orbit_sets[name] = {rep.key() for rep in reps}
+
+    def orbit_keys(name: str) -> frozenset[str]:
+        hit = inside & (comp == COMPONENTS.index(name))
+        reps = np.unique(_orbit_labels(uni)[hit]).tolist()
+        return frozenset(uni.elements[r].key() for r in reps)
+
     return IdealDescription(
         form=form,
-        X=frozenset(orbit_sets["A"]),
-        Y=frozenset(orbit_sets["B"]),
-        Z=frozenset(orbit_sets["C"]),
+        X=orbit_keys("A"),
+        Y=orbit_keys("B"),
+        Z=orbit_keys("C"),
         elements=uni.element_set(indices),
     )
 
@@ -608,25 +615,34 @@ def enumerate_ideals(n: int) -> list[IdealDescription]:
     return [_describe_ideal(uni, indices) for indices in ideals]
 
 
+# The closed form's J-classes in the order it states them.  enumerate_ideals
+# sorts the ideals by (size, least member) and leaves ties in the iteration
+# order of a set of frozensets, which follows the order the ideals are built
+# in, so numbering these classes by least member would reorder its output.
+_J_CLASS_ORDER = ("Aut", "D", "E_3", "E_2", "E_1", "A", "B", "C")
+
+
 def _ideal_index_sets(uni: Universe, brute: bool) -> list[frozenset[int]]:
     if brute:
-        classes = [frozenset(c) for c in _brute_green_classes(uni, "J")]
-        reps = [min(c) for c in classes]
-        order = [
-            [_brute_j_leq(uni, reps[i], reps[j]) for j in range(len(classes))]
-            for i in range(len(classes))
-        ]
+        label = _brute_green_labels(uni, "J")
+        reps = np.unique(label).tolist()
+
+        def leq(a: int, b: int) -> bool:
+            return _brute_j_leq(uni, a, b)
+
     else:
-        classes = [frozenset(c) for c in _formula_green_classes(uni, "J")]
-        reps = [min(c) for c in classes]
-        order = [
-            [
-                j_leq(uni.elements[reps[i]], uni.elements[reps[j]])
-                for j in range(len(classes))
-            ]
-            for i in range(len(classes))
-        ]
-    k = len(classes)
+        label = _formula_green_labels(uni, "J")
+        comp = _component_labels(uni)
+        reps = sorted(
+            np.unique(label).tolist(),
+            key=lambda r: (_J_CLASS_ORDER.index(COMPONENTS[comp[r]]), r),
+        )
+
+        def leq(a: int, b: int) -> bool:
+            return j_leq(uni.elements[a], uni.elements[b])
+
+    k = len(reps)
+    order = [[leq(reps[i], reps[j]) for j in range(k)] for i in range(k)]
     if k <= FULL_IDEAL_ENUM_CLASS_LIMIT:
         downsets = _downsets(order)
     else:
@@ -634,21 +650,17 @@ def _ideal_index_sets(uni: Universe, brute: bool) -> list[frozenset[int]]:
         downsets = {below[i] for i in range(k)}
         downsets |= {below[i] | below[j] for i in range(k) for j in range(i)}
         downsets = sorted(downsets, key=lambda s: (len(s), sorted(s)))
-    out = []
-    for downset in downsets:
-        members: set[int] = set()
-        for ci in downset:
-            members |= classes[ci]
-        out.append(frozenset(members))
+    # Unions of one set per class share the int objects of those sets.
+    classes = [frozenset(np.flatnonzero(label == r).tolist()) for r in reps]
+    out = [frozenset().union(*(classes[c] for c in downset)) for downset in downsets]
     return sorted(set(out), key=lambda s: (len(s), min(s)))
 
 
 def j_order_dot(n: int) -> str:
     """The J-order as a Graphviz digraph (covering relations only)."""
     uni = get_universe(n)
-    classes = [frozenset(c) for c in _formula_green_classes(uni, "J")]
-    classes.sort(key=min)
-    reps = [uni.elements[min(c)] for c in classes]
+    classes = np.unique(_formula_green_labels(uni, "J")).tolist()
+    reps = [uni.elements[r] for r in classes]
 
     def label(idx: int) -> str:
         name = component_of(reps[idx])
@@ -706,10 +718,10 @@ def fix_set(pair: PermissiblePair) -> FixSet:
 _KERNEL_ROWS = 128
 
 
-def _kernel_keys(rows: np.ndarray) -> list[bytes]:
-    """Canonical key of the kernel (partition by equal values) of each row:
-    at every position, the first position that holds the same value."""
-    out = []
+def _kernel_keys(rows: np.ndarray):
+    """Canonical key of the kernel (partition by equal values) of each row,
+    yielded row by row: at every position, the first position that holds
+    the same value."""
     for start in range(0, len(rows), _KERNEL_ROWS):
         block = rows[start : start + _KERNEL_ROWS]
         order = np.argsort(block, axis=1, kind="stable")
@@ -722,12 +734,12 @@ def _kernel_keys(rows: np.ndarray) -> list[bytes]:
         first = np.take_along_axis(order, run_of, axis=1)
         keys = np.empty(block.shape, dtype=np.int32)
         np.put_along_axis(keys, order, first, axis=1)
-        out.extend(_row_keys(keys))
-    return out
+        for row in keys:
+            yield row.tobytes()
 
 
 @lru_cache(maxsize=None)
-def _extended_brute_classes(uni: Universe, relation: str) -> tuple[frozenset[int], ...]:
+def _brute_extended_labels(uni: Universe, relation: str) -> np.ndarray:
     """Classes of one extended relation from its definition on the table.
 
     Memoised per universe: H, D and J are built from the L and R classes,
@@ -735,57 +747,36 @@ def _extended_brute_classes(uni: Universe, relation: str) -> tuple[frozenset[int
     """
     table = uni.table
     idem = uni.idempotent_indices
+    suffix = relation[1:]
     if relation == "R*":
-        classes = _classes_from_keys(_kernel_keys(table[idem, :].T))
+        label = _labels_by_key(_kernel_keys(table[idem, :].T))
     elif relation == "L*":
-        classes = _classes_from_keys(_kernel_keys(table))
+        label = _labels_by_key(_kernel_keys(table))
     elif relation == "R~":
-        keys = [(table[idem, i] == i).tobytes() for i in range(uni.size)]
-        classes = _classes_from_keys(keys)
+        label = _labels_by_row(table[idem, :].T == np.arange(uni.size)[:, np.newaxis])
     elif relation == "L~":
-        keys = [(table[i, idem] == i).tobytes() for i in range(uni.size)]
-        classes = _classes_from_keys(keys)
-    elif relation in ("H*", "H~"):
-        suffix = relation[1]
-        left = _extended_brute_classes(uni, "L" + suffix)
-        right = _extended_brute_classes(uni, "R" + suffix)
-        classes = _meet(uni.size, left, right)
-    elif relation in ("D*", "D~"):
-        suffix = relation[1]
-        classes = _merge_join(
-            uni.size,
-            (
-                _extended_brute_classes(uni, "L" + suffix),
-                _extended_brute_classes(uni, "R" + suffix),
-            ),
-        )
+        label = _labels_by_row(table[:, idem] == np.arange(uni.size)[:, np.newaxis])
+    elif relation in ("H*", "H~", "D*", "D~"):
+        left, right = (_brute_extended_labels(uni, side + suffix) for side in "LR")
+        label = _meet(left, right) if relation[0] == "H" else _join(left, right)
     elif relation in ("J*", "J~"):
-        suffix = relation[1]
-        labels = [
-            _labels(uni.size, _extended_brute_classes(uni, side + suffix))
-            for side in "LR"
-        ]
-        keys = {}
-        for cls in _extended_brute_classes(uni, "D" + suffix):
-            sat = _saturated_ideal(uni, cls, labels)
-            for i in cls:
-                keys[i] = sat
-        classes = _classes_from_keys([keys[i] for i in range(uni.size)])
+        sides = [_brute_extended_labels(uni, side + suffix) for side in "LR"]
+        d_label = _brute_extended_labels(uni, "D" + suffix)
+        ideal_of = {
+            int(members[0]): _saturated_ideal(uni, members, sides).tobytes()
+            for members in _classes(d_label)
+        }
+        label = _labels_by_key(ideal_of[d] for d in d_label.tolist())
     else:
         raise ValueError(f"unknown extended relation {relation!r}")
-    return tuple(frozenset(c) for c in classes)
+    label.flags.writeable = False
+    return label
 
 
-def _meet(size: int, left, right) -> list[set[int]]:
-    return _classes_from_keys(
-        zip(_labels(size, left).tolist(), _labels(size, right).tolist())
-    )
-
-
-def _saturated_ideal(uni: Universe, seed, labels) -> frozenset[int]:
-    """Smallest ideal containing the seed that is a union of classes of
-    each side relation, given as class labels (alternating closure to a
-    fixed point)."""
+def _saturated_ideal(uni: Universe, seed: np.ndarray, labels) -> np.ndarray:
+    """Smallest ideal containing the seed indices that is a union of classes
+    of each side relation, given as label arrays (alternating closure to a
+    fixed point), as a packed mask."""
     current = uni.pack(seed)
     while True:
         left = np.bitwise_or.reduce(uni.left_bits[uni.members(current)], axis=0)
@@ -793,99 +784,62 @@ def _saturated_ideal(uni: Universe, seed, labels) -> frozenset[int]:
         closed = np.unpackbits(right | left | current, count=uni.size).astype(bool)
         saturated = closed.copy()
         for label in labels:
-            hit = np.zeros(label.max() + 1, dtype=bool)
+            hit = np.zeros(uni.size, dtype=bool)
             hit[label[closed]] = True
             saturated |= hit[label]
         saturated = np.packbits(saturated)
         if np.array_equal(saturated, current):
-            return frozenset(uni.members(current).tolist())
+            return current
         current = saturated
 
 
-def _extended_formula_classes(uni: Universe, relation: str) -> list[set[int]]:
-    comp = _components(uni)
+# Relations whose classes are unions of whole components, with the least
+# degree from which each grouping holds: each listed group is one class and
+# every other component is a class of its own.  Below those degrees D* and J*
+# coincide with R*, and D~ and J~ with R~.
+_COMPONENT_GROUPS = {
+    "D*": ((4, (("E_3", "A", "B", "E_2", "C"),)),),
+    "J*": ((4, (("E_3", "A", "B", "E_2", "C"),)),),
+    "D~": (
+        (4, (("Aut", "E_3", "A", "B", "E_2", "C"),)),
+        (3, (("Aut", "E_2", "C"),)),
+    ),
+    "J~": ((3, (("Aut", "D", "E_3", "A", "B", "E_2", "C"),)),),
+}
+
+
+def _formula_extended_labels(uni: Universe, relation: str) -> np.ndarray:
     n = uni.n
-    everything = set(range(uni.size))
-    idem = set(int(x) for x in uni.idempotent_indices)
-    eps_i = uni.of(epsilon(n))
-    nonreg_names = ("A", "B", "C")
-
-    def sigma_by_target() -> list[set[int]]:
-        groups: dict[int, set[int]] = {}
-        for i in comp["D"]:
-            groups.setdefault(uni.elements[i].g.word[3], set()).add(i)
-        return list(groups.values())
-
     if relation in ("R*", "R~"):
         # same-rank classes in every degree
-        by_rank: dict[int, set[int]] = {}
-        for i, el in enumerate(uni.elements):
-            by_rank.setdefault(el.rank, set()).add(i)
-        return list(by_rank.values())
-
-    if relation == "L~":
-        big = set(comp["Aut"])
-        for name in nonreg_names:
-            big |= set(comp[name])
-        classes = [big] + sigma_by_target()
-        classes += [{i} for i in idem if i != eps_i and not uni.elements[i].is_sigma4]
-        return [c for c in classes if c]
-
-    if relation == "L*":
-        classes = [set(comp["Aut"])] + sigma_by_target()
-        classes += [{i} for i in idem if i != eps_i and not uni.elements[i].is_sigma4]
-        cosets = get_cosets(n)
-        fix_groups: dict[tuple, set[int]] = {}
-        for name in nonreg_names:
-            for i in comp[name]:
-                el = uni.elements[i]
-                fix_groups.setdefault(
-                    (el.type_tag, cosets.stabiliser(el)), set()
-                ).add(i)
-        classes += list(fix_groups.values())
-        return [c for c in classes if c]
-
+        return _labels_by_key(el.rank for el in uni.elements)
     if relation in ("H*", "H~"):
         suffix = relation[1]
-        return _meet(
-            uni.size,
-            _extended_formula_classes(uni, "L" + suffix),
-            _extended_formula_classes(uni, "R" + suffix),
-        )
-
-    if relation in ("D*", "J*"):
-        if n <= 3:
-            return _extended_formula_classes(uni, "R*")
-        classes = [set(comp["Aut"]), set(comp["E_1"])]
-        if comp["D"]:
-            classes.append(set(comp["D"]))
-        middle = everything - set(comp["Aut"]) - set(comp["E_1"]) - set(comp["D"])
-        classes.append(middle)
-        return [c for c in classes if c]
-
-    if relation == "D~":
-        if n <= 2:
-            return _extended_formula_classes(uni, "R~")
-        if n == 3:
-            return [
-                set(comp["Aut"]) | set(comp["E_2"]) | set(comp["C"]),
-                set(comp["E_3"]),
-                set(comp["E_1"]),
-            ]
-        if n == 4:
-            return [
-                set(comp["D"]),
-                set(comp["E_1"]),
-                everything - set(comp["D"]) - set(comp["E_1"]),
-            ]
-        return [everything - set(comp["E_1"]), set(comp["E_1"])]
-
-    if relation == "J~":
-        if n <= 2:
-            return _extended_formula_classes(uni, "R~")
-        return [everything - set(comp["E_1"]), set(comp["E_1"])]
-
-    raise ValueError(f"unknown extended relation {relation!r}")
+        left, right = (_formula_extended_labels(uni, s + suffix) for s in "LR")
+        return _meet(left, right)
+    if relation in _COMPONENT_GROUPS:
+        for least, groups in _COMPONENT_GROUPS[relation]:
+            if n >= least:
+                key = -1 - np.arange(len(COMPONENTS))
+                for g, names in enumerate(groups):
+                    key[[COMPONENTS.index(name) for name in names]] = g
+                return _labels_by_key(key[_component_labels(uni)].tolist())
+        return _formula_extended_labels(uni, "R" + relation[1])
+    # L* and L~ refine the L-classes of the closed form on A, B and C, the
+    # non-regular elements.
+    keys = _left_keys(uni)
+    nonregular = np.flatnonzero(_in_components(uni, ("A", "B", "C"))).tolist()
+    if relation == "L~":
+        for i in nonregular:
+            keys[i] = -1  # one class with the units
+    elif relation == "L*":
+        stabiliser = get_cosets(n).stabiliser
+        for i in nonregular:
+            el = uni.elements[i]
+            keys[i] = (el.type_tag, stabiliser(el))
+    else:
+        raise ValueError(f"unknown extended relation {relation!r}")
+    return _labels_by_key(keys)
 
 
 def extended_partition(n: int, relation: str) -> GreenPartition:
@@ -893,9 +847,8 @@ def extended_partition(n: int, relation: str) -> GreenPartition:
     if relation not in EXTENDED_RELATIONS:
         raise ValueError(f"relation must be one of {EXTENDED_RELATIONS}")
     uni = get_universe(n)
-    formula = _extended_formula_classes(uni, relation)
-    brute = _extended_brute_classes(uni, relation)
-    _check_same_partition(relation, uni, formula, brute)
+    formula = _formula_extended_labels(uni, relation)
+    _attest(relation, uni, formula, _brute_extended_labels(uni, relation))
     return _as_partition(relation, uni, formula)
 
 
@@ -913,11 +866,6 @@ def extended_probe_check(
         raise ValueError("probe check applies to R* and L* only")
     uni = get_universe(n)
     table = uni.table
-    classes = _extended_brute_classes(uni, relation)
-    reps = []
-    for cls in classes:
-        members = sorted(cls)
-        reps.append(members[: min(len(members), 4)])
     if n <= 4:
         g_idx = np.repeat(np.arange(uni.size), uni.size)
         d_idx = np.tile(np.arange(uni.size), uni.size)
@@ -925,9 +873,9 @@ def extended_probe_check(
         rng = np.random.default_rng(seed)
         g_idx = rng.integers(0, uni.size, size=samples)
         d_idx = rng.integers(0, uni.size, size=samples)
-    for members in reps:
+    for members in _classes(_brute_extended_labels(uni, relation)):
         base = members[0]
-        for other in members[1:]:
+        for other in members[1:4]:
             if relation == "R*":
                 lhs = table[g_idx, base] == table[d_idx, base]
                 rhs = table[g_idx, other] == table[d_idx, other]

@@ -162,9 +162,6 @@ class Universe:
     def element_set(self, indices) -> frozenset[Endomorphism]:
         return frozenset(self.elements[int(i)] for i in indices)
 
-    def index_set(self, elements) -> frozenset[int]:
-        return frozenset(self.index[el] for el in elements)
-
     def bits_element_set(self, bits: np.ndarray) -> frozenset[Endomorphism]:
         """The elements in a packed bitset, built once per distinct set."""
         key = bits.tobytes()
@@ -215,12 +212,6 @@ class Universe:
         return np.flatnonzero(np.unpackbits(bits, count=self.size))
 
     # -- ideals ------------------------------------------------------------
-
-    def right_ideal(self, i: int) -> np.ndarray:
-        return self.members(self.right_bits[i])
-
-    def left_ideal(self, i: int) -> np.ndarray:
-        return self.members(self.left_bits[i])
 
     @cached_property
     def two_sided_ideals(self) -> tuple[np.ndarray, np.ndarray]:

@@ -183,10 +183,10 @@ def test_criterion_07_ideals():
         descriptions = enumerate_ideals(n)
         uni = get_universe(n)
         for desc in descriptions:
-            assert uni.is_two_sided_closed(uni.index_set(desc.elements))
+            assert uni.is_two_sided_closed(frozenset(map(uni.of, desc.elements)))
     uni5 = get_universe(5)
     for desc in enumerate_ideals(5):
-        assert uni5.is_two_sided_closed(uni5.index_set(desc.elements))
+        assert uni5.is_two_sided_closed(frozenset(map(uni5.of, desc.elements)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

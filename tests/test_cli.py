@@ -139,20 +139,29 @@ class TestStructureVerbs:
         assert len(generators) == 33
         assert all(rank in ("1", "2", "3") for _, rank, _ in generators)
 
-    # sha256 of the table output at n = 4, recorded before the brute side
-    # moved onto the row and column bitsets of the product table.
+    # sha256 of the table output: at n = 4 recorded before the brute side
+    # moved onto the row and column bitsets of the product table, at n = 5
+    # the verb gates of the benchmark (perfbench/gates.json).
+    PINNED = [
+        ("green", 4, "c764df1335ec6752797e0f1311bcd387ffe83124a33676ab7fa4c7ebcdc978b8"),
+        ("extended", 4, "9c4f4c6ca36c07998af512b23fcf9f2fbae390da5d79525bcfae6ba7b9f3dc67"),
+        ("ideals", 4, "a39b697fa1e79b6d53a44b5f49d291b1e4616f0e9b9e3cf8c189d4f25722662a"),
+        ("regular", 4, "2cffa1f76bf2a0ea217c4a32583a4c62b812c70d5c91b85ddb5058a2b6aec8ac"),
+        ("idempotents", 4, "24b734f2ff74953689ad29eaa2ef25bd5845894e6bc24f907bdce5f1681344b0"),
+        ("green", 5, "1b740eefaedd888182031cba06ddadcec2f4b4410b7291c4296ee444a923fe14"),
+        ("extended", 5, "ff6318fec1414a84e2da26a5f1256751eb7aeb3fdd6d3d0463be80420d9a4f43"),
+        ("ideals", 5, "6eb8430b564a1ee7b16298d12ba67255d2af87dc5dfc3bc71f7443228999d908"),
+        ("regular", 5, "db8dbb451976a9ea2e630966cb7e760a3143494b69ac110c983a213645854c3c"),
+        ("idempotents", 5, "7e721a74e653468e900150c783627af9e4774cddd6667f05d5e4380df27291d0"),
+    ]
+
     @pytest.mark.parametrize(
-        "verb, digest",
-        [
-            ("green", "c764df1335ec6752797e0f1311bcd387ffe83124a33676ab7fa4c7ebcdc978b8"),
-            ("extended", "9c4f4c6ca36c07998af512b23fcf9f2fbae390da5d79525bcfae6ba7b9f3dc67"),
-            ("ideals", "a39b697fa1e79b6d53a44b5f49d291b1e4616f0e9b9e3cf8c189d4f25722662a"),
-            ("regular", "2cffa1f76bf2a0ea217c4a32583a4c62b812c70d5c91b85ddb5058a2b6aec8ac"),
-            ("idempotents", "24b734f2ff74953689ad29eaa2ef25bd5845894e6bc24f907bdce5f1681344b0"),
-        ],
+        "verb, n, digest",
+        PINNED,
+        ids=[f"{verb}-{digest}" for verb, _, digest in PINNED],
     )
-    def test_pinned_table_output(self, capsys, verb, digest):
-        code, out, _ = run(capsys, verb, "--n", "4")
+    def test_pinned_table_output(self, capsys, verb, n, digest):
+        code, out, _ = run(capsys, verb, "--n", str(n))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -20,7 +20,7 @@ def test_orbits_are_table_cosets(n):
     for i in uni.phi_indices:
         alpha = uni.elements[i]
         coset = frozenset(uni.table[i, uni.aut_indices].tolist())
-        assert uni.index_set(cosets.orbit(alpha)) == coset
+        assert frozenset(map(uni.of, cosets.orbit(alpha))) == coset
         assert cosets.representative(alpha) is uni.elements[min(coset)]
         seen.add(cosets.representative(alpha))
     assert tuple(sorted(seen)) == cosets.representatives

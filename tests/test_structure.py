@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from endtn.structure import (
     COMPONENTS,
     EXTENDED_RELATIONS,
     GREEN_RELATIONS,
-    _brute_green_classes,
+    _brute_extended_labels,
+    _brute_green_labels,
     _component_bits,
-    _extended_brute_classes,
+    _formula_extended_labels,
+    _formula_green_labels,
     _kernel_keys,
-    _labels,
     _saturated_ideal,
     abundance_report,
     component_of,
@@ -83,6 +85,13 @@ def partition_of(keys):
     for i, key in enumerate(keys):
         by_key.setdefault(key, set()).add(i)
     return {frozenset(c) for c in by_key.values()}
+
+
+def least_member_labels(classes, size):
+    label = np.empty(size, dtype=np.int64)
+    for cls in classes:
+        label[sorted(cls)] = min(cls)
+    return label
 
 
 class TestComponents:
@@ -176,8 +185,11 @@ class TestGreens:
     def test_brute_classes_match_per_element_reference(self, relation):
         for n in (1, 2, 3, 4):
             uni = get_universe(n)
-            brute = {frozenset(c) for c in _brute_green_classes(uni, relation)}
-            assert brute == reference_green_classes(uni.table, relation)
+            reference = reference_green_classes(uni.table, relation)
+            assert np.array_equal(
+                _brute_green_labels(uni, relation),
+                least_member_labels(reference, uni.size),
+            )
 
     def test_class_of_matches_scan(self):
         elements = get_universe(4).elements
@@ -264,7 +276,7 @@ class TestIdeals:
     def test_every_ideal_is_closed(self):
         uni = get_universe(3)
         for desc in enumerate_ideals(3):
-            assert uni.is_two_sided_closed(uni.index_set(desc.elements))
+            assert uni.is_two_sided_closed(frozenset(map(uni.of, desc.elements)))
 
     def test_ideals_are_ordered_by_size_growth(self):
         descs = enumerate_ideals(3)
@@ -338,11 +350,10 @@ class TestExtended:
 
         uni = get_universe(4)
         # Wrong on purpose: the identity and the trivial-type map share a class.
-        a, b = uni.of(epsilon(4)), uni.of(phi_trivial(4))
-        classes = tuple(
-            frozenset({i}) for i in range(uni.size) if i not in (a, b)
-        ) + (frozenset({a, b}),)
-        monkeypatch.setattr(structure, "_extended_brute_classes", lambda u, r: classes)
+        a, b = sorted((uni.of(epsilon(4)), uni.of(phi_trivial(4))))
+        labels = np.arange(uni.size)
+        labels[b] = a
+        monkeypatch.setattr(structure, "_brute_extended_labels", lambda u, r: labels)
         for relation in ("R*", "L*"):
             with pytest.raises(VerificationError):
                 extended_probe_check(4, relation, samples=0)
@@ -351,15 +362,17 @@ class TestExtended:
         for n in (2, 3, 4):
             uni = get_universe(n)
             for suffix in "*~":
-                sides = [_extended_brute_classes(uni, side + suffix) for side in "LR"]
-                labels = [_labels(uni.size, classes) for classes in sides]
+                labels = [_brute_extended_labels(uni, side + suffix) for side in "LR"]
                 class_of = {i: [] for i in range(uni.size)}
-                for classes in sides:
-                    for cls in classes:
+                for label in labels:
+                    for cls in partition_of(label.tolist()):
                         for i in cls:
                             class_of[i].append(cls)
-                for cls in _extended_brute_classes(uni, "D" + suffix):
-                    assert _saturated_ideal(uni, cls, labels) == (
+                d_label = _brute_extended_labels(uni, "D" + suffix)
+                for cls in partition_of(d_label.tolist()):
+                    seed = np.array(sorted(cls))
+                    saturated = uni.members(_saturated_ideal(uni, seed, labels))
+                    assert frozenset(saturated.tolist()) == (
                         reference_saturated_ideal(uni.table, cls, class_of)
                     )
 
@@ -373,14 +386,46 @@ class TestExtended:
         relabel=st.permutations(range(5)),
     )
     def test_kernel_keys_match_reference(self, rows, relabel):
-        keys = _kernel_keys(rows)
+        keys = list(_kernel_keys(rows))
         reference = reference_kernel_keys(rows)
         # Same partition of the rows, and each key has its row's kernel.
         assert partition_of(keys) == partition_of(reference)
         decoded = np.array([np.frombuffer(k, dtype=np.int32) for k in keys])
         assert reference_kernel_keys(decoded) == reference
         # The key depends on the kernel only, not on the values.
-        assert _kernel_keys(np.array(relabel, dtype=np.int32)[rows]) == keys
+        assert list(_kernel_keys(np.array(relabel, dtype=np.int32)[rows])) == keys
+
+    @pytest.mark.parametrize("corruption", ["merge", "split"])
+    @pytest.mark.parametrize("relation", ["R", "L*"])
+    def test_mismatch_names_a_separating_pair(self, monkeypatch, relation, corruption):
+        """A corrupted formula side is reported at the first element whose
+        class differs, with an earlier element that exactly one side puts
+        in that class."""
+        import endtn.structure as structure
+
+        uni = get_universe(4)
+        if relation in GREEN_RELATIONS:
+            name, check = "_formula_green_labels", green_partition
+            brute = _brute_green_labels(uni, relation)
+            label = _formula_green_labels(uni, relation).copy()
+        else:
+            name, check = "_formula_extended_labels", extended_partition
+            brute = _brute_extended_labels(uni, relation)
+            label = _formula_extended_labels(uni, relation).copy()
+        classes = np.unique(label)
+        if corruption == "merge":
+            label[label == classes[-1]] = classes[-2]
+        else:
+            big = next(c for c in classes if np.count_nonzero(label == c) > 1)
+            last = np.flatnonzero(label == big)[-1]
+            label[last] = last
+        monkeypatch.setattr(structure, name, lambda u, r: label)
+        message = re.escape(f"{relation}-classes disagree")
+        with pytest.raises(VerificationError, match=message) as err:
+            check(4, relation)
+        x, y = map(uni.of, err.value.counterexample)
+        assert (label[x] == label[y]) != (brute[x] == brute[y])
+        assert x == np.flatnonzero(label != brute)[0] and y < x
 
     def test_abundance_small(self):
         report = abundance_report(2)

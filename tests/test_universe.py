@@ -80,8 +80,8 @@ class TestDerivedSets:
         rng = random.Random(5)
         for _ in range(30):
             i = rng.randrange(uni4.size)
-            right = set(uni4.right_ideal(i).tolist())
-            left = set(uni4.left_ideal(i).tolist())
+            right = set(uni4.members(uni4.right_bits[i]).tolist())
+            left = set(uni4.members(uni4.left_bits[i]).tolist())
             two = uni4.two_sided_ideal(i)
             assert right <= two and left <= two
             assert uni4.is_two_sided_closed(two)
@@ -98,7 +98,7 @@ class TestBitsets:
     def test_principal_ideals_match_references(self, n):
         uni = get_universe(n)
         for i in range(uni.size):
-            right, left = uni.right_ideal(i), uni.left_ideal(i)
+            right, left = uni.members(uni.right_bits[i]), uni.members(uni.left_bits[i])
             assert np.array_equal(right, reference_right_ideal(uni.table, i))
             assert np.array_equal(left, reference_left_ideal(uni.table, i))
             assert uni.two_sided_ideal(i) == reference_two_sided_ideal(uni.table, i)
@@ -112,8 +112,9 @@ class TestBitsets:
         uni = get_universe(5)
         table = uni.table
         for i in range(uni.size):
-            assert np.array_equal(uni.right_ideal(i), reference_right_ideal(table, i))
-            assert np.array_equal(uni.left_ideal(i), reference_left_ideal(table, i))
+            right, left = uni.members(uni.right_bits[i]), uni.members(uni.left_bits[i])
+            assert np.array_equal(right, reference_right_ideal(table, i))
+            assert np.array_equal(left, reference_left_ideal(table, i))
 
     def test_pack_and_members_round_trip(self, uni4):
         rng = random.Random(7)
@@ -126,7 +127,7 @@ class TestBitsets:
         uni = get_universe(n)
         rng = random.Random(n)
         for desc in enumerate_ideals(n):
-            ideal = uni.index_set(desc.elements)
+            ideal = frozenset(map(uni.of, desc.elements))
             assert uni.is_two_sided_closed(ideal)
             smaller = ideal - {rng.choice(sorted(ideal))}
             assert uni.is_two_sided_closed(smaller) == (
