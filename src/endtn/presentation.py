@@ -24,11 +24,13 @@ from .endomorphisms import (
     epsilon,
     multiply,
     phi_trivial,
+    sigma4,
     star_map,
 )
 from .cosets import get_cosets
 from .errors import CapacityError, RewriteBudgetExceeded
 from .transformations import Transformation, compose, enumerate_permutations
+from .universe import get_universe
 
 PRESENTATION_DEGREES = (5, 6)
 REWRITE_STEP_BUDGET = 10_000
@@ -69,8 +71,6 @@ def _orbits(n: int) -> tuple[Orbit, ...]:
         )
     ]
     if n == 4:
-        from .endomorphisms import sigma4
-
         out.append(
             Orbit(
                 representative=sigma4(Transformation.identity(4)),
@@ -147,8 +147,6 @@ def verify_generates(generators, n: int) -> bool:
     a breadth-first search that multiplies only the newly reached elements
     by the generators finds all of it (Froidure & Pin, 1997).
     """
-    from .universe import get_universe
-
     uni = get_universe(n)
     member = np.zeros(uni.size, dtype=bool)
     gens = np.unique(np.fromiter((uni.of(el) for el in generators), dtype=np.int64))

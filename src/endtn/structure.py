@@ -20,6 +20,8 @@ from .endomorphisms import (
     MAX_END_DEGREE,
     Endomorphism,
     TypeTag,
+    apply,
+    coset_rep_fixing_4,
     enumerate_End,
     klein_four,
     multiply,
@@ -192,24 +194,34 @@ def _classes(label: np.ndarray) -> list[np.ndarray]:
 
 
 def _attest(
-    relation: str, uni: Universe, formula: np.ndarray, brute: np.ndarray
+    what: str, elements: list, formula: np.ndarray, brute: np.ndarray
 ) -> None:
-    """Raise ``VerificationError`` unless both sides give one partition.
+    """Raise ``VerificationError`` unless the closed form and brute force
+    agree.  This is the one comparison in the module.
 
-    The counterexample is the first element i whose labels differ and the
-    lesser j of its two labels.  j < i, and as i is the first difference j
-    is its own label on both sides, so exactly one side puts j in i's
-    class.
+    Both sides are arrays over ``elements``: label arrays of a partition
+    (each element's class numbered by its least member) or packed masks
+    (``uint8``) of a set.  The bytes are compared before any message is
+    built.  A set mismatch names the first element that only one side
+    holds.  A partition mismatch names the first element i whose labels
+    differ and the lesser j of its two labels: j < i, and as i is the first
+    difference j is its own label on both sides, so exactly one side puts
+    j in i's class.
     """
-    differ = np.flatnonzero(formula != brute)
-    if len(differ):
-        i = differ[0]
-        j = min(formula[i], brute[i])
-        raise VerificationError(
-            f"{relation}-classes disagree between characterisation and "
-            f"brute force at {uni.elements[i]!r}",
-            counterexample=(uni.elements[i], uni.elements[j]),
-        )
+    if formula.tobytes() == brute.tobytes():
+        return
+    if formula.dtype == np.uint8:
+        differ = np.unpackbits(formula ^ brute, count=len(elements))
+        i = int(np.flatnonzero(differ)[0])
+        counterexample = elements[i]
+    else:
+        i = int(np.flatnonzero(formula != brute)[0])
+        counterexample = (elements[i], elements[min(formula[i], brute[i])])
+    raise VerificationError(
+        f"{what} disagree between characterisation and brute force at "
+        f"{elements[i]!r}",
+        counterexample=counterexample,
+    )
 
 
 def _as_partition(relation: str, uni: Universe, label: np.ndarray) -> GreenPartition:
@@ -236,43 +248,50 @@ class IdempotentPartition:
         return self.epsilon | self.E_7 | self.E_3 | self.E_2 | self.E_1
 
 
+# The rank of each idempotent group below the identity.
+_IDEMPOTENT_RANKS = {"E_7": 7, "E_3": 3, "E_2": 2, "E_1": 1}
+
+
+def _idempotent_group(el: Endomorphism, klein: set) -> str | None:
+    """The closed form's idempotent group of el, or None if el is not an
+    idempotent."""
+    if el.is_aut:
+        return "epsilon" if el.g.is_identity else None
+    if el.is_sigma4:
+        return "E_7" if el.g in klein else None
+    if el.type_tag == TypeTag.ODD:
+        return "E_3"
+    if el.t.is_identity and not el.e.is_identity:
+        return "E_2"
+    if el.t == el.e or el.type_tag == TypeTag.TRIVIAL:
+        return "E_1"
+    return None
+
+
 def idempotent_partition(n: int) -> IdempotentPartition:
-    """Idempotents grouped by rank, cross-checked against {a : a^2 = a}.
+    """Idempotents grouped by rank, cross-checked against {a : a^2 = a} and
+    against each member's rank.
 
     Works one degree beyond the product-table guard because both sides
-    only need a single pass over the elements.
+    only need a single pass over the elements, in ``enumerate_End`` order.
     """
     check_capacity(n, MAX_END_DEGREE, "idempotent enumeration")
-    groups = {"epsilon": set(), "E_7": set(), "E_3": set(), "E_2": set(), "E_1": set()}
-    brute = set()
+    elements = list(enumerate_End(n))
     klein = set(klein_four())
-    for el in enumerate_End(n):
-        if multiply(el, el) is el:
-            brute.add(el)
-        if el.is_aut:
-            if el.g.is_identity:
-                groups["epsilon"].add(el)
-        elif el.is_sigma4:
-            if el.g in klein:
-                groups["E_7"].add(el)
-        elif el.type_tag == TypeTag.ODD:
-            groups["E_3"].add(el)
-        elif el.t.is_identity and not el.e.is_identity:
-            groups["E_2"].add(el)
-        elif el.t == el.e or el.type_tag == TypeTag.TRIVIAL:
-            groups["E_1"].add(el)
-    part = IdempotentPartition(**{k: frozenset(v) for k, v in groups.items()})
-    if part.all != brute:
-        diff = next(iter(part.all ^ brute))
-        raise VerificationError(
-            "rank-based idempotent description disagrees with a^2 = a",
-            counterexample=diff,
-        )
-    for name, rank in (("E_7", 7), ("E_3", 3), ("E_2", 2), ("E_1", 1)):
-        for el in groups[name]:
-            if el.rank != rank:
-                raise VerificationError(f"{name} member {el!r} has rank {el.rank}")
-    return part
+    groups = {name: set() for name in ("epsilon", *_IDEMPOTENT_RANKS)}
+    grouped, square, ranked, of_rank = [], [], [], []
+    for el in elements:
+        name = _idempotent_group(el, klein)
+        if name is not None:
+            groups[name].add(el)
+        rank = _IDEMPOTENT_RANKS.get(name)
+        grouped.append(name is not None)
+        square.append(multiply(el, el) is el)
+        ranked.append(rank is not None)
+        of_rank.append(rank is not None and el.rank == rank)
+    _attest("idempotents", elements, np.packbits(grouped), np.packbits(square))
+    _attest("idempotent ranks", elements, np.packbits(ranked), np.packbits(of_rank))
+    return IdempotentPartition(**{k: frozenset(v) for k, v in groups.items()})
 
 
 # -- regularity -------------------------------------------------------------
@@ -297,12 +316,9 @@ def regular_elements(n: int) -> frozenset[Endomorphism]:
     else:
         expected = _in_components(uni, ("Aut", "D"))
         expected[uni.idempotent_indices] = True
-    differ = np.flatnonzero(regular != expected)
-    if len(differ):
-        raise VerificationError(
-            "regular-element description disagrees with brute force",
-            counterexample=uni.elements[differ[0]],
-        )
+    _attest(
+        "regular elements", uni.elements, np.packbits(expected), np.packbits(regular)
+    )
     return uni.element_set(np.flatnonzero(regular))
 
 
@@ -348,14 +364,19 @@ def _brute_green_labels(uni: Universe, relation: str) -> np.ndarray:
     raise ValueError(f"unknown Green's relation {relation!r}")
 
 
+def _green_labels(uni: Universe, relation: str) -> np.ndarray:
+    formula = _formula_green_labels(uni, relation)
+    brute = _brute_green_labels(uni, relation)
+    _attest(f"{relation}-classes", uni.elements, formula, brute)
+    return formula
+
+
 def green_partition(n: int, relation: str) -> GreenPartition:
     """One of the five Green's relations, doubly computed and verified."""
     if relation not in GREEN_RELATIONS:
         raise ValueError(f"relation must be one of {GREEN_RELATIONS}")
     uni = get_universe(n)
-    formula = _formula_green_labels(uni, relation)
-    _attest(relation, uni, formula, _brute_green_labels(uni, relation))
-    return _as_partition(relation, uni, formula)
+    return _as_partition(relation, uni, _green_labels(uni, relation))
 
 
 # -- principal ideals -------------------------------------------------------
@@ -377,8 +398,6 @@ def _formula_left_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
             [uni.of(alpha), uni.of(phi(t2, e)), uni.of(phi(e, e)), uni.of(phi(t2, t2))]
         )
     # rank-7 case: images under every left multiplier, by characterisation
-    from .endomorphisms import apply, coset_rep_fixing_4
-
     out = set()
     for h in enumerate_permutations(4):
         out.add(uni.of(sigma4(compose(coset_rep_fixing_4(h), alpha.g))))
@@ -420,92 +439,57 @@ def _formula_two_sided_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
     return bits
 
 
-def _brute_j_leq(uni: Universe, a: int, b: int) -> bool:
-    """Whether the two-sided ideal of element b lies in that of element a."""
-    return not (uni.two_sided_bits(b) & ~uni.two_sided_bits(a)).any()
+def _two_sided_ideal(uni: Universe, i: int) -> np.ndarray:
+    """Element i's principal two-sided ideal as a packed mask: the closed
+    form attested against ``Universe.two_sided_bits``."""
+    brute = uni.two_sided_bits(i)
+    formula = _formula_two_sided_ideal(uni, uni.elements[i])
+    _attest("two-sided principal ideals", uni.elements, formula, brute)
+    return brute
 
 
 def principal_ideals(alpha: Endomorphism) -> PrincipalIdeals:
     """Left/right/two-sided principal ideals, verified against the table.
 
-    Every call compares, for each of the three ideals, the closed form's
-    packed mask with the brute-force bitset read off the table (a row of
-    ``Universe.left_bits`` or ``right_bits``, or ``two_sided_bits(i)``) and
-    raises ``VerificationError`` on any difference.  Memoised along the
-    way: the formula masks of each component and of each orbit, the brute
-    two-sided rows (one union per distinct right ideal), and the returned
-    element sets (one per distinct ideal, looked up only once the bytes
-    have matched; the left ideal of a singular element, at most four
-    elements, is built afresh).
+    Every call attests, for each of the three ideals, the closed form's
+    packed mask against the brute-force bitset read off the table (a row of
+    ``Universe.left_bits`` or ``right_bits``, or ``two_sided_bits(i)``).
+    Memoised along the way: the formula masks of each component and of
+    each orbit, the brute two-sided rows (one union per distinct right
+    ideal), and the returned element sets (one per distinct ideal, looked
+    up only once the bytes have matched; the left ideal of a singular
+    element, at most four elements, is built afresh).
     """
     uni = get_universe(alpha.n)
-    i = uni.of(alpha)
-    checks = (
-        ("left", _formula_left_ideal(uni, alpha), uni.left_bits[i]),
-        ("right", _formula_right_ideal(uni, alpha), uni.right_bits[i]),
-        ("two-sided", _formula_two_sided_ideal(uni, alpha), uni.two_sided_bits(i)),
+    elements, i = uni.elements, uni.of(alpha)
+    left, right = uni.left_bits[i], uni.right_bits[i]
+    _attest("left principal ideals", elements, _formula_left_ideal(uni, alpha), left)
+    _attest("right principal ideals", elements, _formula_right_ideal(uni, alpha), right)
+    two_sided = _two_sided_ideal(uni, i)
+    if alpha.is_phi:
+        # At most four members: cheaper to build than to keep one per element.
+        left_set = uni.element_set(uni.members(left))
+    else:
+        left_set = uni.bits_element_set(left)
+    return PrincipalIdeals(
+        left_set, uni.bits_element_set(right), uni.bits_element_set(two_sided)
     )
-    out = {}
-    for which, formula, brute in checks:
-        if not np.array_equal(formula, brute):
-            diff = uni.elements[uni.members(formula ^ brute)[0]]
-            raise VerificationError(
-                f"{which} principal ideal of {alpha!r} disagrees with brute force",
-                counterexample=diff,
-            )
-        if which == "left" and alpha.is_phi:
-            # At most four members: cheaper to build than to keep one per
-            # element.
-            out[which] = uni.element_set(uni.members(brute))
-        else:
-            out[which] = uni.bits_element_set(brute)
-    return PrincipalIdeals(out["left"], out["right"], out["two-sided"])
 
 
 def j_leq(alpha: Endomorphism, beta: Endomorphism) -> bool:
     """Whether beta lies in the two-sided ideal generated by alpha.
 
-    Decided by the case analysis on the component of alpha.  Every call
-    also checks the answer against inclusion of the brute-force two-sided
-    ideals, as bitsets (``Universe.two_sided_bits``, one union per distinct
-    right ideal, built once per universe).
+    Read off alpha's two-sided ideal, whose closed-form mask every call
+    attests whole against the brute-force bitset
+    (``Universe.two_sided_bits``, one union per distinct right ideal, built
+    once per universe).
     """
     if alpha.n != beta.n:
         raise ValueError("degree mismatch")
     uni = get_universe(alpha.n)
-    rep_of = get_cosets(alpha.n).representative
-    comp_a, comp_b = component_of(alpha), component_of(beta)
-    if comp_a == "Aut":
-        result = True
-    elif comp_a == "D":
-        result = comp_b != "Aut"
-    elif comp_a == "E_3":
-        result = comp_b not in ("Aut", "D")
-    elif comp_a == "A":
-        result = comp_b in ("E_2", "C", "E_1") or (
-            comp_b == "A" and rep_of(alpha) is rep_of(beta)
-        )
-    elif comp_a == "E_2":
-        result = comp_b in ("E_2", "C", "E_1")
-    elif comp_a == "B":
-        result = comp_b == "E_1" or (
-            comp_b == "B" and rep_of(alpha) is rep_of(beta)
-        ) or (
-            comp_b == "C" and rep_of(phi(alpha.t2, alpha.e)) is rep_of(beta)
-        )
-    elif comp_a == "C":
-        result = comp_b == "E_1" or (
-            comp_b == "C" and rep_of(alpha) is rep_of(beta)
-        )
-    else:  # E_1
-        result = comp_b == "E_1"
-    brute = _brute_j_leq(uni, uni.of(alpha), uni.of(beta))
-    if result != brute:
-        raise VerificationError(
-            "case analysis for the J-order disagrees with ideal inclusion",
-            counterexample=(alpha, beta),
-        )
-    return result
+    b = uni.of(beta)
+    # np.packbits keeps element b in byte b // 8, most significant bit first.
+    return bool(_two_sided_ideal(uni, uni.of(alpha))[b >> 3] & (0x80 >> (b & 7)))
 
 
 # -- ideal enumeration ------------------------------------------------------
@@ -537,18 +521,14 @@ class IdealDescription:
         }
 
 
-def _downsets(order: list[list[bool]]) -> list[frozenset[int]]:
-    """All non-empty down-closed subsets of a finite poset.
-
-    order[i][j] is True when j <= i (class j lies below class i).
-    """
-    k = len(order)
-    below = [frozenset(j for j in range(k) if order[i][j]) for i in range(k)]
+def _downsets(below: list[frozenset[int]]) -> list[frozenset[int]]:
+    """All non-empty down-closed subsets of a finite poset, where below[i]
+    is the set of classes at or below class i."""
     found = {frozenset()}
     frontier = [frozenset()]
     while frontier:
         current = frontier.pop()
-        for i in range(k):
+        for i in range(len(below)):
             if i not in current:
                 grown = current | below[i]
                 if grown not in found:
@@ -597,21 +577,20 @@ def enumerate_ideals(n: int) -> list[IdealDescription]:
 
     For small degrees (n <= 4) this is the complete list.  At n = 5 the
     complete lattice is far too large to materialise, so only the ideals
-    generated by one or two J-classes are emitted.  Either way the list
-    is re-checked against a fully independent run driven by the
-    brute-force J-classes and ideal-inclusion order, and every emitted
-    set is re-verified to be two-sided closed.
+    generated by one or two J-classes are emitted.  The two inputs of the
+    enumeration are attested: the closed form's J-classes against the
+    brute-force ones, and each class representative's closed-form
+    two-sided ideal, off which the J-order is read, against the table.
+    Every emitted set is re-verified to be two-sided closed.
     """
     uni = get_universe(n)
-    ideals = _ideal_index_sets(uni, brute=False)
+    ideals = _ideal_index_sets(uni)
     for indices in ideals:
         if not uni.is_two_sided_closed(indices):
             raise VerificationError(
                 "emitted ideal is not two-sided closed",
                 counterexample=uni.element_set(indices),
             )
-    if set(ideals) != set(_ideal_index_sets(uni, brute=True)):
-        raise VerificationError("formula-driven ideal list disagrees with brute force")
     return [_describe_ideal(uni, indices) for indices in ideals]
 
 
@@ -622,33 +601,26 @@ def enumerate_ideals(n: int) -> list[IdealDescription]:
 _J_CLASS_ORDER = ("Aut", "D", "E_3", "E_2", "E_1", "A", "B", "C")
 
 
-def _ideal_index_sets(uni: Universe, brute: bool) -> list[frozenset[int]]:
-    if brute:
-        label = _brute_green_labels(uni, "J")
-        reps = np.unique(label).tolist()
+def _j_order(uni: Universe, reps: list[int]) -> np.ndarray:
+    """order[i, j]: whether the class of reps[j] lies at or below that of
+    reps[i], read off the attested two-sided ideals of the reps."""
+    ideals = np.array([_two_sided_ideal(uni, r) for r in reps])
+    return np.unpackbits(ideals, axis=1, count=uni.size)[:, reps].astype(bool)
 
-        def leq(a: int, b: int) -> bool:
-            return _brute_j_leq(uni, a, b)
 
-    else:
-        label = _formula_green_labels(uni, "J")
-        comp = _component_labels(uni)
-        reps = sorted(
-            np.unique(label).tolist(),
-            key=lambda r: (_J_CLASS_ORDER.index(COMPONENTS[comp[r]]), r),
-        )
-
-        def leq(a: int, b: int) -> bool:
-            return j_leq(uni.elements[a], uni.elements[b])
-
+def _ideal_index_sets(uni: Universe) -> list[frozenset[int]]:
+    label = _green_labels(uni, "J")
+    comp = _component_labels(uni)
+    reps = sorted(
+        np.unique(label).tolist(),
+        key=lambda r: (_J_CLASS_ORDER.index(COMPONENTS[comp[r]]), r),
+    )
     k = len(reps)
-    order = [[leq(reps[i], reps[j]) for j in range(k)] for i in range(k)]
+    below = [frozenset(np.flatnonzero(row).tolist()) for row in _j_order(uni, reps)]
     if k <= FULL_IDEAL_ENUM_CLASS_LIMIT:
-        downsets = _downsets(order)
+        downsets = _downsets(below)
     else:
-        below = [frozenset(j for j in range(k) if order[i][j]) for i in range(k)]
-        downsets = {below[i] for i in range(k)}
-        downsets |= {below[i] | below[j] for i in range(k) for j in range(i)}
+        downsets = {below[i] | below[j] for i in range(k) for j in range(i + 1)}
         downsets = sorted(downsets, key=lambda s: (len(s), sorted(s)))
     # Unions of one set per class share the int objects of those sets.
     classes = [frozenset(np.flatnonzero(label == r).tolist()) for r in reps]
@@ -657,9 +629,10 @@ def _ideal_index_sets(uni: Universe, brute: bool) -> list[frozenset[int]]:
 
 
 def j_order_dot(n: int) -> str:
-    """The J-order as a Graphviz digraph (covering relations only)."""
+    """The J-order as a Graphviz digraph (covering relations only), with
+    the J-classes numbered by least member."""
     uni = get_universe(n)
-    classes = np.unique(_formula_green_labels(uni, "J")).tolist()
+    classes = np.unique(_green_labels(uni, "J")).tolist()
     reps = [uni.elements[r] for r in classes]
 
     def label(idx: int) -> str:
@@ -669,7 +642,7 @@ def j_order_dot(n: int) -> str:
         return name
 
     k = len(classes)
-    leq = [[j_leq(reps[i], reps[j]) for j in range(k)] for i in range(k)]
+    leq = _j_order(uni, classes).tolist()
     lines = ["digraph j_order {", "  rankdir=BT;"]
     for i in range(k):
         lines.append(f'  c{i} [label="{label(i)}"];')
@@ -848,7 +821,8 @@ def extended_partition(n: int, relation: str) -> GreenPartition:
         raise ValueError(f"relation must be one of {EXTENDED_RELATIONS}")
     uni = get_universe(n)
     formula = _formula_extended_labels(uni, relation)
-    _attest(relation, uni, formula, _brute_extended_labels(uni, relation))
+    brute = _brute_extended_labels(uni, relation)
+    _attest(f"{relation}-classes", uni.elements, formula, brute)
     return _as_partition(relation, uni, formula)
 
 

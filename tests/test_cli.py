@@ -92,6 +92,12 @@ class TestVerification:
         )
         assert code == 0 and "all sound" in out
 
+    def test_presentation_check_at_six(self, capsys):
+        code, out, _ = run(
+            capsys, "presentation-check", "--n", "6", "--samples", "1000"
+        )
+        assert code == 0 and "all sound" in out
+
 
 class TestStructureVerbs:
     def test_green_single_relation(self, capsys):

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from endtn.endomorphisms import aut, epsilon, multiply, phi, phi_trivial, sigma4
+from endtn.endomorphisms import (
+    aut,
+    enumerate_End,
+    epsilon,
+    multiply,
+    phi,
+    phi_trivial,
+    sigma4,
+)
 from endtn.errors import VerificationError
 from endtn.pairs import PermissiblePair
 from endtn.structure import (
@@ -128,6 +136,40 @@ class TestIdempotents:
         for n in (2, 3, 4, 5):
             part = idempotent_partition(n)
             assert len(part.E_1) == len(part.E_2) + 1
+
+    def test_mismatch_names_first_element_in_enumeration_order(self, monkeypatch):
+        import endtn.structure as structure
+
+        elements = list(enumerate_End(4))
+        real = structure._idempotent_group
+        # Two idempotents dropped and two non-idempotents added, spread out.
+        idempotents = [el for el in elements if multiply(el, el) is el]
+        others = [el for el in elements if multiply(el, el) is not el]
+        wrong = {idempotents[-1], idempotents[40], others[-1], others[7]}
+
+        def corrupted(el, klein):
+            if el in wrong:
+                return None if real(el, klein) else "E_1"
+            return real(el, klein)
+
+        monkeypatch.setattr(structure, "_idempotent_group", corrupted)
+        with pytest.raises(VerificationError, match="idempotents disagree") as err:
+            idempotent_partition(4)
+        assert err.value.counterexample is next(el for el in elements if el in wrong)
+
+    def test_ranks_are_attested(self, monkeypatch):
+        import endtn.structure as structure
+
+        real = structure._idempotent_group
+        victim = next(el for el in enumerate_End(3) if real(el, set()) == "E_1")
+        monkeypatch.setattr(
+            structure,
+            "_idempotent_group",
+            lambda el, klein: "E_2" if el is victim else real(el, klein),
+        )
+        with pytest.raises(VerificationError, match="idempotent ranks") as err:
+            idempotent_partition(3)
+        assert err.value.counterexample is victim
 
     def test_all_are_idempotent(self):
         part = idempotent_partition(3)
@@ -252,6 +294,28 @@ class TestPrincipalIdeals:
             for b, beta in enumerate(uni.elements):
                 assert j_leq(alpha, beta) == (two_sided[b] <= two_sided[a])
 
+    def test_j_leq_attests_the_whole_ideal(self, monkeypatch):
+        """Flipping a bit of alpha's formula mask away from beta is caught."""
+        import endtn.structure as structure
+
+        uni = get_universe(4)
+        alpha = next(el for el in uni.elements if component_of(el) == "E_2")
+        beta = next(el for el in uni.elements if component_of(el) == "E_1")
+        flip = uni.of(epsilon(4))
+        real = structure._formula_two_sided_ideal
+
+        def flipped(u, el):
+            bits = real(u, el).copy()
+            if el is alpha:
+                bits[flip >> 3] ^= 0x80 >> (flip & 7)
+            return bits
+
+        assert j_leq(alpha, beta)
+        monkeypatch.setattr(structure, "_formula_two_sided_ideal", flipped)
+        with pytest.raises(VerificationError, match="two-sided principal") as err:
+            j_leq(alpha, beta)
+        assert err.value.counterexample is epsilon(4)
+
     def test_j_leq_is_a_preorder(self):
         uni = get_universe(3)
         els = uni.elements
@@ -286,15 +350,62 @@ class TestIdeals:
     def test_brute_cross_check_runs_at_five(self, monkeypatch):
         import endtn.structure as structure
 
-        real = structure._ideal_index_sets
+        real = structure._brute_green_labels
 
-        def skewed(uni, brute):
-            ideals = real(uni, brute)
-            return ideals[1:] if brute else ideals
+        def skewed(uni, relation):
+            label = real(uni, relation).copy()
+            classes = np.unique(label)
+            label[label == classes[-1]] = classes[-2]  # two classes merged
+            return label
 
-        monkeypatch.setattr(structure, "_ideal_index_sets", skewed)
-        with pytest.raises(VerificationError):
+        monkeypatch.setattr(structure, "_brute_green_labels", skewed)
+        with pytest.raises(VerificationError, match="J-classes disagree"):
             enumerate_ideals(5)
+
+    def test_brute_two_sided_rows_are_attested_at_five(self, monkeypatch):
+        uni = get_universe(5)
+        rows, label = uni.two_sided_ideals
+        rows = rows.copy()
+        extra = uni.of(epsilon(5))
+        rows[label[-1], extra >> 3] ^= 0x80 >> (extra & 7)
+        monkeypatch.setitem(uni.__dict__, "two_sided_ideals", (rows, label))
+        with pytest.raises(VerificationError, match="two-sided principal") as err:
+            enumerate_ideals(5)
+        assert err.value.counterexample is epsilon(5)
+
+    def test_formula_classes_mismatch_names_first_difference(self, monkeypatch):
+        import endtn.structure as structure
+
+        uni = get_universe(4)
+        brute = _brute_green_labels(uni, "J")
+        label = _formula_green_labels(uni, "J").copy()
+        members = np.flatnonzero(label == label[-1])
+        label[members[-2:]] = members[-2]  # the last two members split off
+        monkeypatch.setattr(structure, "_formula_green_labels", lambda u, r: label)
+        with pytest.raises(VerificationError, match="J-classes disagree") as err:
+            enumerate_ideals(4)
+        x, y = map(uni.of, err.value.counterexample)
+        assert x == np.flatnonzero(label != brute)[0] == members[-2]
+        assert y == members[0]
+
+    def test_formula_ideal_mismatch_names_least_difference(self, monkeypatch):
+        import endtn.structure as structure
+
+        uni = get_universe(4)
+        real = structure._formula_two_sided_ideal
+        # E_1 is the least J-class; its ideal gains three elements.
+        extra = [uni.of(el) for el in uni.elements if component_of(el) == "C"][-3:]
+
+        def grown(u, alpha):
+            bits = real(u, alpha)
+            if component_of(alpha) == "E_1":
+                bits = bits | u.pack(extra)
+            return bits
+
+        monkeypatch.setattr(structure, "_formula_two_sided_ideal", grown)
+        with pytest.raises(VerificationError, match="two-sided principal") as err:
+            enumerate_ideals(4)
+        assert err.value.counterexample is uni.elements[min(extra)]
 
     def test_dot_output(self):
         dot = j_order_dot(3)
