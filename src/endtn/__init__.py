@@ -1,12 +1,7 @@
 """Verified computations in End(T_n), the endomorphism monoid of the
 full transformation semigroup on n points."""
 
-from .errors import (
-    CapacityError,
-    NotAnEndomorphismError,
-    RewriteBudgetExceeded,
-    VerificationError,
-)
+from .errors import CapacityError, NotAnEndomorphismError, VerificationError
 from .transformations import Transformation, compose, conjugate
 from .pairs import (
     PermissiblePair,

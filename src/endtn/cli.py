@@ -19,7 +19,7 @@ import sys
 import traceback
 
 from .endomorphisms import enumerate_End, multiply, oracle_multiply
-from .errors import CapacityError, RewriteBudgetExceeded, UsageError, VerificationError
+from .errors import CapacityError, UsageError, VerificationError
 from .pairs import (
     PermissiblePair,
     brute_force_partners,
@@ -311,6 +311,14 @@ def degree(text: str) -> int:
     return n
 
 
+def non_negative(text: str) -> int:
+    """argparse type of --seed and --samples: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="endtn",
@@ -331,9 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", default="-", help="output path, - for stdout")
         if sampled:
-            p.add_argument("--seed", type=int, default=0, help="sampling seed")
             p.add_argument(
-                "--samples", type=int, default=100_000, help="sample count"
+                "--seed", type=non_negative, default=0, help="sampling seed"
+            )
+            p.add_argument(
+                "--samples", type=non_negative, default=100_000, help="sample count"
             )
         if verify:
             p.add_argument(
@@ -392,9 +402,6 @@ def main(argv=None) -> int:
         print(f"verification failed: {exc}", file=sys.stderr)
         if exc.counterexample is not None:
             print(f"counterexample: {exc.counterexample}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except RewriteBudgetExceeded as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except CapacityError as exc:
         print(f"capacity: {exc}", file=sys.stderr)

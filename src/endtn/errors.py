@@ -26,7 +26,3 @@ class VerificationError(Exception):
     def __init__(self, message, counterexample=None):
         super().__init__(message)
         self.counterexample = counterexample
-
-
-class RewriteBudgetExceeded(Exception):
-    """The word rewriter hit its step budget without normalising."""

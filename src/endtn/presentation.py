@@ -4,14 +4,16 @@ Generators come in two flavours: q-symbols, the adjacent transpositions
 presenting the automorphism group in Coxeter style, and p-symbols, one
 canonical representative per essential orbit of singular elements.  Four
 p-symbols are distinguished as markers (p^od, p^ev, p^np, p^tr), one per
-multiplicative type, and the relation families R1..R10 rewrite any word
-to the shape  p q...q  or  p p q...q.  The singular orbits, their
-stabilisers and the conjugating q-tails come from ``endtn.cosets``.
+multiplicative type, and the relation families R1..R10 hold under theta.
+Every word has the value of one of shape  q...q,  p q...q  or  p p q...q;
+``normal_form`` reads that word off the value's orbit, whose one- or
+two-letter prefix is recorded while R3 is built.  The singular orbits,
+their stabilisers and the conjugating q-tails come from ``endtn.cosets``.
+Checking that the relations derive each normal form is not done here.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,12 +30,11 @@ from .endomorphisms import (
     star_map,
 )
 from .cosets import get_cosets
-from .errors import CapacityError, RewriteBudgetExceeded
+from .errors import CapacityError
 from .transformations import Transformation, compose, enumerate_permutations
 from .universe import get_universe
 
 PRESENTATION_DEGREES = (5, 6)
-REWRITE_STEP_BUDGET = 10_000
 
 Word = tuple[str, ...]
 
@@ -206,14 +207,6 @@ def p_symbol(alpha: Endomorphism) -> str:
     )
 
 
-_MARKER_TYPES = {
-    "p^od": TypeTag.ODD,
-    "p^ev": TypeTag.EVEN,
-    "p^np": TypeTag.NON_PERMUTATION,
-    "p^tr": TypeTag.TRIVIAL,
-}
-
-
 @dataclass(frozen=True)
 class Relation:
     family: str
@@ -231,6 +224,8 @@ class Presentation:
     p_symbols: tuple[str, ...]
     images: dict[str, Endomorphism]
     relations: tuple[Relation, ...]
+    # Normal-form prefix of each singular orbit, keyed by its representative.
+    prefixes: dict[Endomorphism, Word]
 
     def theta(self, word: Word) -> Endomorphism:
         result = epsilon(self.n)
@@ -308,7 +303,9 @@ def presentation(n: int) -> Presentation:
 
     # R3: products landing outside the essential orbits rewrite to the
     # canonical generator pair of their orbit, with a q-tail carrying the
-    # conjugating permutation.
+    # conjugating permutation.  That pair is the orbit's normal-form
+    # prefix; an essential orbit's prefix is its generator.
+    prefixes: dict[Endomorphism, Word] = {images[p]: (p,) for p in p_symbols}
     pair_products: dict[Endomorphism, list[tuple[str, str]]] = {}
     essential_reps = {o.representative for o in orbits(n) if o.essential}
     for p1 in p_symbols:
@@ -316,9 +313,10 @@ def presentation(n: int) -> Presentation:
             rep = cosets.representative(multiply(images[p1], images[p2]))
             if rep not in essential_reps:
                 pair_products.setdefault(rep, []).append((p1, p2))
-    for pairs in pair_products.values():
+    for rep, pairs in pair_products.items():
         pairs.sort()
         u1, u2 = pairs[0]
+        prefixes[rep] = (u1, u2)
         target = multiply(images[u1], images[u2])
         for p1, p2 in pairs:
             product = multiply(images[p1], images[p2])
@@ -365,6 +363,7 @@ def presentation(n: int) -> Presentation:
         p_symbols=p_symbols,
         images=images,
         relations=tuple(relations),
+        prefixes=prefixes,
     )
 
 
@@ -376,115 +375,20 @@ def theta_eval(word: Word, n: int) -> Endomorphism:
 # -- normal form ------------------------------------------------------------
 
 
-def _marker_of_type(tag: TypeTag) -> str:
-    for marker, t in _MARKER_TYPES.items():
-        if t == tag:
-            return marker
-    raise ValueError(f"no marker for {tag}")
-
-
 def normal_form(word, n: int) -> Word:
-    """Rewrite to a pure q-word, or  p q...q,  or  p p q...q.
+    """The normal form of the word's value: a q-word, or  p q...q,  or
+    p p q...q.
 
-    Applies R1 (discard automorphism letters that precede a p), R4/R5
-    (collapse every non-final p to its type marker, dropping odd ones),
-    R6..R10 (shrink the marker prefix), then the R2/R3 clean-up that
-    canonicalises the surviving generators and q-tail.  A step budget
-    guards against a runaway rewrite.
+    A unit gives its least reduced q-word.  Any other value gives its
+    orbit's prefix (the orbit's generator if it is essential, otherwise
+    the generator pair R3 rewrites to, ``Presentation.prefixes``) and the
+    least q-word conjugating the prefix's value onto it.  The result
+    depends only on the value, so equal elements share one normal form.
     """
     pres = presentation(n)
-    word = tuple(word)
-    for symbol in word:
-        if symbol not in pres.images:
-            raise ValueError(f"unknown symbol {symbol!r}")
-    budget = REWRITE_STEP_BUDGET
-
-    def spend(k: int = 1):
-        nonlocal budget
-        budget -= k
-        if budget < 0:
-            raise RewriteBudgetExceeded(
-                f"rewriting did not settle within {REWRITE_STEP_BUDGET} steps"
-            )
-
-    ps = [s for s in word if not s.startswith("q:")]
-    if not ps:
-        # Pure automorphism word: multiply out and take the canonical word.
-        g = pres.theta(word).g
-        return canonical_word(g)
-    last_p = max(i for i, s in enumerate(word) if not s.startswith("q:"))
-    tail = word[last_p + 1 :]
-    spend(last_p + 1 - len(ps))  # R1 deletions
-
-    # R4/R5: every p except the last collapses to its marker; odd markers
-    # then vanish.
-    prefix: list[str] = []
-    for s in ps[:-1]:
-        tag = pres.images[s].type_tag
-        spend()
-        if tag != TypeTag.ODD:
-            prefix.append(_marker_of_type(tag))
-    final = ps[-1]
-
-    # R6..R10 on the marker prefix (rightmost pair first).  R7/R8 and the
-    # absorbing half of R10 rewrite a pair only in front of a further p,
-    # so they never fire on the final letter; R6, R9, and the swallowing
-    # half of R10 are genuine two-letter relations and may consume it.
-    changed = True
-    while changed:
-        changed = False
-        seq = prefix + [final]
-        for i in range(len(prefix) - 1, -1, -1):
-            a, b = seq[i], seq[i + 1]
-            followed = i + 1 < len(seq) - 1
-            nxt = None
-            if b == "p^tr" and a in ("p^ev", "p^np", "p^tr"):
-                nxt = ["p^tr"]  # R9
-            elif a == "p^tr" and pres.images[b].type_tag in (
-                TypeTag.ODD,
-                TypeTag.EVEN,
-            ):
-                nxt = ["p^tr"]  # R10
-            elif a == "p^ev" and pres.images[b].rank == 2:
-                nxt = [b]  # R6
-            elif followed and a == "p^ev" and b == "p^ev":
-                nxt = ["p^ev"]  # R7
-            elif followed and a in ("p^np", "p^ev") and b == "p^np":
-                nxt = ["p^np"]  # R8
-            elif followed and a == "p^np" and b == "p^ev":
-                nxt = ["p^np"]  # R8
-            elif followed and a == "p^tr" and b == "p^np":
-                nxt = ["p^np"]  # R10
-            if nxt is not None:
-                spend()
-                seq[i : i + 2] = nxt
-                prefix, final = seq[:-1], seq[-1]
-                changed = True
-                break
-
-    # The remaining prefix is at most one marker: anything longer keeps
-    # reducing above.  Clean up with R2/R3: replace the generators by the
-    # canonical ones for their orbit and the tail by the least coset word.
-    spend(len(prefix) + len(tail))
-    value = pres.theta(tuple(prefix) + (final,) + tail)
+    value = pres.theta(tuple(word))
+    if value.is_aut:
+        return canonical_word(value.g)
     cosets = get_cosets(n)
-    if len(prefix) == 0:
-        target = pres.images[final]
-        # value = target * psi_g for some g; take the least such g.
-        return (final,) + canonical_word(cosets.least_conjugator(target, value))
-    # Two-generator shape: canonicalise the pair per orbit of the value.
-    u1, u2 = _canonical_pairs(n)[cosets.representative(value)]
-    base = pres.theta((u1, u2))
-    return (u1, u2) + canonical_word(cosets.least_conjugator(base, value))
-
-
-@lru_cache(maxsize=None)
-def _canonical_pairs(n: int) -> dict[Endomorphism, tuple[str, str]]:
-    """Lexicographically least generator pair reaching each product orbit."""
-    pres = presentation(n)
-    cosets = get_cosets(n)
-    pairs: dict[Endomorphism, tuple[str, str]] = {}
-    for p1, p2 in itertools.product(sorted(pres.p_symbols), repeat=2):
-        rep = cosets.representative(multiply(pres.images[p1], pres.images[p2]))
-        pairs.setdefault(rep, (p1, p2))
-    return pairs
+    prefix = pres.prefixes[cosets.representative(value)]
+    return prefix + canonical_word(cosets.least_conjugator(pres.theta(prefix), value))

@@ -91,20 +91,6 @@ def _orbit_labels(uni: Universe) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _component_bits(uni: Universe) -> dict[str, np.ndarray]:
-    """Each component of the decomposition as a packed mask."""
-    labels = _component_labels(uni)
-    return {
-        name: uni.pack(np.flatnonzero(labels == k)) for k, name in enumerate(COMPONENTS)
-    }
-
-
-def _union_of_components(uni: Universe, names) -> np.ndarray:
-    masks = _component_bits(uni)
-    return np.bitwise_or.reduce([masks[name] for name in names])
-
-
-@lru_cache(maxsize=None)
 def _orbit_bits(uni: Universe, rep: int) -> np.ndarray:
     """The orbit of the representative with index rep, as a packed mask."""
     return uni.pack(np.flatnonzero(_orbit_labels(uni) == rep))
@@ -391,7 +377,7 @@ class PrincipalIdeals:
 
 def _formula_left_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
     if alpha.is_aut:
-        return _union_of_components(uni, COMPONENTS)
+        return _right_ideal_bits(uni)["Aut"]  # the whole monoid
     if alpha.is_phi:
         t, e, t2 = alpha.t, alpha.e, alpha.t2
         return uni.pack(
@@ -421,21 +407,32 @@ _RIGHT_IDEAL_COMPONENTS = {
 }
 
 
-def _formula_right_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
-    name = component_of(alpha)
-    bits = _union_of_components(uni, _RIGHT_IDEAL_COMPONENTS[name])
+@lru_cache(maxsize=None)
+def _right_ideal_bits(uni: Universe) -> dict[str, np.ndarray]:
+    """Per component, the packed mask of the components its principal
+    right ideals hold whole; read-only, as every caller shares it."""
+    masks = {}
+    for name, held in _RIGHT_IDEAL_COMPONENTS.items():
+        masks[name] = uni.pack(np.flatnonzero(_in_components(uni, held)))
+        masks[name].flags.writeable = False
+    return masks
+
+
+def _formula_right_ideal(uni: Universe, alpha: Endomorphism, name: str) -> np.ndarray:
+    bits = _right_ideal_bits(uni)[name]
     if name in ("A", "B", "C"):
-        bits |= _orbit_bits_of(uni, alpha)
+        bits = bits | _orbit_bits_of(uni, alpha)
     return bits
 
 
 def _formula_two_sided_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
-    bits = _formula_right_ideal(uni, alpha)
-    if component_of(alpha) == "B":
+    name = component_of(alpha)
+    bits = _formula_right_ideal(uni, alpha, name)
+    if name == "B":
         # The one case where the right ideal is not already two-sided:
         # closing an orbit of B under the plus map lands in the companion
         # C-orbit.
-        bits |= _orbit_bits_of(uni, phi(alpha.t2, alpha.e))
+        bits = bits | _orbit_bits_of(uni, phi(alpha.t2, alpha.e))
     return bits
 
 
@@ -454,17 +451,18 @@ def principal_ideals(alpha: Endomorphism) -> PrincipalIdeals:
     Every call attests, for each of the three ideals, the closed form's
     packed mask against the brute-force bitset read off the table (a row of
     ``Universe.left_bits`` or ``right_bits``, or ``two_sided_bits(i)``).
-    Memoised along the way: the formula masks of each component and of
-    each orbit, the brute two-sided rows (one union per distinct right
-    ideal), and the returned element sets (one per distinct ideal, looked
-    up only once the bytes have matched; the left ideal of a singular
-    element, at most four elements, is built afresh).
+    Memoised along the way: the formula masks of each component's right
+    ideal (read-only) and of each orbit, the brute two-sided rows (one
+    union per distinct right ideal), and the returned element sets (one per
+    distinct ideal, looked up only once the bytes have matched; the left
+    ideal of a singular element, at most four elements, is built afresh).
     """
     uni = get_universe(alpha.n)
     elements, i = uni.elements, uni.of(alpha)
     left, right = uni.left_bits[i], uni.right_bits[i]
+    formula_right = _formula_right_ideal(uni, alpha, component_of(alpha))
     _attest("left principal ideals", elements, _formula_left_ideal(uni, alpha), left)
-    _attest("right principal ideals", elements, _formula_right_ideal(uni, alpha), right)
+    _attest("right principal ideals", elements, formula_right, right)
     two_sided = _two_sided_ideal(uni, i)
     if alpha.is_phi:
         # At most four members: cheaper to build than to keep one per element.

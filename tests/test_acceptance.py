@@ -238,7 +238,8 @@ def test_criterion_10_presentation_soundness_and_rewriting():
         word = tuple(
             rng.choice(alphabet) for _ in range(rng.randrange(0, 16))
         )
-        # normal_form raises RewriteBudgetExceeded if the budget is hit.
+        # The normal form must keep the word's value and have the shape
+        # q...q, p q...q or p p q...q.
         reduced = normal_form(word, 5)
         assert theta_eval(reduced, 5) is theta_eval(word, 5)
         p_positions = [i for i, s in enumerate(reduced) if not s.startswith("q:")]

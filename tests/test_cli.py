@@ -204,6 +204,22 @@ class TestExitCodes:
             assert excinfo.value.code == 2
             capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("extended", "--n", "5", "--relation", "R*", "--verify", "--samples", "-1"),
+            ("extended", "--n", "5", "--relation", "R*", "--verify", "--seed", "-1"),
+            ("presentation-check", "--n", "5", "--samples", "-3"),
+            ("verify-mult", "--n", "5", "--seed", "-1"),
+        ],
+        ids=["extended-samples", "extended-seed", "presentation-samples", "mult-seed"],
+    )
+    def test_usage_negative_seed_or_samples(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
+
     def test_usage_bad_fix_pair(self, capsys):
         code, _, err = run(
             capsys, "fix", "--n", "3", "--t", "2 3 1", "--e", "1 1 1"

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from endtn.endomorphisms import TypeTag, multiply
+from endtn.cosets import get_cosets
+from endtn.endomorphisms import TypeTag, enumerate_End, multiply
 from endtn.errors import CapacityError
 from endtn.presentation import (
     canonical_word,
@@ -186,6 +187,38 @@ class TestNormalForm:
     def test_rejects_unknown_symbols(self):
         with pytest.raises(ValueError):
             normal_form(("p:bogus",), 5)
+
+
+class TestNormalFormSet:
+    """The normal-form words: one per element, each its own normal form."""
+
+    def test_exhaustive_at_five(self, pres):
+        cosets = get_cosets(5)
+        essential = {o.representative for o in essential_orbits(5)}
+        words = set()
+        for value in enumerate_End(5):
+            if value.is_aut:
+                prefix, g = (), value.g
+            else:
+                rep = cosets.representative(value)
+                prefix = pres.prefixes[rep]
+                assert len(prefix) == (1 if rep in essential else 2)
+                g = cosets.least_conjugator(pres.theta(prefix), value)
+            word = prefix + canonical_word(g)
+            assert pres.theta(word) is value
+            assert normal_form(word, 5) == word
+            assert all(s in pres.p_symbols for s in prefix)
+            assert all(s in pres.q_symbols for s in word[len(prefix):])
+            words.add(word)
+        assert len(words) == 3226
+
+    def test_prefix_table_at_six(self):
+        pres = presentation(6)
+        cosets = get_cosets(6)
+        assert set(pres.prefixes) == set(cosets.representatives)
+        for rep, prefix in pres.prefixes.items():
+            assert 1 <= len(prefix) <= 2
+            assert cosets.representative(pres.theta(prefix)) is rep
 
 
 def _sha256(data) -> str:

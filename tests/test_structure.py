@@ -25,10 +25,11 @@ from endtn.structure import (
     GREEN_RELATIONS,
     _brute_extended_labels,
     _brute_green_labels,
-    _component_bits,
     _formula_extended_labels,
     _formula_green_labels,
     _kernel_keys,
+    _RIGHT_IDEAL_COMPONENTS,
+    _right_ideal_bits,
     _saturated_ideal,
     abundance_report,
     component_of,
@@ -279,12 +280,25 @@ class TestPrincipalIdeals:
         uni = get_universe(4)
         alpha = next(el for el in uni.elements if component_of(el) == "E_1")
         principal_ideals(alpha)  # fills the mask and element-set caches
-        masks = _component_bits(uni)
+        masks = _right_ideal_bits(uni)  # E_1's right ideal is E_1 itself
         members = set(uni.members(masks["E_1"]).tolist())
         wrong = uni.pack(members | {uni.of(epsilon(4))})
         monkeypatch.setitem(masks, "E_1", wrong)
         with pytest.raises(VerificationError, match="right principal ideal"):
             principal_ideals(alpha)
+
+    def test_shared_right_ideal_masks_are_read_only(self):
+        uni = get_universe(4)
+        for el in uni.elements:
+            principal_ideals(el)
+            j_leq(el, el)
+        for name, mask in _right_ideal_bits(uni).items():
+            assert mask.tobytes() == uni.pack(
+                i for i, el in enumerate(uni.elements)
+                if component_of(el) in _RIGHT_IDEAL_COMPONENTS[name]
+            ).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                mask |= 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_j_leq_matches_reference_inclusion(self, n):
