@@ -25,22 +25,18 @@ from .endomorphisms import Endomorphism, phi_of
 from .pairs import enumerate_P
 from .transformations import (
     Transformation,
-    check_capacity,
     conjugate_words,
     enumerate_permutations,
     word_codes,
 )
-
-MAX_COSET_DEGREE = 6
 
 
 class Cosets:
     """The orbits alpha Aut(T_n) of the singular elements of degree n."""
 
     def __init__(self, n: int):
-        check_capacity(n, MAX_COSET_DEGREE, "orbit enumeration")
         # At degree 1 the only permissible pair gives the identity, which
-        # is not singular.
+        # is not singular.  enumerate_P holds the capacity guard.
         phis = [phi_of(p) for p in enumerate_P(n)] if n > 1 else []
         # Conjugate each distinct t or e word once per g, then combine the
         # codes: far fewer rows than one (t, e) row per element.

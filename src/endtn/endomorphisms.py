@@ -19,17 +19,14 @@ from typing import Callable, Iterator
 from .errors import NotAnEndomorphismError
 from .pairs import PermissiblePair, enumerate_P, is_permissible
 from .transformations import (
+    MAX_END_DEGREE,
     Transformation,
     check_capacity,
     compose,
     conjugate,
-    enumerate_all,
     enumerate_permutations,
     permutation_parity,
 )
-
-MAX_END_DEGREE = 6
-MAX_ORACLE_DEGREE = 6
 
 
 class TypeTag(enum.Enum):
@@ -68,16 +65,12 @@ def coset_rep_fixing_4(s: Transformation) -> Transformation:
 class Endomorphism:
     """Interned symbolic element of End(T_n)."""
 
-    __slots__ = ("kind", "g", "t", "e", "t2", "type_tag", "_star")
+    __slots__ = ("kind", "n", "g", "t", "e", "t2", "type_tag", "_star")
 
     def __init__(self):
         raise TypeError("use the aut/phi/sigma4 factory functions")
 
     # -- accessors ---------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self.g.n if self.g is not None else self.t.n
 
     @property
     def rank(self) -> int:
@@ -119,13 +112,6 @@ class Endomorphism:
             )
         return "sigma4:g=" + ",".join(map(str, self.g.images))
 
-    def to_json(self) -> dict:
-        if self.kind == _AUT:
-            return {"kind": "aut", "g": list(self.g.images)}
-        if self.kind == _PHI:
-            return {"kind": "phi", "t": list(self.t.images), "e": list(self.e.images)}
-        return {"kind": "sigma4", "g": list(self.g.images)}
-
     def __repr__(self) -> str:
         return f"<{self.key()}>"
 
@@ -133,25 +119,13 @@ class Endomorphism:
         return self.sort_key() < other.sort_key()
 
 
-def from_json(data: dict) -> Endomorphism:
-    kind = data["kind"]
-    if kind == "aut":
-        return aut(Transformation.from_images(data["g"]))
-    if kind == "phi":
-        return phi(
-            Transformation.from_images(data["t"]),
-            Transformation.from_images(data["e"]),
-        )
-    if kind == "sigma4":
-        return sigma4(Transformation.from_images(data["g"]))
-    raise ValueError(f"unknown endomorphism kind {kind!r}")
-
-
 def _make(kind: int, key: tuple, **fields) -> Endomorphism:
     self = object.__new__(Endomorphism)
     self.kind = kind
     self.g = fields.get("g")
     self.t = fields.get("t")
+    # The degree is read on every product, so it is stored, not derived.
+    self.n = self.g.n if self.g is not None else self.t.n
     self.e = fields.get("e")
     self.t2 = fields.get("t2")
     self.type_tag = fields["type_tag"]
@@ -306,18 +280,13 @@ def multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:
 
 
 def identify(
-    table: Callable[[Transformation], Transformation],
-    n: int,
-    validate: bool = False,
+    table: Callable[[Transformation], Transformation], n: int
 ) -> Endomorphism:
     """Recover the symbolic form of an endomorphism from its value map.
 
     Probes constants and a couple of small permutations rather than
-    scanning all of T_n; pass ``validate=True`` to additionally check the
-    homomorphism property on every pair (O(n^(2n))).
+    scanning all of T_n.
     """
-    if validate:
-        _validate_homomorphism(table, n)
     const_images = [table(Transformation.constant(n, i)) for i in range(1, n + 1)]
     points = [c.images[0] if c.is_constant else None for c in const_images]
     if all(p is not None for p in points) and len(set(points)) == n:
@@ -359,18 +328,6 @@ def _probes_match(table, candidate: Endomorphism, n: int) -> bool:
     return all(table(s) == apply(candidate, s) for s in _probe_set(n))
 
 
-def _validate_homomorphism(table, n: int) -> None:
-    check_capacity(n, 4, "full homomorphism validation")
-    elements = list(enumerate_all(n))
-    values = {s: table(s) for s in elements}
-    for s in elements:
-        for u in elements:
-            if values[compose(s, u)] != compose(values[s], values[u]):
-                raise NotAnEndomorphismError(
-                    f"table is not a homomorphism: fails at ({s}, {u})"
-                )
-
-
 def oracle_multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:
     """Function-composition product: identify(s -> (s alpha) beta).
 
@@ -379,7 +336,7 @@ def oracle_multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:
     n = alpha.n
     if beta.n != n:
         raise ValueError(f"degree mismatch: {n} vs {beta.n}")
-    check_capacity(n, MAX_ORACLE_DEGREE, "oracle multiplication")
+    check_capacity(n, MAX_END_DEGREE, "oracle multiplication")
     return identify(lambda s: apply(beta, apply(alpha, s)), n)
 
 

@@ -2,10 +2,12 @@
 
 
 class CapacityError(Exception):
-    """A requested degree exceeds the enumeration guards.
+    """A requested degree is beyond what the computation supports.
 
-    Set ENDTN_CAPACITY_OVERRIDE=1 to bypass (expert-only; runtimes blow up
-    as n^n and worse).
+    The cost bounds are the capacity policy next to ``check_capacity`` in
+    ``transformations``; set ENDTN_CAPACITY_OVERRIDE=1 to lift them
+    (expert-only; runtimes blow up as n^n and worse).  The presentation's
+    degrees are not a cost bound, and the override does not lift them.
     """
 
 

@@ -13,9 +13,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .transformations import Transformation, check_capacity, compose, enumerate_all
-
-MAX_PAIR_DEGREE = 6
+from .transformations import (
+    MAX_END_DEGREE,
+    Transformation,
+    check_capacity,
+    compose,
+    enumerate_all,
+)
 
 
 @dataclass(frozen=True)
@@ -44,16 +48,6 @@ class PermissiblePair:
             raise ValueError(
                 f"({self.t.to_text()}, {self.e.to_text()}) is not a permissible pair"
             )
-
-    def to_json(self) -> dict:
-        return {"t": list(self.t.images), "e": list(self.e.images)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PermissiblePair":
-        return cls(
-            Transformation.from_images(data["t"]),
-            Transformation.from_images(data["e"]),
-        )
 
     def sort_key(self):
         return (self.t.word, self.e.word)
@@ -148,7 +142,7 @@ def enumerate_pairs_for(t: Transformation) -> Iterator[PermissiblePair]:
 
 def enumerate_P(n: int) -> Iterator[PermissiblePair]:
     """All permissible pairs of degree n, grouped by t in lexicographic order."""
-    check_capacity(n, MAX_PAIR_DEGREE, "permissible pair enumeration")
+    check_capacity(n, MAX_END_DEGREE, "permissible pair enumeration")
     for t in enumerate_all(n):
         if is_in_U(t):
             yield from enumerate_pairs_for(t)
@@ -160,5 +154,5 @@ def brute_force_partners(t: Transformation) -> list[Transformation]:
     Independent oracle for the counting formula and the constructive
     enumeration; deliberately ignorant of the J/K/I/It/M structure.
     """
-    check_capacity(t.n, MAX_PAIR_DEGREE, "brute-force partner scan")
+    check_capacity(t.n, MAX_END_DEGREE, "brute-force partner scan")
     return [e for e in enumerate_all(t.n) if is_permissible(t, e)]

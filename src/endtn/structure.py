@@ -15,9 +15,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cosets import MAX_COSET_DEGREE, get_cosets
+from .cosets import get_cosets
 from .endomorphisms import (
-    MAX_END_DEGREE,
     Endomorphism,
     TypeTag,
     apply,
@@ -31,6 +30,7 @@ from .endomorphisms import (
 from .errors import VerificationError
 from .pairs import PermissiblePair
 from .transformations import (
+    MAX_END_DEGREE,
     Transformation,
     check_capacity,
     compose,
@@ -261,7 +261,6 @@ def idempotent_partition(n: int) -> IdempotentPartition:
     Works one degree beyond the product-table guard because both sides
     only need a single pass over the elements, in ``enumerate_End`` order.
     """
-    check_capacity(n, MAX_END_DEGREE, "idempotent enumeration")
     elements = list(enumerate_End(n))
     klein = set(klein_four())
     groups = {name: set() for name in ("epsilon", *_IDEMPOTENT_RANKS)}
@@ -425,8 +424,9 @@ def _formula_right_ideal(uni: Universe, alpha: Endomorphism, name: str) -> np.nd
     return bits
 
 
-def _formula_two_sided_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
-    name = component_of(alpha)
+def _formula_two_sided_ideal(
+    uni: Universe, alpha: Endomorphism, name: str
+) -> np.ndarray:
     bits = _formula_right_ideal(uni, alpha, name)
     if name == "B":
         # The one case where the right ideal is not already two-sided:
@@ -440,7 +440,8 @@ def _two_sided_ideal(uni: Universe, i: int) -> np.ndarray:
     """Element i's principal two-sided ideal as a packed mask: the closed
     form attested against ``Universe.two_sided_bits``."""
     brute = uni.two_sided_bits(i)
-    formula = _formula_two_sided_ideal(uni, uni.elements[i])
+    name = COMPONENTS[_component_labels(uni)[i]]
+    formula = _formula_two_sided_ideal(uni, uni.elements[i], name)
     _attest("two-sided principal ideals", uni.elements, formula, brute)
     return brute
 
@@ -460,7 +461,8 @@ def principal_ideals(alpha: Endomorphism) -> PrincipalIdeals:
     uni = get_universe(alpha.n)
     elements, i = uni.elements, uni.of(alpha)
     left, right = uni.left_bits[i], uni.right_bits[i]
-    formula_right = _formula_right_ideal(uni, alpha, component_of(alpha))
+    name = COMPONENTS[_component_labels(uni)[i]]
+    formula_right = _formula_right_ideal(uni, alpha, name)
     _attest("left principal ideals", elements, _formula_left_ideal(uni, alpha), left)
     _attest("right principal ideals", elements, formula_right, right)
     two_sided = _two_sided_ideal(uni, i)
@@ -672,7 +674,7 @@ class FixSet:
 def fix_set(pair: PermissiblePair) -> FixSet:
     """By definition, scanning S_n; ``Cosets.stabiliser`` gives the same
     set by lookup."""
-    check_capacity(pair.t.n, MAX_COSET_DEGREE, "fixed-point subgroup computation")
+    check_capacity(pair.t.n, MAX_END_DEGREE, "fixed-point subgroup computation")
     t, e = pair.t, pair.e
     members = frozenset(
         g

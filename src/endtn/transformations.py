@@ -1,4 +1,5 @@
-"""Total transformations of {1..n}: exact arithmetic and classification.
+"""Total transformations of {1..n}: exact arithmetic, enumeration and the
+capacity policy.
 
 A transformation is stored as its image word.  Externally everything is
 1-indexed (matching the usual semigroup-theory notation); internally the
@@ -10,15 +11,23 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError
 
-# Full enumeration is n^n; 7^7 ~ 8e5 is the largest anything here needs.
+# The capacity policy.  The paper's results hold for every n; what stops a
+# computation at a degree is its cost, and these three bounds are the only
+# places that decision is made.  ENDTN_CAPACITY_OVERRIDE lifts all three.
+#
+# Enumerating T_n: n^n maps, 7^7 ~ 8e5.
 MAX_ENUM_DEGREE = 7
+# Enumerating End(T_n), its permissible pairs, its Aut-orbits or the S_n
+# fixers of a pair, and the composition oracle: 38,503 elements at n = 6.
+MAX_END_DEGREE = 6
+# The dense N x N product table: 3,226^2 cells at n = 5, 38,503^2 at 6.
+MAX_TABLE_DEGREE = 5
 
 _intern: dict[tuple[int, ...], "Transformation"] = {}
 
@@ -144,16 +153,6 @@ class Transformation:
     def to_text(self) -> str:
         return " ".join(str(x) for x in self.images)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "images": list(self.images)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Transformation":
-        t = cls.from_images(data["images"])
-        if t.n != data["n"]:
-            raise ValueError("degree field disagrees with image word length")
-        return t
-
     def __repr__(self) -> str:
         return f"Transformation[{self.to_text()}]"
 
@@ -168,17 +167,6 @@ class Transformation:
 
     def __lt__(self, other: "Transformation") -> bool:
         return self.word < other.word
-
-
-@dataclass(frozen=True)
-class TransformClass:
-    """Classification facts about a transformation."""
-
-    rank: int
-    is_permutation: bool
-    parity: str | None  # "even" | "odd" | None when not a permutation
-    is_idempotent: bool
-    fixed_points: frozenset[int]
 
 
 def compose(s: Transformation, t: Transformation) -> Transformation:
@@ -204,18 +192,6 @@ def permutation_parity(t: Transformation) -> str:
             seen[x] = True
             x = t.word[x]
     return "even" if (t.n - cycles) % 2 == 0 else "odd"
-
-
-def classify(t: Transformation) -> TransformClass:
-    is_perm = t.is_permutation
-    fixed = t.fixed_points()
-    return TransformClass(
-        rank=t.rank,
-        is_permutation=is_perm,
-        parity=permutation_parity(t) if is_perm else None,
-        is_idempotent=all(t.word[x] == x for x in t.word),
-        fixed_points=fixed,
-    )
 
 
 def conjugate(t: Transformation, g: Transformation) -> Transformation:

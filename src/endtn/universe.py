@@ -23,14 +23,16 @@ from .endomorphisms import (
     Endomorphism,
     TypeTag,
     enumerate_End,
-    klein_four,
     multiply,
     star_map,
 )
 from .errors import VerificationError
-from .transformations import check_capacity, conjugate_words, word_codes
-
-MAX_TABLE_DEGREE = 5
+from .transformations import (
+    MAX_TABLE_DEGREE,
+    check_capacity,
+    conjugate_words,
+    word_codes,
+)
 
 # Rows per step when scattering the table into bitsets; bounds the index
 # temporaries to a few MB at n = 5.
@@ -261,4 +263,4 @@ def get_universe(n: int) -> Universe:
     return Universe(n)
 
 
-__all__ = ["Universe", "get_universe", "klein_four", "MAX_TABLE_DEGREE"]
+__all__ = ["Universe", "get_universe"]

@@ -184,6 +184,35 @@ class TestExitCodes:
         code, _, err = run(capsys, "enumerate", "--n", "9")
         assert code == 3 and "capacity" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--n", "7"),
+            ("counts", "--n", "8"),
+            ("verify-mult", "--n", "7"),
+            ("green", "--n", "6"),
+            ("extended", "--n", "6"),
+            ("regular", "--n", "6"),
+            ("ideals", "--n", "6"),
+            ("gens", "--n", "6", "--verify"),
+            ("idempotents", "--n", "7"),
+            ("gens", "--n", "7"),
+            ("presentation-check", "--n", "7"),
+            ("presentation-check", "--n", "4"),
+            ("fix", "--n", "7", "--t", "1 2 3 4 5 6 7", "--e", "1 1 1 1 1 1 1"),
+        ],
+        ids=[
+            "enumerate-7", "counts-8", "verify-mult-7", "green-6", "extended-6",
+            "regular-6", "ideals-6", "gens-verify-6", "idempotents-7", "gens-7",
+            "presentation-check-7", "presentation-check-4", "fix-7",
+        ],
+    )
+    def test_capacity_one_past_each_bound(self, capsys, monkeypatch, argv):
+        """Each verb exits 3, printing nothing, one degree past its bound."""
+        monkeypatch.delenv("ENDTN_CAPACITY_OVERRIDE", raising=False)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("capacity: ")
+
     def test_usage_bad_relation(self, capsys):
         for verb in ("green", "extended"):
             with pytest.raises(SystemExit) as excinfo:

@@ -10,7 +10,6 @@ from endtn.endomorphisms import (
     coset_rep_fixing_4,
     enumerate_End,
     epsilon,
-    from_json,
     identify,
     klein_four,
     multiply,
@@ -66,12 +65,6 @@ class TestElements:
             TypeTag.NON_PERMUTATION
         )
         assert phi_trivial(4).type_tag == TypeTag.TRIVIAL
-
-    def test_json_round_trip(self):
-        for el in enumerate_End(3):
-            assert from_json(el.to_json()) is el
-        s = sigma4(Transformation.cycle(4, (1, 2, 3)))
-        assert from_json(s.to_json()) is s
 
     def test_degree_one_collapses(self):
         one = Transformation.identity(1)
@@ -183,7 +176,7 @@ class TestIdentify:
             return flip if s.is_constant else s
 
         with pytest.raises(NotAnEndomorphismError):
-            identify(bogus, 3, validate=True)
+            identify(bogus, 3)
 
     def test_oracle_agrees_exhaustively_small(self):
         els = list(enumerate_End(3))

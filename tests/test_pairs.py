@@ -38,13 +38,6 @@ class TestPermissibility:
                 Transformation.from_images([2, 3, 1]), Transformation.constant(3, 1)
             )
 
-    def test_json_round_trip(self):
-        pair = PermissiblePair(
-            Transformation.from_images([1, 3, 2, 1, 5]), Transformation.constant(5, 1)
-        )
-        again = PermissiblePair.from_json(pair.to_json())
-        assert again == pair
-
 
 class TestDecomposition:
     def test_partitions_the_domain(self):

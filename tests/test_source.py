@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -18,6 +19,38 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_one_capacity_policy():
+    """Degree bounds are assigned only in ``transformations``, and every
+    ``check_capacity`` call names one of them rather than a literal."""
+    bounds, literals = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bounds += [
+                    f"{path.name}:{target.id}"
+                    for target in targets
+                    if isinstance(target, ast.Name)
+                    and re.fullmatch(r"MAX_\w*_DEGREE", target.id)
+                ]
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "check_capacity"
+            ):
+                literals += [
+                    f"{path.name}:{node.lineno}"
+                    for arg in [*node.args, *(k.value for k in node.keywords)]
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, int)
+                ]
+    assert sorted(bounds) == [
+        "transformations.py:MAX_END_DEGREE",
+        "transformations.py:MAX_ENUM_DEGREE",
+        "transformations.py:MAX_TABLE_DEGREE",
+    ]
+    assert literals == []
 
 
 def test_benchmark_hooks_resolve():

@@ -318,8 +318,8 @@ class TestPrincipalIdeals:
         flip = uni.of(epsilon(4))
         real = structure._formula_two_sided_ideal
 
-        def flipped(u, el):
-            bits = real(u, el).copy()
+        def flipped(u, el, name):
+            bits = real(u, el, name).copy()
             if el is alpha:
                 bits[flip >> 3] ^= 0x80 >> (flip & 7)
             return bits
@@ -410,8 +410,8 @@ class TestIdeals:
         # E_1 is the least J-class; its ideal gains three elements.
         extra = [uni.of(el) for el in uni.elements if component_of(el) == "C"][-3:]
 
-        def grown(u, alpha):
-            bits = real(u, alpha)
+        def grown(u, alpha, name):
+            bits = real(u, alpha, name)
             if component_of(alpha) == "E_1":
                 bits = bits | u.pack(extra)
             return bits

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from endtn.errors import CapacityError
 from endtn.transformations import (
     Transformation,
-    classify,
     compose,
     conjugate,
     enumerate_all,
@@ -49,12 +48,6 @@ class TestConstruction:
         assert Transformation.constant(3, 2).images == (2, 2, 2)
         assert Transformation.transposition(4, 2, 4).images == (1, 4, 3, 2)
         assert Transformation.cycle(5, (1, 2, 3)).images == (2, 3, 1, 4, 5)
-
-    def test_json_round_trip(self):
-        t = Transformation.from_images([2, 2, 1])
-        assert Transformation.from_json(t.to_json()) is t
-        with pytest.raises(ValueError):
-            Transformation.from_json({"n": 4, "images": [1, 2, 3]})
 
 
 class TestAlgebra:
@@ -111,21 +104,22 @@ class TestAlgebra:
 
 class TestClassify:
     def test_idempotent_flag(self):
-        assert classify(Transformation.from_images([1, 1, 3])).is_idempotent
-        assert not classify(Transformation.from_images([2, 1, 3])).is_idempotent
+        t = Transformation.from_images([1, 1, 3])
+        assert compose(t, t) == t
+        t = Transformation.from_images([2, 1, 3])
+        assert compose(t, t) != t
 
     def test_permutation_fields(self):
-        c = classify(Transformation.cycle(4, (1, 2)))
-        assert c.is_permutation and c.parity == "odd" and c.rank == 4
-        c = classify(Transformation.constant(4, 3))
-        assert not c.is_permutation and c.parity is None and c.rank == 1
+        t = Transformation.cycle(4, (1, 2))
+        assert t.is_permutation and permutation_parity(t) == "odd" and t.rank == 4
+        t = Transformation.constant(4, 3)
+        assert not t.is_permutation and t.rank == 1
+        with pytest.raises(ValueError):
+            permutation_parity(t)
 
     def test_fixed_points(self):
-        assert classify(Transformation.from_images([1, 3, 3, 4])).fixed_points == {
-            1,
-            3,
-            4,
-        }
+        t = Transformation.from_images([1, 3, 3, 4])
+        assert t.fixed_points() == {1, 3, 4}
 
 
 class TestEnumeration:
