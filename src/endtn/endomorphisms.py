@@ -14,6 +14,7 @@ of two interned elements is again interned.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .errors import NotAnEndomorphismError
@@ -51,15 +52,22 @@ def klein_four() -> tuple[Transformation, ...]:
     return tuple(Transformation(w) for w in _KLEIN_WORDS)
 
 
+@lru_cache(maxsize=None)
+def _klein_reps() -> dict[Transformation, Transformation]:
+    """Each s in S_4 mapped to the element of its coset Ks that fixes 4."""
+    klein = klein_four()
+    return {
+        s: next(ks for ks in (compose(k, s) for k in klein) if ks.word[3] == 3)
+        for s in enumerate_permutations(4)
+    }
+
+
 def coset_rep_fixing_4(s: Transformation) -> Transformation:
     """The unique element of the coset Ks that fixes the point 4."""
-    if s.n != 4 or not s.is_permutation:
+    rep = _klein_reps().get(s)
+    if rep is None:
         raise ValueError("coset representatives are defined for permutations of S_4")
-    for k in klein_four():
-        ks = compose(k, s)
-        if ks.word[3] == 3:
-            return ks
-    raise AssertionError("every Klein coset contains a 4-fixing element")
+    return rep
 
 
 class Endomorphism:
@@ -189,6 +197,7 @@ def sigma4(g: Transformation) -> Endomorphism:
     return _make(_SIGMA4, key, g=g, type_tag=TypeTag.EXCEPTIONAL)
 
 
+@lru_cache(maxsize=None)
 def epsilon(n: int) -> Endomorphism:
     """The identity of End(T_n)."""
     return aut(Transformation.identity(n))
@@ -214,7 +223,7 @@ def apply(alpha: Endomorphism, s: Transformation) -> Transformation:
             return alpha.e
         return alpha.t if permutation_parity(s) == "odd" else alpha.t2
     if not s.is_permutation:
-        return Transformation.constant(4, alpha.g.images[3])
+        return Transformation.constant(4, alpha.g(4))
     return conjugate(coset_rep_fixing_4(s), alpha.g)
 
 
@@ -287,21 +296,21 @@ def identify(
     Probes constants and a couple of small permutations rather than
     scanning all of T_n.
     """
-    const_images = [table(Transformation.constant(n, i)) for i in range(1, n + 1)]
-    points = [c.images[0] if c.is_constant else None for c in const_images]
-    if all(p is not None for p in points) and len(set(points)) == n:
+    const_images = [table(c) for c in _constants(n)]
+    points = [c.word[0] if c.is_constant else None for c in const_images]
+    if None not in points and len(set(points)) == n:
         # Constants map to n distinct constants: an automorphism.
-        g = Transformation.from_images(points)
+        g = Transformation(tuple(points))
         result = aut(g)
         if n >= 2 and not _probes_match(table, result, n):
             raise NotAnEndomorphismError("table is inconsistent with any automorphism")
         return result
     e = const_images[0]
-    if any(c != e for c in const_images):
+    if any(c is not e for c in const_images):
         raise NotAnEndomorphismError("constants map to distinct non-constant values")
     if n == 1:
         return epsilon(1)
-    t = table(Transformation.transposition(n, 1, 2))
+    t = table(_probe_set(n)[2])  # the transposition (1 2)
     if is_permissible(t, e):
         candidate = phi(t, e)
         if _probes_match(table, candidate, n):
@@ -314,18 +323,25 @@ def identify(
     raise NotAnEndomorphismError("no symbolic endomorphism matches the table")
 
 
-def _probe_set(n: int) -> list[Transformation]:
+@lru_cache(maxsize=None)
+def _constants(n: int) -> tuple[Transformation, ...]:
+    return tuple(Transformation.constant(n, i) for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _probe_set(n: int) -> tuple[Transformation, ...]:
     probes = [Transformation.identity(n), Transformation.constant(n, 1)]
     if n >= 2:
         probes.append(Transformation.transposition(n, 1, 2))
     if n >= 3:
         probes.append(Transformation.transposition(n, 1, 3))
         probes.append(Transformation.cycle(n, (1, 2, 3)))
-    return probes
+    return tuple(probes)
 
 
 def _probes_match(table, candidate: Endomorphism, n: int) -> bool:
-    return all(table(s) == apply(candidate, s) for s in _probe_set(n))
+    # Transformations are interned, so equal values are the same object.
+    return all(table(s) is apply(candidate, s) for s in _probe_set(n))
 
 
 def oracle_multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:

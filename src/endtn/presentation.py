@@ -207,7 +207,7 @@ def p_symbol(alpha: Endomorphism) -> str:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     family: str
     lhs: Word
@@ -328,17 +328,18 @@ def presentation(n: int) -> Presentation:
             )
 
     # R4: in front of another p, only the type of the first factor matters.
+    # There are far more R4 relations than two-letter words, so each word
+    # is one shared tuple.
     by_type: dict[TypeTag, list[str]] = {}
     for p in p_symbols:
         by_type.setdefault(sym_type(p), []).append(p)
+    words_from = {p: [(p, target) for target in p_symbols] for p in p_symbols}
     for tag, group in by_type.items():
         for p in group:
             for p_prime in group:
                 if p != p_prime:
-                    for target in p_symbols:
-                        relations.append(
-                            Relation("R4", (p, target), (p_prime, target))
-                        )
+                    for lhs, rhs in zip(words_from[p], words_from[p_prime]):
+                        relations.append(Relation("R4", lhs, rhs))
 
     # R5..R10: marker combinatorics.
     od, ev, np_, tr = "p^od", "p^ev", "p^np", "p^tr"

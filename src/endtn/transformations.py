@@ -42,11 +42,19 @@ def check_capacity(n: int, limit: int, what: str) -> None:
 
 
 class Transformation:
-    """An immutable total map on {1..n}, stored as a 0-indexed image word."""
+    """An immutable total map on {1..n}, stored as a 0-indexed image word.
 
-    __slots__ = ("word",)
+    Values are interned and never change, so their invariants are computed
+    once: the degree, rank and ``is_permutation`` when the value is made,
+    the parity and the inverse of a permutation on first use.
+    """
+
+    __slots__ = ("word", "n", "rank", "is_permutation", "_parity", "_inverse")
 
     word: tuple[int, ...]
+    n: int
+    rank: int
+    is_permutation: bool
 
     def __new__(cls, word: tuple[int, ...]) -> "Transformation":
         cached = _intern.get(word)
@@ -59,11 +67,21 @@ class Transformation:
             if not 0 <= x < n:
                 raise ValueError(f"image point {x} out of range for degree {n}")
         self = object.__new__(cls)
-        object.__setattr__(self, "word", word)
+        rank = len(set(word))
+        init = object.__setattr__
+        init(self, "word", word)
+        init(self, "n", n)
+        init(self, "rank", rank)
+        init(self, "is_permutation", rank == n)
+        init(self, "_parity", None)
+        init(self, "_inverse", None)
         _intern[word] = self
         return self
 
     def __setattr__(self, name, value):
+        raise AttributeError("Transformation is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Transformation is immutable")
 
     # -- constructors ------------------------------------------------------
@@ -108,10 +126,6 @@ class Transformation:
     # -- basic accessors ---------------------------------------------------
 
     @property
-    def n(self) -> int:
-        return len(self.word)
-
-    @property
     def images(self) -> tuple[int, ...]:
         """1-indexed image word."""
         return tuple(x + 1 for x in self.word)
@@ -121,32 +135,28 @@ class Transformation:
         return self.word[point - 1] + 1
 
     @property
-    def rank(self) -> int:
-        return len(set(self.word))
-
-    @property
-    def is_permutation(self) -> bool:
-        return len(set(self.word)) == len(self.word)
-
-    @property
     def is_identity(self) -> bool:
         return all(x == i for i, x in enumerate(self.word))
 
     @property
     def is_constant(self) -> bool:
-        return len(set(self.word)) == 1
+        return self.rank == 1
 
     def fixed_points(self) -> frozenset[int]:
         """1-indexed fixed points."""
         return frozenset(i + 1 for i, x in enumerate(self.word) if x == i)
 
     def inverse(self) -> "Transformation":
-        if not self.is_permutation:
-            raise ValueError("only permutations are invertible")
-        word = [0] * len(self.word)
-        for i, x in enumerate(self.word):
-            word[x] = i
-        return Transformation(tuple(word))
+        inverse = self._inverse
+        if inverse is None:
+            if not self.is_permutation:
+                raise ValueError("only permutations are invertible")
+            word = [0] * self.n
+            for i, x in enumerate(self.word):
+                word[x] = i
+            inverse = Transformation(tuple(word))
+            object.__setattr__(self, "_inverse", inverse)
+        return inverse
 
     # -- serialisation -----------------------------------------------------
 
@@ -174,24 +184,28 @@ def compose(s: Transformation, t: Transformation) -> Transformation:
     if s.n != t.n:
         raise ValueError(f"degree mismatch: {s.n} vs {t.n}")
     tw = t.word
-    return Transformation(tuple(tw[x] for x in s.word))
+    return Transformation(tuple([tw[x] for x in s.word]))
 
 
 def permutation_parity(t: Transformation) -> str:
     """Parity via cycle decomposition: (n - #cycles) mod 2."""
-    if not t.is_permutation:
-        raise ValueError("parity is defined for permutations only")
-    seen = [False] * t.n
-    cycles = 0
-    for start in range(t.n):
-        if seen[start]:
-            continue
-        cycles += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = t.word[x]
-    return "even" if (t.n - cycles) % 2 == 0 else "odd"
+    parity = t._parity
+    if parity is None:
+        if not t.is_permutation:
+            raise ValueError("parity is defined for permutations only")
+        seen = [False] * t.n
+        cycles = 0
+        for start in range(t.n):
+            if seen[start]:
+                continue
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = t.word[x]
+        parity = "even" if (t.n - cycles) % 2 == 0 else "odd"
+        object.__setattr__(t, "_parity", parity)
+    return parity
 
 
 def conjugate(t: Transformation, g: Transformation) -> Transformation:
@@ -200,9 +214,8 @@ def conjugate(t: Transformation, g: Transformation) -> Transformation:
         raise ValueError(f"degree mismatch: {t.n} vs {g.n}")
     if not g.is_permutation:
         raise ValueError("conjugation requires a permutation")
-    ginv = g.inverse()
     gw, tw = g.word, t.word
-    return Transformation(tuple(gw[tw[x]] for x in ginv.word))
+    return Transformation(tuple([gw[tw[x]] for x in g.inverse().word]))
 
 
 def conjugate_words(words: np.ndarray, g: Transformation) -> np.ndarray:

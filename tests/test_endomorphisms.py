@@ -5,6 +5,8 @@ import pytest
 
 from endtn.endomorphisms import (
     TypeTag,
+    _constants,
+    _probe_set,
     apply,
     aut,
     coset_rep_fixing_4,
@@ -40,6 +42,11 @@ class TestElements:
         e = Transformation.constant(3, 1)
         assert phi(t, e) is phi(t, e)
         assert aut(Transformation.identity(3)) is epsilon(3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_epsilon_is_the_interned_identity(self, n):
+        assert epsilon(n) is aut(Transformation.identity(n))
+        assert epsilon(n) is epsilon(n)
 
     def test_phi_validates(self):
         with pytest.raises(ValueError):
@@ -164,7 +171,7 @@ class TestMultiplication:
 
 
 class TestIdentify:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_recovers_every_element(self, n):
         for el in enumerate_End(n):
             assert identify(lambda s: apply(el, s), n) is el
@@ -177,6 +184,56 @@ class TestIdentify:
 
         with pytest.raises(NotAnEndomorphismError):
             identify(bogus, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_probes_separate_every_element(self, n):
+        # identify reads an element off its values on the n constants and
+        # the probe set, so that is exact only if no two elements agree on
+        # all of them.  The probe set alone does not separate: at n >= 5,
+        # aut((4 5)) and epsilon agree on it.
+        probes = _constants(n) + _probe_set(n)
+        els = list(enumerate_End(n))
+        values = {tuple(apply(el, s) for s in probes) for el in els}
+        assert len(values) == len(els)
+
+    def test_oracle_composes_on_every_call(self, monkeypatch):
+        # No product is remembered: every call composes both actions on the
+        # constants and the probe set again.
+        import endtn.endomorphisms as endomorphisms
+
+        real = endomorphisms.apply
+        applied = []
+
+        def counting(alpha, s):
+            applied.append(s)
+            return real(alpha, s)
+
+        monkeypatch.setattr(endomorphisms, "apply", counting)
+        probes = len(_constants(5)) + len(_probe_set(5))
+        for a, b in zip(sample_elements(5, 50, seed=3), sample_elements(5, 50, seed=4)):
+            counts = []
+            for _ in range(2):
+                applied.clear()
+                assert oracle_multiply(a, b) is multiply(a, b)
+                counts.append(len(applied))
+            assert counts[0] == counts[1] >= 2 * probes
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_oracle_is_independent_of_multiply(self, n, monkeypatch):
+        import endtn.endomorphisms as endomorphisms
+        import endtn.universe as universe
+
+        rng = random.Random(n)
+        els = sorted(enumerate_End(n))
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(2_000)]
+        expected = [multiply(a, b) for a, b in pairs]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not use the symbolic product")
+
+        monkeypatch.setattr(endomorphisms, "multiply", forbidden)
+        monkeypatch.setattr(universe, "get_universe", forbidden)
+        assert [oracle_multiply(a, b) for a, b in pairs] == expected
 
     def test_oracle_agrees_exhaustively_small(self):
         els = list(enumerate_End(3))

@@ -122,6 +122,57 @@ class TestClassify:
         assert t.fixed_points() == {1, 3, 4}
 
 
+def _parity_by_inversions(word):
+    inversions = sum(1 for i, j in itertools.combinations(word, 2) if i > j)
+    return "odd" if inversions % 2 else "even"
+
+
+def _check_invariants(t):
+    """Compare every invariant a Transformation holds against a
+    recomputation from its word; read twice, so that the values filled on
+    first use are compared as well."""
+    word = t.word
+    is_perm = sorted(word) == list(range(len(word)))
+    for _ in range(2):
+        assert t.n == len(word)
+        assert t.rank == len(set(word))
+        assert t.is_permutation is is_perm
+        if is_perm:
+            assert permutation_parity(t) == _parity_by_inversions(word)
+            assert t.inverse().word == tuple(word.index(x) for x in range(len(word)))
+        else:
+            with pytest.raises(ValueError):
+                permutation_parity(t)
+            with pytest.raises(ValueError):
+                t.inverse()
+
+
+class TestCachedInvariants:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_word(self, n):
+        for t in enumerate_all(n):
+            _check_invariants(t)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_every_permutation(self, n):
+        for t in enumerate_permutations(n):
+            _check_invariants(t)
+
+    def test_every_slot_is_read_only(self):
+        t = Transformation.cycle(4, (1, 2, 3))
+        # Fill the slots that are computed on first use.
+        permutation_parity(t)
+        t.inverse()
+        for name in Transformation.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(t, name, getattr(t, name))
+            with pytest.raises(AttributeError):
+                delattr(t, name)
+        with pytest.raises(AttributeError):
+            t.extra = 1
+        _check_invariants(t)
+
+
 class TestEnumeration:
     def test_counts(self):
         assert sum(1 for _ in enumerate_all(3)) == 27
