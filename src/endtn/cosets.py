@@ -6,13 +6,15 @@ alpha Aut(T_n) of this action are the right cosets that the
 presentation's p-generators represent and that the A, B and C Green's
 classes are made of.
 
-One pass over S_n in lexicographic order records, for every singular
-alpha, its orbit's representative (the member with the least (t, e)
-word), the least g with rep psi_g = alpha, and the g fixing alpha.  Kept
-for the representatives only, the fixers give Stab(rep); together with
-the least conjugators (a transversal in the manner of a Schreier vector,
-Seress, *Permutation Group Algorithms*, 2003) they answer stabiliser and
-conjugator queries for any member by lookup instead of a scan of S_n.
+The singular elements are walked in ascending (t, e) word order.  The
+first one not yet reached is the least member of its orbit, so it is the
+orbit's representative, and only it is conjugated: by all of S_n at
+once, in lexicographic order.  The first g that reaches a member is its
+least conjugator, and the g that reach the representative itself are
+Stab(rep).  Together (a transversal in the manner of a Schreier vector,
+Seress, *Permutation Group Algorithms*, 2003, §2.1) they answer
+stabiliser and conjugator queries for any member by lookup instead of a
+scan of S_n.
 """
 
 from __future__ import annotations
@@ -22,13 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from .endomorphisms import Endomorphism, phi_of
+from .errors import VerificationError
 from .pairs import enumerate_P
-from .transformations import (
-    Transformation,
-    conjugate_words,
-    enumerate_permutations,
-    word_codes,
-)
+from .transformations import Transformation, enumerate_permutations, word_codes
 
 
 class Cosets:
@@ -37,53 +35,47 @@ class Cosets:
     def __init__(self, n: int):
         # At degree 1 the only permissible pair gives the identity, which
         # is not singular.  enumerate_P holds the capacity guard.
-        phis = [phi_of(p) for p in enumerate_P(n)] if n > 1 else []
-        # Conjugate each distinct t or e word once per g, then combine the
-        # codes: far fewer rows than one (t, e) row per element.
-        index: dict[Transformation, int] = {}
-        ti = np.array([index.setdefault(el.t, len(index)) for el in phis], dtype=int)
-        ei = np.array([index.setdefault(el.e, len(index)) for el in phis], dtype=int)
-        words = np.array([w.word for w in index], dtype=np.int64).reshape(-1, n)
-
-        def codes(rows):
-            # Base-n code of the (t, e) word: numeric order is sort_key order.
-            return rows[ti] * n**n + rows[ei]
-
-        own = codes(word_codes(words))
+        phis = sorted(
+            (phi_of(p) for p in enumerate_P(n)) if n > 1 else (),
+            key=Endomorphism.sort_key,
+        )
+        t = np.array([el.t.word for el in phis], dtype=np.int64).reshape(-1, n)
+        e = np.array([el.e.word for el in phis], dtype=np.int64).reshape(-1, n)
+        # Base-n code of the (t, e) word: ascending, since phis is sorted.
+        codes = word_codes(t) * n**n + word_codes(e)
         perms = list(enumerate_permutations(n))
-        best = own.copy()
-        conj = np.zeros(len(phis), dtype=int)  # perms[0] is the identity
-        fixers = []
-        for k, g in enumerate(perms):
-            # Code of alpha psi_{g^-1}: it reaches the orbit minimum first
-            # at the least g with rep psi_g = alpha.
-            key = codes(word_codes(conjugate_words(words, g.inverse())))
-            better = key < best
-            best[better] = key[better]
-            conj[better] = k
-            fixers.append(np.flatnonzero(key == own))
+        words = np.array([g.word for g in perms], dtype=np.int64)
+        inverses = np.argsort(words, axis=1)
 
-        is_rep = own == best
-        rep_at = {int(own[j]): phis[j] for j in np.flatnonzero(is_rep)}
+        def conjugates(s):
+            # s^g = g^-1 s g for every g, one image word per row.
+            return np.take_along_axis(words, s[inverses], axis=1)
+
         self._rep: dict[Endomorphism, Endomorphism] = {}
         self._conj: dict[Endomorphism, Transformation] = {}
-        members: dict[Endomorphism, set[Endomorphism]] = {}
-        for el, b, k in zip(phis, best.tolist(), conj.tolist()):
-            rep = rep_at[b]
-            self._rep[el] = rep
-            self._conj[el] = perms[k]
-            members.setdefault(rep, set()).add(el)
-        self.representatives: tuple[Endomorphism, ...] = tuple(
-            sorted(members, key=Endomorphism.sort_key)
-        )
-        self._members = {rep: frozenset(els) for rep, els in members.items()}
-
-        # Stab(rep) as an array of image words, in lexicographic order.
-        stab: dict[Endomorphism, list[tuple[int, ...]]] = {}
-        for g, fixed in zip(perms, fixers):
-            for j in fixed[is_rep[fixed]].tolist():
-                stab.setdefault(phis[j], []).append(g.word)
-        self._stab = {rep: np.array(ws) for rep, ws in stab.items()}
+        self._members: dict[Endomorphism, frozenset[Endomorphism]] = {}
+        self._stab: dict[Endomorphism, np.ndarray] = {}
+        for j, rep in enumerate(phis):
+            if rep in self._rep:
+                continue
+            key = word_codes(conjugates(t[j])) * n**n + word_codes(conjugates(e[j]))
+            pos = np.minimum(np.searchsorted(codes, key), len(codes) - 1)
+            missing = np.flatnonzero(codes[pos] != key)
+            if len(missing):
+                raise VerificationError(
+                    "a conjugated permissible pair is not an element",
+                    counterexample=(rep, perms[missing[0]]),
+                )
+            # np.unique returns each member's first position: its least g.
+            members, first = np.unique(pos, return_index=True)
+            for m, k in zip(members.tolist(), first.tolist()):
+                self._rep[phis[m]] = rep
+                self._conj[phis[m]] = perms[k]
+            self._members[rep] = frozenset(phis[m] for m in members.tolist())
+            # Stab(rep) as an array of image words, in lexicographic order.
+            self._stab[rep] = words[pos == j]
+        # Found in ascending order, so already sorted by sort_key.
+        self.representatives: tuple[Endomorphism, ...] = tuple(self._members)
 
     def representative(self, alpha: Endomorphism) -> Endomorphism:
         """The member of alpha's orbit with the least (t, e) word."""

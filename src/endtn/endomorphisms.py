@@ -294,15 +294,16 @@ def identify(
     """Recover the symbolic form of an endomorphism from its value map.
 
     Probes constants and a couple of small permutations rather than
-    scanning all of T_n.
+    scanning all of T_n, evaluating the table once on each probe.
     """
-    const_images = [table(c) for c in _constants(n)]
+    values = [table(s) for s in _probes(n)[0]]
+    const_images = values[:n]
     points = [c.word[0] if c.is_constant else None for c in const_images]
     if None not in points and len(set(points)) == n:
         # Constants map to n distinct constants: an automorphism.
         g = Transformation(tuple(points))
         result = aut(g)
-        if n >= 2 and not _probes_match(table, result, n):
+        if n >= 2 and not _probes_match(values, result, n):
             raise NotAnEndomorphismError("table is inconsistent with any automorphism")
         return result
     e = const_images[0]
@@ -310,15 +311,15 @@ def identify(
         raise NotAnEndomorphismError("constants map to distinct non-constant values")
     if n == 1:
         return epsilon(1)
-    t = table(_probe_set(n)[2])  # the transposition (1 2)
+    t = values[_probes(n)[1][2]]  # the transposition (1 2)
     if is_permissible(t, e):
         candidate = phi(t, e)
-        if _probes_match(table, candidate, n):
+        if _probes_match(values, candidate, n):
             return candidate
     if n == 4:
         for g in enumerate_permutations(4):
             candidate = sigma4(g)
-            if _probes_match(table, candidate, 4):
+            if _probes_match(values, candidate, 4):
                 return candidate
     raise NotAnEndomorphismError("no symbolic endomorphism matches the table")
 
@@ -339,9 +340,19 @@ def _probe_set(n: int) -> tuple[Transformation, ...]:
     return tuple(probes)
 
 
-def _probes_match(table, candidate: Endomorphism, n: int) -> bool:
+@lru_cache(maxsize=None)
+def _probes(n: int) -> tuple[tuple[Transformation, ...], tuple[int, ...]]:
+    """The distinct probes ``identify`` evaluates, the n constants first,
+    and the position among them of each member of the probe set (c_1 is in
+    both, and is the identity at n = 1)."""
+    probes = tuple(dict.fromkeys(_constants(n) + _probe_set(n)))
+    return probes, tuple(probes.index(s) for s in _probe_set(n))
+
+
+def _probes_match(values: list, candidate: Endomorphism, n: int) -> bool:
     # Transformations are interned, so equal values are the same object.
-    return all(table(s) is apply(candidate, s) for s in _probe_set(n))
+    probes, positions = _probes(n)
+    return all(values[k] is apply(candidate, probes[k]) for k in positions)
 
 
 def oracle_multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:

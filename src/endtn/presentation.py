@@ -228,13 +228,15 @@ class Presentation:
     prefixes: dict[Endomorphism, Word]
 
     def theta(self, word: Word) -> Endomorphism:
-        result = epsilon(self.n)
+        """The product of the images of the word's symbols; epsilon for
+        the empty word."""
+        result = None
         for symbol in word:
             image = self.images.get(symbol)
             if image is None:
                 raise ValueError(f"unknown symbol {symbol!r}")
-            result = multiply(result, image)
-        return result
+            result = image if result is None else multiply(result, image)
+        return epsilon(self.n) if result is None else result
 
 
 @lru_cache(maxsize=None)

@@ -287,8 +287,8 @@ def regular_elements(n: int) -> frozenset[Endomorphism]:
 
     Cross-checked against the closed form: everything for n <= 2, all but
     the rank-2 non-idempotents for n = 3, and Aut together with the
-    idempotents for n >= 5 (with the whole rank-7 block also regular at
-    n = 4).
+    idempotents of ``_idempotent_group`` for n >= 5 (with the whole rank-7
+    block also regular at n = 4).
     """
     uni = get_universe(n)
     table = uni.table
@@ -299,8 +299,10 @@ def regular_elements(n: int) -> frozenset[Endomorphism]:
     elif n == 3:
         expected = ~_in_components(uni, ("C",))
     else:
-        expected = _in_components(uni, ("Aut", "D"))
-        expected[uni.idempotent_indices] = True
+        klein = set(klein_four())
+        expected = _in_components(uni, ("Aut", "D")) | [
+            _idempotent_group(el, klein) is not None for el in uni.elements
+        ]
     _attest(
         "regular elements", uni.elements, np.packbits(expected), np.packbits(regular)
     )

@@ -1,10 +1,13 @@
 """Interned element universe of End(T_n) with its full product table.
 
 The table is the substrate for every brute-force computation (ideals,
-Green's relations, kernels of left/right translations).  It is filled
-from the symbolic multiplication, which is itself verified against the
-function-composition oracle elsewhere; the two verification paths stay
-separate.
+Green's relations, kernels of left/right translations).  It is filled by
+one rule per block of the symbolic multiplication, which is itself
+verified against the function-composition oracle elsewhere: the unit and
+rank-7 cells by ``multiply``, phi columns by absorption or by the row's
+type tag (beta, beta+, beta- or beta0), and phi x Aut by conjugating
+every (t, e) with gathers.  It reads nothing of ``cosets``, whose orbits
+it is the reference for, so the two sides stay separate.
 
 The value sets of the table's rows and columns (the principal right and
 left ideals) and the principal two-sided ideals are kept as packed
@@ -67,68 +70,42 @@ class Universe:
     # -- construction ------------------------------------------------------
 
     def _build_table(self) -> np.ndarray:
-        N = self.size
-        els = self.elements
-        idx = self.index
-        table = np.empty((N, N), dtype=np.int32)
+        els, idx = self.elements, self.index
+        auts, phis, sigmas = self.aut_indices, self.phi_indices, self.sigma_indices
+        units_and_sigmas = np.concatenate([auts, sigmas])
+        table = np.empty((self.size, self.size), dtype=np.int32)
 
-        auts = self.aut_indices
-        phis = self.phi_indices
-        sigmas = self.sigma_indices
+        def by_multiply(rows, cols):
+            table[np.ix_(rows, cols)] = [
+                [idx[multiply(els[i], els[j])] for j in cols] for i in rows
+            ]
 
-        # Star companions of every phi, for the O(1) phi x phi block.
-        plus = np.empty(N, dtype=np.int32)
-        minus = np.empty(N, dtype=np.int32)
-        zero = np.empty(N, dtype=np.int32)
-        for j in phis:
-            el = els[j]
-            plus[j] = idx[star_map(el, "+")]
-            minus[j] = idx[star_map(el, "-")]
-            zero[j] = idx[star_map(el, "0")]
-
-        # aut rows: aut x aut by composition, aut absorbs into phi.
-        for i in auts:
-            for j in auts:
-                table[i, j] = idx[multiply(els[i], els[j])]
-            for j in sigmas:
-                table[i, j] = idx[multiply(els[i], els[j])]
-        if len(phis):
-            table[np.ix_(auts, phis)] = phis[np.newaxis, :]
-
-        # phi rows.
+        by_multiply(units_and_sigmas, auts)
+        # The sigma columns, only at n = 4, take every row by multiply.
+        by_multiply(np.arange(self.size), sigmas)
         if len(phis):
             table[np.ix_(phis, auts)] = self._phi_aut_block()
-        for i in phis:
-            for j in sigmas:
-                table[i, j] = idx[multiply(els[i], els[j])]
-        if len(phis):
-            by_tag = {tag: [] for tag in TypeTag}
-            for i in phis:
-                by_tag[els[i].type_tag].append(i)
-            blocks = {
-                TypeTag.ODD: phis.astype(np.int32),
-                TypeTag.EVEN: plus[phis],
-                TypeTag.NON_PERMUTATION: minus[phis],
-                TypeTag.TRIVIAL: zero[phis],
-            }
-            for tag, rows in by_tag.items():
-                if rows and tag in blocks:
-                    table[np.ix_(np.array(rows), phis)] = blocks[tag][np.newaxis, :]
-
-        # sigma rows.
-        for i in sigmas:
-            for j in auts:
-                table[i, j] = idx[multiply(els[i], els[j])]
-            for j in sigmas:
-                table[i, j] = idx[multiply(els[i], els[j])]
-        if len(sigmas) and len(phis):
-            table[np.ix_(sigmas, phis)] = phis[np.newaxis, :]
+            # Units and the rank-7 maps absorb into phi.
+            table[np.ix_(units_and_sigmas, phis)] = phis
+            # A phi row is beta, beta+, beta- or beta0 across the phi
+            # columns, by its own type tag.
+            for tag, star in (
+                (TypeTag.ODD, None),
+                (TypeTag.EVEN, "+"),
+                (TypeTag.NON_PERMUTATION, "-"),
+                (TypeTag.TRIVIAL, "0"),
+            ):
+                rows = phis[[els[i].type_tag is tag for i in phis]]
+                table[np.ix_(rows, phis)] = [
+                    j if star is None else idx[star_map(els[j], star)] for j in phis
+                ]
         return table
 
     def _phi_aut_block(self) -> np.ndarray:
         """table[phis, auts]: phi(t, e) aut(g) = phi(t^g, e^g), by gathers.
 
-        Each (t, e) is keyed by its base-n word code, and the conjugated
+        Each (t, e) is keyed by its base-n word code, ascending because the
+        phi slice of the elements is in sort_key order, and the conjugated
         codes are mapped back to element indices by binary search.
         """
         n = self.n
@@ -140,20 +117,18 @@ class Universe:
             return word_codes(t) * n**n + word_codes(e)
 
         codes = pair_codes(t_words, e_words)
-        order = np.argsort(codes)
-        sorted_codes = codes[order]
         block = np.empty((len(phis), len(self.aut_indices)), dtype=np.int32)
         for col, i in enumerate(self.aut_indices):
             g = self.elements[i].g
             key = pair_codes(conjugate_words(t_words, g), conjugate_words(e_words, g))
-            pos = np.minimum(np.searchsorted(sorted_codes, key), len(codes) - 1)
-            missing = np.flatnonzero(sorted_codes[pos] != key)
+            pos = np.minimum(np.searchsorted(codes, key), len(codes) - 1)
+            missing = np.flatnonzero(codes[pos] != key)
             if len(missing):
                 raise VerificationError(
                     "a conjugated permissible pair is not an element",
                     counterexample=(phis[missing[0]], self.elements[i]),
                 )
-            block[:, col] = self.phi_indices[order[pos]]
+            block[:, col] = self.phi_indices[pos]
         return block
 
     # -- indexing helpers --------------------------------------------------

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from endtn.cosets import get_cosets
-from endtn.endomorphisms import aut, multiply
-from endtn.pairs import PermissiblePair
+from endtn.endomorphisms import aut, multiply, phi_of
+from endtn.pairs import PermissiblePair, enumerate_P
 from endtn.structure import fix_set
 from endtn.transformations import enumerate_permutations
 from endtn.universe import get_universe
@@ -55,6 +55,41 @@ def test_stabiliser_matches_fix_set(n):
     for alpha in singular:
         expected = fix_set(PermissiblePair(alpha.t, alpha.e)).elements
         assert cosets.stabiliser(alpha) == expected
+
+
+@pytest.fixture(scope="module")
+def six():
+    singular = sorted(phi_of(p) for p in enumerate_P(6))
+    return get_cosets(6), singular, list(enumerate_permutations(6))
+
+
+def test_orbits_at_six_are_aut_orbits(six):
+    # No table exists at n = 6: each orbit is checked against rep psi_g
+    # over all of S_6, and the orbits against every singular element.
+    cosets, singular, perms = six
+    assert len(cosets.representatives) == 130 and len(singular) == 37_783
+    covered = set()
+    for rep in cosets.representatives:
+        orbit = cosets.orbit(rep)
+        assert orbit == {multiply(rep, aut(g)) for g in perms}
+        assert min(orbit) is rep and cosets.representative(rep) is rep
+        assert len(orbit) * len(cosets.stabiliser(rep)) == 720
+        assert covered.isdisjoint(orbit)
+        covered |= orbit
+        assert all(cosets.representative(alpha) is rep for alpha in orbit)
+    assert covered == set(singular)
+    assert list(cosets.representatives) == sorted(cosets.representatives)
+
+
+def test_lookups_at_six_match_scans(six):
+    cosets, singular, perms = six
+    rng = random.Random(6)
+    for alpha in rng.sample(singular, 200):
+        expected = fix_set(PermissiblePair(alpha.t, alpha.e)).elements
+        assert cosets.stabiliser(alpha) == expected
+        beta = rng.choice(sorted(cosets.orbit(alpha)))
+        least = next(g for g in perms if multiply(alpha, aut(g)) is beta)
+        assert cosets.least_conjugator(alpha, beta) is least
 
 
 def test_degree_one_has_no_singular_orbits():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -195,6 +196,36 @@ class TestIdentify:
         els = list(enumerate_End(n))
         values = {tuple(apply(el, s) for s in probes) for el in els}
         assert len(values) == len(els)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_evaluates_each_distinct_probe_once(self, n):
+        # The probes are the n constants, then id, (1 2), (1 3) and (1 2 3)
+        # as far as n allows; c_1 is among both, and is id at n = 1.
+        probes = dict.fromkeys(_constants(n) + _probe_set(n), 1)
+        ident = Transformation.identity(n)
+        tables = [lambda s, el=el: apply(el, s) for el in enumerate_End(n)]
+        if n >= 2:
+            flip = Transformation.transposition(n, 1, 2)
+            tables += [
+                # automorphism rejected on the probe set
+                lambda s: s if s.is_constant else flip,
+                # constants to distinct non-constant values
+                lambda s: ident if s is _constants(n)[0] else s,
+                # constants agree, no candidate matches
+                lambda s: flip if s.is_constant else s,
+            ]
+        for table in tables:
+            calls = []
+
+            def counting(s):
+                calls.append(s)
+                return table(s)
+
+            try:
+                identify(counting, n)
+            except NotAnEndomorphismError:
+                pass
+            assert collections.Counter(calls) == probes
 
     def test_oracle_composes_on_every_call(self, monkeypatch):
         # No product is remembered: every call composes both actions on the

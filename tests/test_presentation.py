@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import random
 
@@ -140,6 +141,37 @@ class TestPresentation:
         from endtn.endomorphisms import epsilon
 
         assert theta_eval((), 5) is epsilon(5)
+
+    def test_theta_looks_up_every_symbol(self, pres):
+        assert pres.theta(("p^od",)) is pres.images["p^od"]
+        for word in (("q:1-2", "nonsense"), ("nonsense", "q:1-2")):
+            with pytest.raises(ValueError):
+                pres.theta(word)
+
+    def test_theta_multiplies_k_minus_one_times(self, pres, monkeypatch):
+        from endtn.endomorphisms import epsilon
+
+        # ``endtn.presentation`` as an attribute is the function.
+        module = importlib.import_module("endtn.presentation")
+
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return multiply(a, b)
+
+        monkeypatch.setattr(module, "multiply", counting)
+        symbols = sorted(pres.images)
+        rng = random.Random(13)
+        for k in [0, 1, 1, 2, 3, 5, 8, 13]:
+            word = tuple(rng.choice(symbols) for _ in range(k))
+            calls.clear()
+            value = pres.theta(word)
+            assert len(calls) == max(k - 1, 0)
+            expected = epsilon(5)
+            for symbol in word:
+                expected = multiply(expected, pres.images[symbol])
+            assert value is expected
 
 
 class TestNormalForm:

@@ -53,6 +53,20 @@ def test_one_capacity_policy():
     assert literals == []
 
 
+def test_universe_reads_no_formula_side():
+    """The product table is the brute side that ``cosets``, ``structure``
+    and ``presentation`` are checked against, so it imports none of them."""
+    tree = ast.parse((SOURCE / "universe.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rpartition(".")[2])
+            imported |= {alias.name for alias in node.names}
+    assert imported and not imported & {"cosets", "structure", "presentation"}
+
+
 def test_benchmark_hooks_resolve():
     """Every name the benchmark's tracer wraps still exists, so a renamed
     or deleted function cannot silently break a traced run."""

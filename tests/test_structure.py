@@ -191,6 +191,22 @@ class TestRegularity:
     def test_four(self):
         assert len(regular_elements(4)) == 153
 
+    def test_formula_side_reads_the_closed_form_idempotents(self, monkeypatch):
+        # The table's diagonal is the brute side; dropping one E_2
+        # idempotent from the closed form must be caught.
+        import endtn.structure as structure
+
+        real = structure._idempotent_group
+        victim = next(el for el in get_universe(5).elements if real(el, set()) == "E_2")
+        monkeypatch.setattr(
+            structure,
+            "_idempotent_group",
+            lambda el, klein: None if el is victim else real(el, klein),
+        )
+        with pytest.raises(VerificationError, match="regular elements") as err:
+            regular_elements(5)
+        assert err.value.counterexample is victim
+
 
 class TestGreens:
     @pytest.mark.parametrize("relation", GREEN_RELATIONS)

@@ -1,12 +1,24 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from endtn.endomorphisms import epsilon, multiply
+from endtn.endomorphisms import TypeTag, epsilon, multiply
 from endtn.errors import CapacityError
 from endtn.structure import enumerate_ideals
 from endtn.universe import Universe, get_universe
+
+
+# sha256 of ``get_universe(n).table.tobytes()`` (int32 cells), recorded
+# from the table built by the symbolic product block by block.
+TABLE_SHA256 = {
+    1: "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+    2: "838af80083cb678e2167d6cb1baf87d804d8e7ed0a0032f5db0b595ad5d2637a",
+    3: "06f5cc93ee4c77b604f706b880f9e14bd5d27bf78499a06f4c3ced0f30044d58",
+    4: "c5eba732186d5e347ff21df0a7a760d01417796fd7cabb2ee35f3c8c3746d508",
+    5: "e898c749d858750467baa61a4fab5445c25d2b774c136fe996505f9d4f6e870f",
+}
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +70,23 @@ class TestTable:
         for i in uni.phi_indices:
             expected = [uni.of(multiply(els[i], b)) for b in auts]
             assert uni.table[i, uni.aut_indices].tolist() == expected
+
+    def test_aut_rows_and_one_phi_row_per_type_match_at_five(self):
+        uni = get_universe(5)
+        els = uni.elements
+        rows = list(uni.aut_indices)
+        for tag in TypeTag:
+            rows += [i for i in uni.phi_indices if els[i].type_tag is tag][:1]
+        assert len(rows) == 120 + 4
+        for i in rows:
+            expected = [uni.of(multiply(els[i], b)) for b in els]
+            assert uni.table[i].tolist() == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_table_bytes_are_pinned(self, n):
+        assert hashlib.sha256(get_universe(n).table.tobytes()).hexdigest() == (
+            TABLE_SHA256[n]
+        )
 
     def test_identity_row_and_column(self, uni4):
         e = uni4.of(epsilon(4))
