@@ -18,7 +18,7 @@ import random
 import sys
 import traceback
 
-from .endomorphisms import enumerate_End, multiply, oracle_multiply
+from .endomorphisms import elements, multiply, oracle_multiply
 from .errors import CapacityError, UsageError, VerificationError
 from .pairs import (
     PermissiblePair,
@@ -96,7 +96,7 @@ def _emit(args, header: list[str], rows: list[list], payload=None) -> None:
 
 def cmd_enumerate(args) -> int:
     rows = []
-    for el in sorted(enumerate_End(args.n)):
+    for el in elements(args.n):
         rows.append([el.key(), el.rank, el.type_tag.value, component_of(el)])
     _emit(args, ["element", "rank", "type", "component"], rows)
     return EXIT_OK
@@ -132,8 +132,8 @@ def cmd_counts(args) -> int:
 
 
 def cmd_verify_mult(args) -> int:
-    elements = sorted(enumerate_End(args.n))
-    size = len(elements)
+    members = elements(args.n)
+    size = len(members)
     if args.n <= 4:
         pairs = [(i, j) for i in range(size) for j in range(size)]
     else:
@@ -142,7 +142,7 @@ def cmd_verify_mult(args) -> int:
             (rng.randrange(size), rng.randrange(size)) for _ in range(args.samples)
         ]
     for i, j in pairs:
-        a, b = elements[i], elements[j]
+        a, b = members[i], members[j]
         symbolic = multiply(a, b)
         oracle = oracle_multiply(a, b)
         if symbolic is not oracle:
@@ -202,7 +202,7 @@ def cmd_ideals(args) -> int:
         _emit(args, [], [], payload=[d.to_json() for d in ideals])
         return EXIT_OK
     rows = [
-        [d.form, len(d.elements), ";".join(sorted(d.X)), ";".join(sorted(d.Y)),
+        [d.form, len(d.indices), ";".join(sorted(d.X)), ";".join(sorted(d.Y)),
          ";".join(sorted(d.Z))]
         for d in ideals
     ]

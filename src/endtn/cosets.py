@@ -23,26 +23,26 @@ from functools import lru_cache
 
 import numpy as np
 
-from .endomorphisms import Endomorphism, phi_of
+from .endomorphisms import Endomorphism, elements
 from .errors import VerificationError
-from .pairs import enumerate_P
-from .transformations import Transformation, enumerate_permutations, word_codes
+from .transformations import (
+    Transformation,
+    enumerate_permutations,
+    pair_codes,
+    word_codes,
+)
 
 
 class Cosets:
     """The orbits alpha Aut(T_n) of the singular elements of degree n."""
 
     def __init__(self, n: int):
-        # At degree 1 the only permissible pair gives the identity, which
-        # is not singular.  enumerate_P holds the capacity guard.
-        phis = sorted(
-            (phi_of(p) for p in enumerate_P(n)) if n > 1 else (),
-            key=Endomorphism.sort_key,
-        )
+        # The singular block of the elements, in sort_key order, so the
+        # codes ascend.  ``elements`` holds the capacity guard.
+        phis = [el for el in elements(n) if el.is_phi]
         t = np.array([el.t.word for el in phis], dtype=np.int64).reshape(-1, n)
         e = np.array([el.e.word for el in phis], dtype=np.int64).reshape(-1, n)
-        # Base-n code of the (t, e) word: ascending, since phis is sorted.
-        codes = word_codes(t) * n**n + word_codes(e)
+        codes = pair_codes(t, e)
         perms = list(enumerate_permutations(n))
         words = np.array([g.word for g in perms], dtype=np.int64)
         inverses = np.argsort(words, axis=1)
@@ -58,7 +58,7 @@ class Cosets:
         for j, rep in enumerate(phis):
             if rep in self._rep:
                 continue
-            key = word_codes(conjugates(t[j])) * n**n + word_codes(conjugates(e[j]))
+            key = pair_codes(conjugates(t[j]), conjugates(e[j]))
             pos = np.minimum(np.searchsorted(codes, key), len(codes) - 1)
             missing = np.flatnonzero(codes[pos] != key)
             if len(missing):

@@ -40,7 +40,6 @@ class TypeTag(enum.Enum):
 
 
 _AUT, _PHI, _SIGMA4 = 0, 1, 2
-_KIND_NAMES = {_AUT: "aut", _PHI: "phi", _SIGMA4: "sigma4"}
 
 _intern: dict[tuple, "Endomorphism"] = {}
 
@@ -382,3 +381,11 @@ def enumerate_End(n: int) -> Iterator[Endomorphism]:
     if n == 4:
         for g in enumerate_permutations(4):
             yield sigma4(g)
+
+
+@lru_cache(maxsize=None)
+def elements(n: int) -> tuple[Endomorphism, ...]:
+    """End(T_n) in ``sort_key`` order, enumerated once per degree: the units,
+    then the singular elements by (t, e) word, then at n = 4 the rank-7
+    maps.  Every table, partition and listing uses this order."""
+    return tuple(sorted(enumerate_End(n), key=Endomorphism.sort_key))

@@ -105,39 +105,28 @@ def enumerate_pairs_for(t: Transformation) -> Iterator[PermissiblePair]:
 
     For each non-empty R subset of J (lexicographic order) every function
     f: (J \\ R) u I -> R (odometer order) extends uniquely to an
-    idempotent e with image R satisfying te = et = e.
+    idempotent e with image R satisfying te = et = e: the identity on R,
+    and x e = f(root x), where the root of x is the first of x, xt, xt^2
+    that lies in J u I.
     """
-    if not is_in_U(t):
-        raise ValueError("t admits no permissible partner (t is not in U_n)")
     dec = decompose(t)
-    J = sorted(dec.J)
-    I = sorted(dec.I)
-    subsets = [
+    if not dec.J:
+        raise ValueError("t admits no permissible partner (t is not in U_n)")
+    # 0-indexed from here on.
+    J = sorted(x - 1 for x in dec.J)
+    I = sorted(x - 1 for x in dec.I)
+    base, w = set(J + I), t.word
+    root = [next(y for y in (x, w[x], w[w[x]]) if y in base) for x in range(t.n)]
+    subsets = sorted(
         c for size in range(1, len(J) + 1) for c in itertools.combinations(J, size)
-    ]
-    subsets.sort()
-    n = t.n
+    )
     for R in subsets:
-        rest = [j for j in J if j not in R]
-        domain = sorted(rest + I)
+        domain = sorted([j for j in J if j not in R] + I)
+        f = list(range(t.n))
         for values in itertools.product(R, repeat=len(domain)):
-            f = dict(zip(domain, values))
-            for r in R:
-                f[r] = r
-            word = [0] * n
-            for x1 in dec.J:
-                word[x1 - 1] = f[x1] - 1
-            for x1 in dec.K:
-                word[x1 - 1] = f[t(x1)] - 1
-            for x1 in dec.I:
-                word[x1 - 1] = f[x1] - 1
-                word[t(x1) - 1] = f[x1] - 1
-            for x1 in dec.M:
-                y = t(x1)
-                if y not in f:  # y in It; step once more into I
-                    y = t(y)
-                word[x1 - 1] = f[y] - 1
-            yield PermissiblePair(t, Transformation(tuple(word)))
+            for x, value in zip(domain, values):
+                f[x] = value
+            yield PermissiblePair(t, Transformation(tuple(f[r] for r in root)))
 
 
 def enumerate_P(n: int) -> Iterator[PermissiblePair]:

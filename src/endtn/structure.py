@@ -21,7 +21,7 @@ from .endomorphisms import (
     TypeTag,
     apply,
     coset_rep_fixing_4,
-    enumerate_End,
+    elements,
     klein_four,
     multiply,
     phi,
@@ -259,13 +259,14 @@ def idempotent_partition(n: int) -> IdempotentPartition:
     against each member's rank.
 
     Works one degree beyond the product-table guard because both sides
-    only need a single pass over the elements, in ``enumerate_End`` order.
+    only need a single pass over ``elements(n)``, so a mismatch names the
+    first disagreeing element in that order.
     """
-    elements = list(enumerate_End(n))
+    members = elements(n)
     klein = set(klein_four())
     groups = {name: set() for name in ("epsilon", *_IDEMPOTENT_RANKS)}
     grouped, square, ranked, of_rank = [], [], [], []
-    for el in elements:
+    for el in members:
         name = _idempotent_group(el, klein)
         if name is not None:
             groups[name].add(el)
@@ -274,8 +275,8 @@ def idempotent_partition(n: int) -> IdempotentPartition:
         square.append(multiply(el, el) is el)
         ranked.append(rank is not None)
         of_rank.append(rank is not None and el.rank == rank)
-    _attest("idempotents", elements, np.packbits(grouped), np.packbits(square))
-    _attest("idempotent ranks", elements, np.packbits(ranked), np.packbits(of_rank))
+    _attest("idempotents", members, np.packbits(grouped), np.packbits(square))
+    _attest("idempotent ranks", members, np.packbits(ranked), np.packbits(of_rank))
     return IdempotentPartition(**{k: frozenset(v) for k, v in groups.items()})
 
 
@@ -504,14 +505,21 @@ class IdealDescription:
     form: "whole", "singular", "even-closed" (has even-type but no
     odd-type elements) or "nonperm-closed" (only trivial or
     non-permutation types).  X, Y, Z identify the orbits contributed by
-    A, B and C respectively, by each orbit's minimal element key.
+    A, B and C respectively, by each orbit's minimal element key.  The
+    members are kept as the element indices of ``universe``; ``elements``
+    builds them as endomorphisms on first read.
     """
 
     form: str
     X: frozenset[str]
     Y: frozenset[str]
     Z: frozenset[str]
-    elements: frozenset[Endomorphism] = field(compare=False)
+    indices: frozenset[int] = field(compare=False, repr=False)
+    universe: Universe = field(compare=False, repr=False)
+
+    @cached_property
+    def elements(self) -> frozenset[Endomorphism]:
+        return self.universe.element_set(self.indices)
 
     def to_json(self) -> dict:
         return {
@@ -519,7 +527,7 @@ class IdealDescription:
             "X": sorted(self.X),
             "Y": sorted(self.Y),
             "Z": sorted(self.Z),
-            "size": len(self.elements),
+            "size": len(self.indices),
         }
 
 
@@ -564,7 +572,8 @@ def _describe_ideal(uni: Universe, indices: frozenset[int]) -> IdealDescription:
         X=orbit_keys("A"),
         Y=orbit_keys("B"),
         Z=orbit_keys("C"),
-        elements=uni.element_set(indices),
+        indices=indices,
+        universe=uni,
     )
 
 
@@ -689,28 +698,13 @@ def fix_set(pair: PermissiblePair) -> FixSet:
 # -- extended Green's relations ---------------------------------------------
 
 
-# Rows per step of _kernel_keys; bounds its temporaries to a few MB at n = 5.
-_KERNEL_ROWS = 128
-
-
 def _kernel_keys(rows: np.ndarray):
     """Canonical key of the kernel (partition by equal values) of each row,
     yielded row by row: at every position, the first position that holds
-    the same value."""
-    for start in range(0, len(rows), _KERNEL_ROWS):
-        block = rows[start : start + _KERNEL_ROWS]
-        order = np.argsort(block, axis=1, kind="stable")
-        values = np.take_along_axis(block, order, axis=1)
-        # In sorted order a value's run starts at its first position.
-        run_start = np.ones(block.shape, dtype=bool)
-        run_start[:, 1:] = values[:, 1:] != values[:, :-1]
-        cols = np.arange(block.shape[1])
-        run_of = np.maximum.accumulate(np.where(run_start, cols, 0), axis=1)
-        first = np.take_along_axis(order, run_of, axis=1)
-        keys = np.empty(block.shape, dtype=np.int32)
-        np.put_along_axis(keys, order, first, axis=1)
-        for row in keys:
-            yield row.tobytes()
+    the same value, as ``int32`` bytes."""
+    for row in rows:
+        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+        yield first[inverse].astype(np.int32).tobytes()
 
 
 @lru_cache(maxsize=None)

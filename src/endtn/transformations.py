@@ -230,6 +230,13 @@ def word_codes(words: np.ndarray) -> np.ndarray:
     return words @ (n ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
+def pair_codes(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Base-n code of each (t, e) pair of image-word rows; numeric order is
+    (t, e) word order."""
+    n = t.shape[1]
+    return word_codes(t) * n**n + word_codes(e)
+
+
 def enumerate_all(n: int) -> Iterator[Transformation]:
     """All n^n transformations, in lexicographic order of image words."""
     check_capacity(n, MAX_ENUM_DEGREE, "full transformation enumeration")

@@ -22,19 +22,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .endomorphisms import (
-    Endomorphism,
-    TypeTag,
-    enumerate_End,
-    multiply,
-    star_map,
-)
+from .endomorphisms import Endomorphism, TypeTag, elements, multiply, star_map
 from .errors import VerificationError
 from .transformations import (
     MAX_TABLE_DEGREE,
     check_capacity,
     conjugate_words,
-    word_codes,
+    pair_codes,
 )
 
 # Rows per step when scattering the table into bitsets; bounds the index
@@ -48,21 +42,14 @@ class Universe:
     def __init__(self, n: int):
         check_capacity(n, MAX_TABLE_DEGREE, "product table construction")
         self.n = n
-        self.elements: list[Endomorphism] = sorted(
-            enumerate_End(n), key=Endomorphism.sort_key
-        )
+        self.elements: tuple[Endomorphism, ...] = elements(n)
         self.index: dict[Endomorphism, int] = {
             el: i for i, el in enumerate(self.elements)
         }
         self.size = len(self.elements)
-        self.aut_indices = np.array(
-            [i for i, el in enumerate(self.elements) if el.is_aut], dtype=np.int64
-        )
-        self.phi_indices = np.array(
-            [i for i, el in enumerate(self.elements) if el.is_phi], dtype=np.int64
-        )
-        self.sigma_indices = np.array(
-            [i for i, el in enumerate(self.elements) if el.is_sigma4], dtype=np.int64
+        self.aut_indices, self.phi_indices, self.sigma_indices = (
+            np.flatnonzero([getattr(el, kind) for el in self.elements])
+            for kind in ("is_aut", "is_phi", "is_sigma4")
         )
         self.table = self._build_table()
         self._element_sets: dict[bytes, frozenset[Endomorphism]] = {}
@@ -108,14 +95,9 @@ class Universe:
         phi slice of the elements is in sort_key order, and the conjugated
         codes are mapped back to element indices by binary search.
         """
-        n = self.n
         phis = [self.elements[i] for i in self.phi_indices]
         t_words = np.array([el.t.word for el in phis], dtype=np.int64)
         e_words = np.array([el.e.word for el in phis], dtype=np.int64)
-
-        def pair_codes(t, e):
-            return word_codes(t) * n**n + word_codes(e)
-
         codes = pair_codes(t_words, e_words)
         block = np.empty((len(phis), len(self.aut_indices)), dtype=np.int32)
         for col, i in enumerate(self.aut_indices):

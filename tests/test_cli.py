@@ -171,6 +171,27 @@ class TestStructureVerbs:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout of the verbs that read the sorted element tuple or
+    # the ideals' index sets, recorded when each verb still sorted its own
+    # enumeration and built every ideal as a set of endomorphisms.
+    PINNED_ARGV = [
+        ("enumerate --n 5", "32839ff44e1f454b7dc0ea4a83e0f0679d27a91b4104021b2426bc69fe6751ba"),
+        ("enumerate --n 6", "f5e32fd11ad53dca16b8514fdfdb145c2db3df8eba8032e1f9153765482f7e6a"),
+        ("idempotents --n 6", "1f780490a0cd986c6d0227e451f449a4447b1112625677e3643a0786bc518fef"),
+        (
+            "ideals --n 5 --format json",
+            "ec7c5cfc6f4868dbac8397e5c6c9eb1b03781960455aeb26d9e78d57dfe66fc4",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, digest", PINNED_ARGV, ids=[argv for argv, _ in PINNED_ARGV]
+    )
+    def test_pinned_output(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_fix(self, capsys):
         code, out, _ = run(
             capsys, "fix", "--n", "5", "--t", "1 3 2 1 5", "--e", "1 1 1 1 1"

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from endtn.endomorphisms import (
+    Endomorphism,
     TypeTag,
     _constants,
     _probe_set,
     apply,
     aut,
     coset_rep_fixing_4,
+    elements,
     enumerate_End,
     epsilon,
     identify,
@@ -293,6 +295,13 @@ class TestEnumeration:
     def test_sigma_only_at_four(self):
         assert not any(el.is_sigma4 for el in enumerate_End(3))
         assert sum(1 for el in enumerate_End(4) if el.is_sigma4) == 24
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_elements_are_enumerated_once_in_sort_order(self, n):
+        members = elements(n)
+        assert isinstance(members, tuple)
+        assert members == tuple(sorted(enumerate_End(n), key=Endomorphism.sort_key))
+        assert elements(n) is members
 
     def test_each_pair_is_checked_once(self, monkeypatch):
         import endtn.endomorphisms as endomorphisms

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from endtn.pairs import (
@@ -101,6 +103,24 @@ class TestCounting:
         assert t_keys == sorted(t_keys)
         keys = [p.sort_key() for p in pairs]
         assert len(set(keys)) == len(keys)
+
+    # sha256 of the (t, e) image words of enumerate_P(n), concatenated in
+    # enumeration order, recorded from the per-part construction.
+    PAIR_SEQUENCE_SHA256 = {
+        5: "3e0a21a7a1ddb53fc4a96c4ea50d13e91f715f5f614b50f05fa6d2cce2eb71c7",
+        6: "a6436e5bf1f3d75c887577251b351b7672db34d71b396aa5d3da8c385245a4a9",
+    }
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_pair_sequence_is_pinned(self, n):
+        data = bytes(x for p in enumerate_P(n) for x in p.t.word + p.e.word)
+        assert hashlib.sha256(data).hexdigest() == self.PAIR_SEQUENCE_SHA256[n]
+
+    # t^3 != t; and t^3 = t, but (1 2) fixes no point.
+    @pytest.mark.parametrize("images", [[2, 3, 1], [2, 1]])
+    def test_enumeration_rejects_t_outside_U(self, images):
+        with pytest.raises(ValueError):
+            next(enumerate_pairs_for(Transformation.from_images(images)))
 
     def test_every_enumerated_pair_is_permissible(self):
         for pair in enumerate_P(4):

@@ -86,3 +86,28 @@ def test_benchmark_hooks_resolve():
         if not callable(obj):
             missing.append(f"{module}:{attr}")
     assert len(hooks) == 24 and missing == []
+
+
+def test_each_degree_is_enumerated_in_one_place():
+    """``endomorphisms.elements`` is the one caller of ``enumerate_End``, and
+    ``enumerate_End`` the one caller of ``enumerate_P``, so every module
+    reads End(T_n) from the one cached tuple rather than enumerating the
+    pairs again."""
+    callers = {"enumerate_End": set(), "enumerate_P": set()}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in callers:
+                callers[name].add(f"{path.stem}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SOURCE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "<module>")
+    assert callers == {
+        "enumerate_End": {"endomorphisms.elements"},
+        "enumerate_P": {"endomorphisms.enumerate_End"},
+    }

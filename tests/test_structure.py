@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from endtn import endomorphisms
 from endtn.endomorphisms import (
     aut,
     enumerate_End,
@@ -139,9 +140,11 @@ class TestIdempotents:
             assert len(part.E_1) == len(part.E_2) + 1
 
     def test_mismatch_names_first_element_in_enumeration_order(self, monkeypatch):
+        """The counterexample is the first wrong element in the order of
+        ``elements(4)``, the one element order."""
         import endtn.structure as structure
 
-        elements = list(enumerate_End(4))
+        elements = list(endomorphisms.elements(4))
         real = structure._idempotent_group
         # Two idempotents dropped and two non-idempotents added, spread out.
         idempotents = [el for el in elements if multiply(el, el) is el]
@@ -371,6 +374,29 @@ class TestIdeals:
         uni = get_universe(3)
         for desc in enumerate_ideals(3):
             assert uni.is_two_sided_closed(frozenset(map(uni.of, desc.elements)))
+
+    def test_ideals_are_kept_as_indices_until_read(self, monkeypatch):
+        """Listing the ideals and rendering them builds no element set;
+        ``elements`` builds the members once, on first read."""
+        from endtn.universe import Universe
+
+        uni = get_universe(4)
+        calls = []
+        real = Universe.element_set
+
+        def counting(self, indices):
+            calls.append(len(indices))
+            return real(self, indices)
+
+        monkeypatch.setattr(Universe, "element_set", counting)
+        descs = enumerate_ideals(4)
+        sizes = [d.to_json()["size"] for d in descs]
+        assert len(descs) == 583 and calls == []
+        for desc, size in zip(descs, sizes):
+            members = frozenset(uni.elements[i] for i in desc.indices)
+            assert desc.elements == members and len(members) == size
+            assert desc.elements is desc.elements
+        assert calls == sizes
 
     def test_ideals_are_ordered_by_size_growth(self):
         descs = enumerate_ideals(3)

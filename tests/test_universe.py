@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from endtn.endomorphisms import TypeTag, epsilon, multiply
+from endtn.endomorphisms import TypeTag, elements, epsilon, multiply
 from endtn.errors import CapacityError
 from endtn.structure import enumerate_ideals
 from endtn.universe import Universe, get_universe
@@ -56,6 +56,19 @@ class TestTable:
         assert get_universe(2).size == 7
         assert get_universe(3).size == 40
         assert get_universe(4).size == 345
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_elements_and_kind_blocks_come_from_the_one_tuple(self, n):
+        uni = get_universe(n)
+        assert len(uni.elements) == len(elements(n))
+        assert all(a is b for a, b in zip(uni.elements, elements(n)))
+        for indices, kind in (
+            (uni.aut_indices, "is_aut"),
+            (uni.phi_indices, "is_phi"),
+            (uni.sigma_indices, "is_sigma4"),
+        ):
+            expected = [i for i, el in enumerate(uni.elements) if getattr(el, kind)]
+            assert indices.tolist() == expected
 
     def test_table_matches_symbolic_product(self, uni4):
         els = uni4.elements
