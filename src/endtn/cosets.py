@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .endomorphisms import Endomorphism, elements
+from .endomorphisms import Endomorphism, elements, singular_words
 from .errors import VerificationError
 from .transformations import (
     Transformation,
@@ -40,8 +40,7 @@ class Cosets:
         # The singular block of the elements, in sort_key order, so the
         # codes ascend.  ``elements`` holds the capacity guard.
         phis = [el for el in elements(n) if el.is_phi]
-        t = np.array([el.t.word for el in phis], dtype=np.int64).reshape(-1, n)
-        e = np.array([el.e.word for el in phis], dtype=np.int64).reshape(-1, n)
+        t, e = singular_words(n)
         codes = pair_codes(t, e)
         perms = list(enumerate_permutations(n))
         words = np.array([g.word for g in perms], dtype=np.int64)

@@ -17,6 +17,8 @@ import enum
 from functools import lru_cache
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .errors import NotAnEndomorphismError
 from .pairs import PermissiblePair, enumerate_P, is_permissible
 from .transformations import (
@@ -136,7 +138,7 @@ def _make(kind: int, key: tuple, **fields) -> Endomorphism:
     self.e = fields.get("e")
     self.t2 = fields.get("t2")
     self.type_tag = fields["type_tag"]
-    self._star = {}
+    # ``_star`` is left unset until ``star_map`` first reads it.
     _intern[key] = self
     return self
 
@@ -172,14 +174,14 @@ def phi_of(pair: PermissiblePair) -> Endomorphism:
     if cached is not None:
         return cached
     t2 = compose(t, t)
-    if t.is_identity and e.is_identity:
-        tag = TypeTag.TRIVIAL
-    elif t.is_permutation and permutation_parity(t) == "odd":
-        tag = TypeTag.ODD
-    elif t.is_permutation:
-        tag = TypeTag.EVEN
-    else:
+    if not t.is_permutation:
         tag = TypeTag.NON_PERMUTATION
+    elif permutation_parity(t) == "odd":
+        tag = TypeTag.ODD
+    elif t.is_identity and e.is_identity:
+        tag = TypeTag.TRIVIAL
+    else:
+        tag = TypeTag.EVEN
     return _make(_PHI, key, t=t, e=e, t2=t2, type_tag=tag)
 
 
@@ -236,7 +238,11 @@ def star_map(alpha: Endomorphism, which: str) -> Endomorphism:
     """
     if alpha.kind != _PHI:
         raise ValueError("star maps are defined for singular phi elements only")
-    cached = alpha._star.get(which)
+    try:
+        stars = alpha._star
+    except AttributeError:
+        stars = alpha._star = {}
+    cached = stars.get(which)
     if cached is not None:
         return cached
     if which == "+":
@@ -247,7 +253,7 @@ def star_map(alpha: Endomorphism, which: str) -> Endomorphism:
         result = phi(alpha.t2, alpha.t2)
     else:
         raise ValueError(f"unknown star map {which!r}")
-    alpha._star[which] = result
+    stars[which] = result
     return result
 
 
@@ -389,3 +395,15 @@ def elements(n: int) -> tuple[Endomorphism, ...]:
     then the singular elements by (t, e) word, then at n = 4 the rank-7
     maps.  Every table, partition and listing uses this order."""
     return tuple(sorted(enumerate_End(n), key=Endomorphism.sort_key))
+
+
+@lru_cache(maxsize=None)
+def singular_words(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The t and the e image words of the singular block of ``elements(n)``,
+    one read-only ``int8`` row per element in that order, so that their
+    ``pair_codes`` ascend."""
+    phis = [el for el in elements(n) if el.kind == _PHI]
+    t = np.array([el.t.word for el in phis], dtype=np.int8).reshape(-1, n)
+    e = np.array([el.e.word for el in phis], dtype=np.int8).reshape(-1, n)
+    t.flags.writeable = e.flags.writeable = False
+    return t, e

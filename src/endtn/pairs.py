@@ -2,8 +2,10 @@
 
 A pair (t, e) is permissible when t^3 = t and te = et = e^2 = e.  Every
 t admitting such an e satisfies t^3 = t and fixes at least one point;
-the admissible e are enumerated constructively from the J/K/I/It/M
-partition of the domain of t.
+these t, the set U_n, are found by one array test over all n^n image
+words, and the admissible e of each are built constructively from the
+J/K/I/It/M partition of the domain of t.  ``enumerate_P`` then checks the
+defining identities on every pair it builds in one array pass.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .transformations import (
     MAX_END_DEGREE,
+    MAX_ENUM_DEGREE,
     Transformation,
     check_capacity,
     compose,
@@ -45,12 +50,22 @@ class PermissiblePair:
 
     def __post_init__(self):
         if not is_permissible(self.t, self.e):
-            raise ValueError(
-                f"({self.t.to_text()}, {self.e.to_text()}) is not a permissible pair"
-            )
+            raise _not_permissible(self.t, self.e)
+
+    @classmethod
+    def _checked(cls, t: Transformation, e: Transformation) -> "PermissiblePair":
+        """A pair that ``_check_pairs`` has already found permissible."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "t", t)
+        object.__setattr__(pair, "e", e)
+        return pair
 
     def sort_key(self):
         return (self.t.word, self.e.word)
+
+
+def _not_permissible(t: Transformation, e: Transformation) -> ValueError:
+    return ValueError(f"({t.to_text()}, {e.to_text()}) is not a permissible pair")
 
 
 def is_permissible(t: Transformation, e: Transformation) -> bool:
@@ -100,8 +115,9 @@ def count_pairs_for(t: Transformation) -> int:
     return sum(math.comb(j, r) * r ** (i + j - r) for r in range(1, j + 1))
 
 
-def enumerate_pairs_for(t: Transformation) -> Iterator[PermissiblePair]:
-    """All e with (t, e) permissible, built constructively.
+def _partner_words(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The image word of every e with (t, e) permissible, where w is the
+    word of a t with t^3 = t and a fixed point.
 
     For each non-empty R subset of J (lexicographic order) every function
     f: (J \\ R) u I -> R (odometer order) extends uniquely to an
@@ -109,32 +125,84 @@ def enumerate_pairs_for(t: Transformation) -> Iterator[PermissiblePair]:
     and x e = f(root x), where the root of x is the first of x, xt, xt^2
     that lies in J u I.
     """
-    dec = decompose(t)
-    if not dec.J:
-        raise ValueError("t admits no permissible partner (t is not in U_n)")
-    # 0-indexed from here on.
-    J = sorted(x - 1 for x in dec.J)
-    I = sorted(x - 1 for x in dec.I)
-    base, w = set(J + I), t.word
-    root = [next(y for y in (x, w[x], w[w[x]]) if y in base) for x in range(t.n)]
+    n = len(w)
+    # 0-indexed: the fixed points, and the low side of each 2-cycle.
+    J = [x for x in range(n) if w[x] == x]
+    I = [x for x in range(n) if x < w[x] and w[w[x]] == x]
+    base = set(J + I)
+    root = [next(y for y in (x, w[x], w[w[x]]) if y in base) for x in range(n)]
     subsets = sorted(
         c for size in range(1, len(J) + 1) for c in itertools.combinations(J, size)
     )
     for R in subsets:
         domain = sorted([j for j in J if j not in R] + I)
-        f = list(range(t.n))
+        f = list(range(n))
         for values in itertools.product(R, repeat=len(domain)):
             for x, value in zip(domain, values):
                 f[x] = value
-            yield PermissiblePair(t, Transformation(tuple(f[r] for r in root)))
+            yield tuple([f[r] for r in root])
+
+
+def enumerate_pairs_for(t: Transformation) -> Iterator[PermissiblePair]:
+    """All e with (t, e) permissible, built constructively (see
+    ``_partner_words``); each pair is checked as it is made."""
+    if not is_in_U(t):
+        raise ValueError("t admits no permissible partner (t is not in U_n)")
+    for e in _partner_words(t.word):
+        yield PermissiblePair(t, Transformation(e))
+
+
+def u_words(n: int) -> np.ndarray:
+    """The image words of U_n, in lexicographic order, as ``int8`` rows:
+    every t of T_n with t^3 = t and a fixed point, by one array test."""
+    check_capacity(n, MAX_ENUM_DEGREE, "full transformation enumeration")
+    words = np.indices((n,) * n, dtype=np.int8).reshape(n, -1).T
+    cube = _then(_then(words, words), words)
+    fixes = (words == np.arange(n, dtype=np.int8)).any(axis=1)
+    return words[fixes & (cube == words).all(axis=1)]
+
+
+def _then(s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The left-to-right product su of two arrays of image words, row by
+    row: x (su) = (x s) u."""
+    return np.take_along_axis(u, s, axis=1)
+
+
+def _check_pairs(t: np.ndarray, e: np.ndarray) -> None:
+    """Check t^3 = t and te = et = e^2 = e on every row of the two arrays of
+    image words at once, raising the error ``PermissiblePair`` raises for
+    the first pair that fails."""
+    bad = (
+        (_then(_then(t, t), t) != t)
+        | (_then(t, e) != e)
+        | (_then(e, t) != e)
+        | (_then(e, e) != e)
+    ).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _not_permissible(
+            Transformation(tuple(t[k].tolist())), Transformation(tuple(e[k].tolist()))
+        )
 
 
 def enumerate_P(n: int) -> Iterator[PermissiblePair]:
-    """All permissible pairs of degree n, grouped by t in lexicographic order."""
+    """All permissible pairs of degree n, grouped by t in lexicographic order.
+
+    Only the members of U_n, of which every e is one, are made into
+    transformations.  Every pair is checked in one array pass before the
+    first is yielded.
+    """
     check_capacity(n, MAX_END_DEGREE, "permissible pair enumeration")
-    for t in enumerate_all(n):
-        if is_in_U(t):
-            yield from enumerate_pairs_for(t)
+    t_words = u_words(n)
+    ts = [Transformation(tuple(w)) for w in t_words.tolist()]
+    partners = [[Transformation(e) for e in _partner_words(t.word)] for t in ts]
+    _check_pairs(
+        np.repeat(t_words, [len(es) for es in partners], axis=0),
+        np.array([e.word for es in partners for e in es], dtype=np.int8).reshape(-1, n),
+    )
+    for t, es in zip(ts, partners):
+        for e in es:
+            yield PermissiblePair._checked(t, e)
 
 
 def brute_force_partners(t: Transformation) -> list[Transformation]:

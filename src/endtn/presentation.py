@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,8 +209,7 @@ def p_symbol(alpha: Endomorphism) -> str:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Relation:
+class Relation(NamedTuple):
     family: str
     lhs: Word
     rhs: Word
@@ -340,8 +341,9 @@ def presentation(n: int) -> Presentation:
         for p in group:
             for p_prime in group:
                 if p != p_prime:
-                    for lhs, rhs in zip(words_from[p], words_from[p_prime]):
-                        relations.append(Relation("R4", lhs, rhs))
+                    relations.extend(
+                        map(Relation, repeat("R4"), words_from[p], words_from[p_prime])
+                    )
 
     # R5..R10: marker combinatorics.
     od, ev, np_, tr = "p^od", "p^ev", "p^np", "p^tr"

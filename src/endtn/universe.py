@@ -22,7 +22,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .endomorphisms import Endomorphism, TypeTag, elements, multiply, star_map
+from .endomorphisms import (
+    Endomorphism,
+    TypeTag,
+    elements,
+    multiply,
+    singular_words,
+    star_map,
+)
 from .errors import VerificationError
 from .transformations import (
     MAX_TABLE_DEGREE,
@@ -95,11 +102,9 @@ class Universe:
         phi slice of the elements is in sort_key order, and the conjugated
         codes are mapped back to element indices by binary search.
         """
-        phis = [self.elements[i] for i in self.phi_indices]
-        t_words = np.array([el.t.word for el in phis], dtype=np.int64)
-        e_words = np.array([el.e.word for el in phis], dtype=np.int64)
+        t_words, e_words = singular_words(self.n)
         codes = pair_codes(t_words, e_words)
-        block = np.empty((len(phis), len(self.aut_indices)), dtype=np.int32)
+        block = np.empty((len(codes), len(self.aut_indices)), dtype=np.int32)
         for col, i in enumerate(self.aut_indices):
             g = self.elements[i].g
             key = pair_codes(conjugate_words(t_words, g), conjugate_words(e_words, g))
@@ -108,7 +113,10 @@ class Universe:
             if len(missing):
                 raise VerificationError(
                     "a conjugated permissible pair is not an element",
-                    counterexample=(phis[missing[0]], self.elements[i]),
+                    counterexample=(
+                        self.elements[self.phi_indices[missing[0]]],
+                        self.elements[i],
+                    ),
                 )
             block[:, col] = self.phi_indices[pos]
         return block

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from endtn.endomorphisms import (
@@ -22,6 +23,7 @@ from endtn.endomorphisms import (
     phi,
     phi_trivial,
     sigma4,
+    singular_words,
     star_map,
 )
 from endtn.errors import CapacityError, NotAnEndomorphismError
@@ -159,6 +161,19 @@ class TestMultiplication:
         assert star_map(alpha, "+") is phi(compose(t, t), e)
         assert star_map(alpha, "-") is phi(e, e)
         assert star_map(alpha, "0") is phi(compose(t, t), compose(t, t))
+
+    def test_star_companions_are_stored_on_first_use(self, monkeypatch):
+        import endtn.endomorphisms as endomorphisms
+
+        # A fresh intern table, so that alpha is made here.
+        monkeypatch.setattr(endomorphisms, "_intern", {})
+        alpha = phi(
+            Transformation.from_images([1, 3, 2, 1]), Transformation.constant(4, 1)
+        )
+        assert not hasattr(alpha, "_star")
+        plus = star_map(alpha, "+")
+        assert alpha._star == {"+": plus}
+        assert star_map(alpha, "+") is plus
 
     def test_left_type_decides_phi_products(self):
         c = Transformation.constant(5, 1)
@@ -303,20 +318,54 @@ class TestEnumeration:
         assert members == tuple(sorted(enumerate_End(n), key=Endomorphism.sort_key))
         assert elements(n) is members
 
-    def test_each_pair_is_checked_once(self, monkeypatch):
-        import endtn.endomorphisms as endomorphisms
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_singular_words_follow_the_elements(self, n):
+        t, e = singular_words(n)
+        phis = [el for el in elements(n) if el.is_phi]
+        assert t.dtype == e.dtype == np.int8
+        assert t.shape == e.shape == (len(phis), n)
+        assert t.tolist() == [list(el.t.word) for el in phis]
+        assert e.tolist() == [list(el.e.word) for el in phis]
+        assert not (t.flags.writeable or e.flags.writeable)
+        assert singular_words(n)[0] is t
+
+    def test_a_bad_pair_in_the_batch_is_named(self, monkeypatch):
+        import endtn.pairs as pairs
+
+        real = pairs._partner_words
+        # t = [1, 1, 3, 4] gets one partner that is not idempotent.
+        bad_t, bad_e = (0, 0, 2, 3), (1, 0, 2, 3)
+
+        def corrupted(w):
+            yield from real(w)
+            if w == bad_t:
+                yield bad_e
+
+        monkeypatch.setattr(pairs, "_partner_words", corrupted)
+        with pytest.raises(ValueError) as raised:
+            next(pairs.enumerate_P(4))
+        assert str(raised.value) == "(1 1 3 4, 2 1 3 4) is not a permissible pair"
+
+    def test_the_array_check_covers_every_pair_yielded(self, monkeypatch):
         import endtn.pairs as pairs
 
         checked = []
-        real = pairs.is_permissible
+        real = pairs._check_pairs
 
-        def counting(t, e):
-            checked.append((t, e))
+        def recording(t, e):
+            checked.extend(zip(map(tuple, t.tolist()), map(tuple, e.tolist())))
             return real(t, e)
 
-        monkeypatch.setattr(pairs, "is_permissible", counting)
-        monkeypatch.setattr(endomorphisms, "is_permissible", counting)
-        # A fresh intern table, so that no element is already built.
-        monkeypatch.setattr(endomorphisms, "_intern", {})
-        singular = [el for el in endomorphisms.enumerate_End(4) if el.is_phi]
-        assert len(checked) == len(set(checked)) == len(singular) == 297
+        monkeypatch.setattr(pairs, "_check_pairs", recording)
+        yielded = [(p.t.word, p.e.word) for p in pairs.enumerate_P(4)]
+        assert checked == yielded and len(set(yielded)) == 297
+
+    def test_a_pair_built_alone_is_still_checked(self):
+        from endtn.pairs import PermissiblePair
+
+        # t^3 = t, but e = c_2 does not commute with t = [1, 1, 3].
+        t = Transformation.from_images([1, 1, 3])
+        with pytest.raises(ValueError, match="is not a permissible pair"):
+            PermissiblePair(t, Transformation.constant(3, 2))
+        with pytest.raises(ValueError, match="is not a permissible pair"):
+            phi(t, Transformation.constant(3, 2))

@@ -1,9 +1,11 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from endtn.pairs import (
     PermissiblePair,
+    _check_pairs,
     brute_force_partners,
     count_pairs_for,
     decompose,
@@ -11,6 +13,7 @@ from endtn.pairs import (
     enumerate_pairs_for,
     is_in_U,
     is_permissible,
+    u_words,
 )
 from endtn.transformations import Transformation, compose, enumerate_all
 
@@ -33,6 +36,17 @@ class TestPermissibility:
         t = Transformation.from_images([1, 1, 3])
         assert is_permissible(t, Transformation.constant(3, 1))
         assert not is_permissible(t, Transformation.constant(3, 2))
+
+    def test_array_check_agrees_with_the_scalar_one(self):
+        maps = list(enumerate_all(3))
+        for t in maps:
+            for e in maps:
+                words = np.array([t.word]), np.array([e.word])
+                if is_permissible(t, e):
+                    _check_pairs(*words)
+                else:
+                    with pytest.raises(ValueError, match="not a permissible pair"):
+                        _check_pairs(*words)
 
     def test_pair_constructor_validates(self):
         with pytest.raises(ValueError):
@@ -105,16 +119,39 @@ class TestCounting:
         assert len(set(keys)) == len(keys)
 
     # sha256 of the (t, e) image words of enumerate_P(n), concatenated in
-    # enumeration order, recorded from the per-part construction.
+    # enumeration order, recorded from the per-part construction (n = 5, 6)
+    # and from the scalar U_n test with per-pair checks (n = 1..4).
     PAIR_SEQUENCE_SHA256 = {
+        1: "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+        2: "4e5954fac1fb67816047df4d4352fd41f64f1c875eb3fa338d62f1a3ce5f1bfc",
+        3: "acca8c47ac2670bef78ed3c20501c5a202daa0de96eb32641f36ffb740530e41",
+        4: "6989baa50e9a8998db6b071705a769e3e85882eb1a22f2aed26689ecf2ac8452",
         5: "3e0a21a7a1ddb53fc4a96c4ea50d13e91f715f5f614b50f05fa6d2cce2eb71c7",
         6: "a6436e5bf1f3d75c887577251b351b7672db34d71b396aa5d3da8c385245a4a9",
     }
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_pair_sequence_is_pinned(self, n):
         data = bytes(x for p in enumerate_P(n) for x in p.t.word + p.e.word)
         assert hashlib.sha256(data).hexdigest() == self.PAIR_SEQUENCE_SHA256[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_array_U_test_matches_the_scalar_one(self, n):
+        words = u_words(n)
+        assert words.dtype == np.int8
+        assert [tuple(w) for w in words.tolist()] == [t.word for t in u_elements(n)]
+
+    def test_U6_has_4927_members(self):
+        assert u_words(6).shape == (4_927, 6)
+
+    def test_only_U_is_interned(self, monkeypatch):
+        import endtn.transformations as transformations
+
+        # Every e is idempotent, so it lies in U_6 too.
+        monkeypatch.setattr(transformations, "_intern", {})
+        pairs = list(enumerate_P(6))
+        assert len(pairs) == 37_783
+        assert len(transformations._intern) == 4_927
 
     # t^3 != t; and t^3 = t, but (1 2) fixes no point.
     @pytest.mark.parametrize("images", [[2, 3, 1], [2, 1]])

@@ -111,3 +111,45 @@ def test_each_degree_is_enumerated_in_one_place():
         "enumerate_End": {"endomorphisms.elements"},
         "enumerate_P": {"endomorphisms.enumerate_End"},
     }
+
+
+def test_pairs_are_enumerated_by_array_passes():
+    """``enumerate_P``, and every ``pairs`` function it reaches, leaves the
+    scalar U_n test, the per-pair check and composition alone: U_n is one
+    array test and the pairs are checked in one array pass.  The pair
+    constructor that skips the check is called only after that pass."""
+    tree = ast.parse((SOURCE / "pairs.py").read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+
+    def calls(node):
+        return [
+            (getattr(call.func, "id", getattr(call.func, "attr", None)), call.lineno)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+        ]
+
+    reached, todo = set(), ["enumerate_P"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        called = {c for c, _ in calls(functions[name])}
+        todo += called & functions.keys() - reached
+    forbidden = {"enumerate_all", "is_in_U", "is_permissible", "compose"}
+    assert {"u_words", "_partner_words", "_check_pairs"} <= reached
+    assert not {c for name in reached for c, _ in calls(functions[name])} & forbidden
+
+    # Each function that calls the unchecked constructor: whether every
+    # such call follows its last call of the array check.
+    after_check = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                made = [line for c, line in calls(node) if c == "_checked"]
+                checked = [line for c, line in calls(node) if c == "_check_pairs"]
+                if made:
+                    after_check[f"{path.stem}.{node.name}"] = max(
+                        checked, default=float("inf")
+                    ) < min(made)
+    assert after_check == {"pairs.enumerate_P": True}
