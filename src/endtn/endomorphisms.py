@@ -173,7 +173,6 @@ def phi_of(pair: PermissiblePair) -> Endomorphism:
     cached = _intern.get(key)
     if cached is not None:
         return cached
-    t2 = compose(t, t)
     if not t.is_permutation:
         tag = TypeTag.NON_PERMUTATION
     elif permutation_parity(t) == "odd":
@@ -182,7 +181,7 @@ def phi_of(pair: PermissiblePair) -> Endomorphism:
         tag = TypeTag.TRIVIAL
     else:
         tag = TypeTag.EVEN
-    return _make(_PHI, key, t=t, e=e, t2=t2, type_tag=tag)
+    return _make(_PHI, key, t=t, e=e, t2=t.square(), type_tag=tag)
 
 
 def sigma4(g: Transformation) -> Endomorphism:

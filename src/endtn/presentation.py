@@ -228,12 +228,19 @@ class Presentation:
     # Normal-form prefix of each singular orbit, keyed by its representative.
     prefixes: dict[Endomorphism, Word]
 
-    def theta(self, word: Word) -> Endomorphism:
-        """The product of the images of the word's symbols; epsilon for
-        the empty word."""
-        result = None
-        for symbol in word:
-            image = self.images.get(symbol)
+    # The product of every ordered pair of symbols, keyed by the two-letter
+    # word: the first layer of the right Cayley graph.
+    products: dict[Word, Endomorphism]
+
+    def theta(self, word) -> Endomorphism:
+        """The left fold of ``multiply`` over the images of the word's
+        symbols, its first two read from ``products``; epsilon for the
+        empty word."""
+        word = tuple(word)
+        result = self.products.get(word[:2])
+        images = self.images
+        for symbol in word if result is None else word[2:]:
+            image = images.get(symbol)
             if image is None:
                 raise ValueError(f"unknown symbol {symbol!r}")
             result = image if result is None else multiply(result, image)
@@ -274,6 +281,9 @@ def presentation(n: int) -> Presentation:
         images[sym] = el
         symbol_of[el] = sym
     p_symbols = tuple(p_symbols)
+    products = {
+        (a, b): multiply(x, y) for a, x in images.items() for b, y in images.items()
+    }
 
     def sym_type(sym: str) -> TypeTag:
         return images[sym].type_tag
@@ -313,17 +323,16 @@ def presentation(n: int) -> Presentation:
     essential_reps = {o.representative for o in orbits(n) if o.essential}
     for p1 in p_symbols:
         for p2 in p_symbols:
-            rep = cosets.representative(multiply(images[p1], images[p2]))
+            rep = cosets.representative(products[p1, p2])
             if rep not in essential_reps:
                 pair_products.setdefault(rep, []).append((p1, p2))
     for rep, pairs in pair_products.items():
         pairs.sort()
         u1, u2 = pairs[0]
         prefixes[rep] = (u1, u2)
-        target = multiply(images[u1], images[u2])
+        target = products[u1, u2]
         for p1, p2 in pairs:
-            product = multiply(images[p1], images[p2])
-            g = cosets.least_conjugator(product, target)
+            g = cosets.least_conjugator(products[p1, p2], target)
             if (p1, p2) == (u1, u2) and g.is_identity:
                 continue
             relations.append(
@@ -369,12 +378,13 @@ def presentation(n: int) -> Presentation:
         images=images,
         relations=tuple(relations),
         prefixes=prefixes,
+        products=products,
     )
 
 
 def theta_eval(word: Word, n: int) -> Endomorphism:
     """Evaluate a word left-to-right; the empty word is the identity."""
-    return presentation(n).theta(tuple(word))
+    return presentation(n).theta(word)
 
 
 # -- normal form ------------------------------------------------------------
@@ -391,7 +401,7 @@ def normal_form(word, n: int) -> Word:
     depends only on the value, so equal elements share one normal form.
     """
     pres = presentation(n)
-    value = pres.theta(tuple(word))
+    value = pres.theta(word)
     if value.is_aut:
         return canonical_word(value.g)
     cosets = get_cosets(n)

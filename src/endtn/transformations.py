@@ -46,10 +46,13 @@ class Transformation:
 
     Values are interned and never change, so their invariants are computed
     once: the degree, rank and ``is_permutation`` when the value is made,
-    the parity and the inverse of a permutation on first use.
+    the square, and the parity and the inverse of a permutation, on first
+    use.
     """
 
-    __slots__ = ("word", "n", "rank", "is_permutation", "_parity", "_inverse")
+    __slots__ = (
+        "word", "n", "rank", "is_permutation", "_parity", "_inverse", "_square"
+    )
 
     word: tuple[int, ...]
     n: int
@@ -75,6 +78,7 @@ class Transformation:
         init(self, "is_permutation", rank == n)
         init(self, "_parity", None)
         init(self, "_inverse", None)
+        init(self, "_square", None)
         _intern[word] = self
         return self
 
@@ -157,6 +161,14 @@ class Transformation:
             inverse = Transformation(tuple(word))
             object.__setattr__(self, "_inverse", inverse)
         return inverse
+
+    def square(self) -> "Transformation":
+        """``compose(self, self)``."""
+        square = self._square
+        if square is None:
+            square = compose(self, self)
+            object.__setattr__(self, "_square", square)
+        return square
 
     # -- serialisation -----------------------------------------------------
 

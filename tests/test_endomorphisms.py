@@ -329,6 +329,30 @@ class TestEnumeration:
         assert not (t.flags.writeable or e.flags.writeable)
         assert singular_words(n)[0] is t
 
+    def test_each_square_is_composed_once(self, monkeypatch):
+        import endtn.endomorphisms as endomorphisms
+        import endtn.transformations as transformations
+
+        # Fresh intern tables, so every map and every element is made anew.
+        monkeypatch.setattr(transformations, "_intern", {})
+        monkeypatch.setattr(endomorphisms, "_intern", {})
+        real = transformations.compose
+        calls = []
+
+        def counting(s, t):
+            calls.append((s, t))
+            return real(s, t)
+
+        monkeypatch.setattr(transformations, "compose", counting)
+        monkeypatch.setattr(endomorphisms, "compose", counting)
+        phis = [el for el in enumerate_End(5) if el.is_phi]
+        squared = {el.t for el in phis}
+        assert (len(phis), len(squared)) == (3_106, 611)
+        assert sorted(s for s, _ in calls) == sorted(squared)
+        assert all(s is t for s, t in calls)
+        for el in phis:
+            assert el.t2 is el.t.square() is real(el.t, el.t)
+
     def test_a_bad_pair_in_the_batch_is_named(self, monkeypatch):
         import endtn.pairs as pairs
 

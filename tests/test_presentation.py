@@ -1,13 +1,16 @@
+import dataclasses
 import hashlib
 import importlib
 import json
 import random
+import types
 
 import pytest
 
+from endtn import cli
 from endtn.cosets import get_cosets
-from endtn.endomorphisms import TypeTag, enumerate_End, multiply
-from endtn.errors import CapacityError
+from endtn.endomorphisms import TypeTag, enumerate_End, multiply, oracle_multiply
+from endtn.errors import CapacityError, VerificationError
 from endtn.presentation import (
     canonical_word,
     essential_orbits,
@@ -148,7 +151,7 @@ class TestPresentation:
             with pytest.raises(ValueError):
                 pres.theta(word)
 
-    def test_theta_multiplies_k_minus_one_times(self, pres, monkeypatch):
+    def test_theta_multiplies_k_minus_two_times(self, pres, monkeypatch):
         from endtn.endomorphisms import epsilon
 
         # ``endtn.presentation`` as an attribute is the function.
@@ -167,11 +170,53 @@ class TestPresentation:
             word = tuple(rng.choice(symbols) for _ in range(k))
             calls.clear()
             value = pres.theta(word)
-            assert len(calls) == max(k - 1, 0)
+            # The first two symbols are one read of the product table.
+            assert len(calls) == max(k - 2, 0)
             expected = epsilon(5)
             for symbol in word:
                 expected = multiply(expected, pres.images[symbol])
             assert value is expected
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 4])
+    def test_theta_names_the_first_unknown_symbol(self, pres, position):
+        word = ["q:1-2", "p^od", "q:2-3", "p^tr", "p^ev"]
+        word[position] = "p:bogus"
+        for bad in (tuple(word), word):
+            with pytest.raises(ValueError, match=r"unknown symbol 'p:bogus'"):
+                pres.theta(bad)
+
+    def test_theta_accepts_a_list(self, pres):
+        for word in (["q:1-2", "p^od"], ["p^od", "q:1-2", "p^ev"], ["p^tr"], []):
+            assert pres.theta(word) is pres.theta(tuple(word))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_product_table_is_attested(n):
+    """Every entry of the generators' product table is ``multiply`` of the
+    two images, and the composition oracle gives the same element."""
+    pres = presentation(n)
+    images = pres.images
+    assert len(pres.products) == len(images) ** 2
+    assert set(pres.products) == {(a, b) for a in images for b in images}
+    for (a, b), value in pres.products.items():
+        assert value is multiply(images[a], images[b])
+        assert value is oracle_multiply(images[a], images[b])
+
+
+def test_relation_check_sees_a_corrupted_product(monkeypatch):
+    pres = presentation(5)
+    r4 = next(rel for rel in pres.relations if rel.family == "R4")
+    # Swap the table entry of one R4 left side for another product.
+    right = pres.products[r4.lhs]
+    wrong = next(value for value in pres.products.values() if value is not right)
+    corrupted = dataclasses.replace(pres, products={**pres.products, r4.lhs: wrong})
+    assert corrupted.theta(r4.lhs) is wrong
+    monkeypatch.setattr(cli, "presentation", lambda n: corrupted)
+    args = types.SimpleNamespace(n=5, seed=0, samples=0)
+    with pytest.raises(VerificationError, match="relation is not theta-sound") as raised:
+        cli.cmd_presentation_check(args)
+    family, lhs, rhs = raised.value.counterexample
+    assert lhs[:2] == r4.lhs or rhs[:2] == r4.lhs
 
 
 class TestNormalForm:

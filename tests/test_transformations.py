@@ -137,6 +137,7 @@ def _check_invariants(t):
         assert t.n == len(word)
         assert t.rank == len(set(word))
         assert t.is_permutation is is_perm
+        assert t.square().word == tuple(word[x] for x in word)
         if is_perm:
             assert permutation_parity(t) == _parity_by_inversions(word)
             assert t.inverse().word == tuple(word.index(x) for x in range(len(word)))
@@ -163,6 +164,7 @@ class TestCachedInvariants:
         # Fill the slots that are computed on first use.
         permutation_parity(t)
         t.inverse()
+        t.square()
         for name in Transformation.__slots__:
             with pytest.raises(AttributeError):
                 setattr(t, name, getattr(t, name))
