@@ -177,11 +177,15 @@ def cmd_green(args) -> int:
 
 
 def cmd_extended(args) -> int:
+    """One relation's partition, or the class counts and abundance summary.
+    ``--verify`` probes R* and L* against their definition first: the one
+    named, or both for the summary; no other relation has a probe check."""
+    if args.verify:
+        if args.relation not in (None, "R*", "L*"):
+            raise UsageError(f"--verify has no probe check for {args.relation}")
+        for rel in [args.relation] if args.relation else ["R*", "L*"]:
+            extended_probe_check(args.n, rel, samples=args.samples, seed=args.seed)
     if args.relation:
-        if args.verify and args.relation in ("R*", "L*"):
-            extended_probe_check(
-                args.n, args.relation, samples=args.samples, seed=args.seed
-            )
         _emit_partitions(args, [extended_partition(args.n, args.relation)])
         return EXIT_OK
     rows = []

@@ -14,8 +14,9 @@ Checking that the relations derive each normal form is not done here.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -247,12 +248,42 @@ class Presentation:
         return epsilon(self.n) if result is None else result
 
 
+class _CollectorPaused:
+    """Pause the cyclic garbage collector for the body of a ``with``, then
+    restore the caller's state; no collection is forced.
+
+    The presentation's build appends hundreds of thousands of relation
+    records and makes no cyclic garbage, yet with the collector on every
+    allocation threshold it crosses rescans the records made so far.
+    ``timeit`` pauses the collector the same way.  This is a class rather
+    than a ``contextmanager`` generator, whose exit allocates a
+    ``StopIteration`` after re-enabling and so starts a collection before
+    the build has returned.
+    """
+
+    def __enter__(self):
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.enabled:
+            gc.enable()
+
+
 @lru_cache(maxsize=None)
 def presentation(n: int) -> Presentation:
     """The presentation on Coxeter q-generators and essential-orbit
-    p-generators, with the relation families R_Pi and R1..R10."""
+    p-generators, with the relation families R_Pi and R1..R10.
+
+    It is built with the cyclic collector paused (``_CollectorPaused``),
+    which covers the elements and cosets the build computes first."""
     if n not in PRESENTATION_DEGREES:
         raise CapacityError(f"presentation is provided for n in {PRESENTATION_DEGREES}")
+    with _CollectorPaused():
+        return _build_presentation(n)
+
+
+def _build_presentation(n: int) -> Presentation:
     ess = essential_orbits(n)
 
     # Choose the markers: the lexicographically least rank-3 generator of
@@ -345,13 +376,16 @@ def presentation(n: int) -> Presentation:
     by_type: dict[TypeTag, list[str]] = {}
     for p in p_symbols:
         by_type.setdefault(sym_type(p), []).append(p)
+    # The C-level tuple constructor makes each record in about half the
+    # time of the generated ``Relation.__new__``.
     words_from = {p: [(p, target) for target in p_symbols] for p in p_symbols}
+    r4 = partial(tuple.__new__, Relation)
     for tag, group in by_type.items():
         for p in group:
             for p_prime in group:
                 if p != p_prime:
                     relations.extend(
-                        map(Relation, repeat("R4"), words_from[p], words_from[p_prime])
+                        map(r4, zip(repeat("R4"), words_from[p], words_from[p_prime]))
                     )
 
     # R5..R10: marker combinatorics.

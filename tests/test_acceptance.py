@@ -245,3 +245,82 @@ def test_criterion_10_presentation_soundness_and_rewriting():
         p_positions = [i for i, s in enumerate(reduced) if not s.startswith("q:")]
         assert len(p_positions) <= 2
         assert p_positions == list(range(len(p_positions)))
+
+
+def _partition(keys) -> set[frozenset[int]]:
+    """The indices of ``keys`` grouped by equal key."""
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(key, set()).add(i)
+    return {frozenset(cls) for cls in classes.values()}
+
+
+# |End(T_n)|, its regular elements and its idempotents at n = 1..5.
+EDGE_COUNTS = {
+    1: (1, 1, 1),
+    2: (7, 7, 6),
+    3: (40, 28, 23),
+    4: (345, 153, 110),
+    5: (3226, 691, 572),
+}
+
+
+@pytest.mark.parametrize("n", sorted(EDGE_COUNTS))
+def test_criterion_11_abstract_edge_claims(n):
+    """The abstract's claims with their edge cases, read off the product
+    table alone: Reg is a subsemigroup, equal to End(T_n) iff n <= 2; E is
+    a band, equal to End(T_n) iff n = 1; H = L and R = D = J, with L = R
+    iff n = 1.  The library's sets and partitions must agree."""
+    uni = get_universe(n)
+    table = uni.table
+    size = uni.size
+
+    # a is regular when a x a = a for some x: (a x) a over the row of a.
+    regular = np.flatnonzero([(table[table[a], a] == a).any() for a in range(size)])
+    idempotents = np.flatnonzero(table[np.arange(size), np.arange(size)] == np.arange(size))
+    assert (size, len(regular), len(idempotents)) == EDGE_COUNTS[n]
+    for members, full_when in ((regular, n <= 2), (idempotents, n == 1)):
+        inside = np.zeros(size, dtype=bool)
+        inside[members] = True
+        assert inside[table[np.ix_(members, members)]].all()
+        assert inside.all() == full_when
+    assert set(regular) == set(map(uni.of, regular_elements(n)))
+    assert set(idempotents) == set(map(uni.of, idempotent_partition(n).all))
+
+    # End(T_n) is a monoid, so aS^1 is the row of a and S^1a its column;
+    # S^1aS^1 is the union of the rows of the members of S^1a.
+    cells = np.broadcast_to(np.arange(size), (size, size))
+    in_row = np.zeros((size, size), dtype=bool)
+    in_row[cells.T, table] = True
+    in_column = np.zeros((size, size), dtype=bool)
+    in_column[cells, table] = True
+    row_bits = np.packbits(in_row, axis=1)
+    right = [bits.tobytes() for bits in row_bits]
+    left = [bits.tobytes() for bits in np.packbits(in_column, axis=1)]
+    two_sided = {}
+    for a, key in enumerate(left):
+        if key not in two_sided:
+            members = np.flatnonzero(in_column[a])
+            two_sided[key] = np.bitwise_or.reduce(row_bits[members]).tobytes()
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    classes = {"L": _partition(left), "R": _partition(right)}
+    for cls in classes["L"] | classes["R"]:
+        first, *rest = cls
+        for other in rest:
+            parent[find(other)] = find(first)
+    classes["H"] = _partition(zip(left, right))
+    classes["D"] = _partition(map(find, range(size)))
+    classes["J"] = _partition(two_sided[key] for key in left)
+    assert classes["H"] == classes["L"]
+    assert classes["R"] == classes["D"] == classes["J"]
+    assert (classes["L"] == classes["R"]) == (n == 1)
+    for rel in GREEN_RELATIONS:
+        library = green_partition(n, rel).classes
+        assert {frozenset(map(uni.of, cls)) for cls in library} == classes[rel]

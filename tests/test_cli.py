@@ -113,6 +113,40 @@ class TestStructureVerbs:
         assert code == 0
         assert "left_abundant" in out
 
+    def test_extended_summary_verify_probes_both(self, capsys, monkeypatch):
+        """The summary's ``--verify`` runs the R* and L* probe checks with
+        the given samples and seed, and prints the same bytes as without."""
+        import endtn.cli as cli
+
+        probed = []
+        probe = cli.extended_probe_check
+
+        def counting(n, relation, samples, seed):
+            probed.append((n, relation, samples, seed))
+            return probe(n, relation, samples=samples, seed=seed)
+
+        monkeypatch.setattr(cli, "extended_probe_check", counting)
+        code, verified, _ = run(
+            capsys, "extended", "--n", "4", "--verify", "--samples", "7", "--seed", "3"
+        )
+        assert code == 0 and probed == [(4, "R*", 7, 3), (4, "L*", 7, 3)]
+        code, plain, _ = run(capsys, "extended", "--n", "4")
+        assert code == 0 and verified == plain and len(probed) == 2
+
+    @pytest.mark.parametrize("relation", ["H*", "J~"])
+    def test_extended_verify_without_a_probe_is_a_usage_error(
+        self, capsys, monkeypatch, relation
+    ):
+        import endtn.cli as cli
+
+        probed = []
+        monkeypatch.setattr(cli, "extended_probe_check", lambda *a, **k: probed.append(a))
+        code, out, err = run(
+            capsys, "extended", "--n", "4", "--relation", relation, "--verify"
+        )
+        assert code == 2 and out == "" and probed == []
+        assert err == f"error: --verify has no probe check for {relation}\n"
+
     def test_ideals(self, capsys):
         code, out, _ = run(capsys, "ideals", "--n", "3", "--format", "json")
         data = json.loads(out)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import importlib
 import json
@@ -298,6 +299,52 @@ class TestNormalFormSet:
             assert cosets.representative(pres.theta(prefix)) is rep
 
 
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """Set the cyclic collector on or off for one test, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """``presentation`` builds with the cyclic collector paused and leaves
+    it as the caller had it."""
+
+    def test_restores_the_callers_state(self, collector):
+        presentation.cache_clear()
+        presentation(5)
+        assert gc.isenabled() is collector
+
+    def test_restores_the_state_when_the_build_raises(self, collector, monkeypatch):
+        def failing(n):
+            raise RuntimeError("build failed")
+
+        module = importlib.import_module("endtn.presentation")
+        monkeypatch.setattr(module, "essential_orbits", failing)
+        presentation.cache_clear()
+        with pytest.raises(RuntimeError, match="build failed"):
+            presentation(5)
+        assert gc.isenabled() is collector
+
+    def test_no_collection_during_a_cold_build(self, collector):
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            presentation.cache_clear()
+            presentation(5)
+            during = len(started)
+        finally:
+            gc.callbacks.remove(count)
+        assert during == 0
+
+
 def _sha256(data) -> str:
     return hashlib.sha256(json.dumps(data).encode()).hexdigest()
 
@@ -310,6 +357,15 @@ class TestPinnedOutput:
         assert len(pres.relations) == 21_778
         assert _sha256([rel.to_json() for rel in pres.relations]) == (
             "d5030a7181b4ec9e494189640901843e8380e552fa06308eaeb3adfb2e7ba486"
+        )
+
+    def test_relations_at_six(self):
+        """The n = 6 sequence, recorded while each R4 record was still made
+        by ``Relation.__new__``."""
+        relations = presentation(6).relations
+        assert len(relations) == 419_841
+        assert _sha256(relations) == (
+            "16d3bb0536745f820f6c45ec4773c7919664893db22d2ca61dbfa4d106de2d7e"
         )
 
     def test_normal_forms(self, pres):

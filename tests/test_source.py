@@ -6,6 +6,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "endtn"
 
@@ -153,3 +155,74 @@ def test_pairs_are_enumerated_by_array_passes():
                         checked, default=float("inf")
                     ) < min(made)
     assert after_check == {"pairs.enumerate_P": True}
+
+
+COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "set_threshold", "collect"}
+
+
+def _collector_switches(source: Path) -> set[str]:
+    """Where the modules under ``source`` switch the cyclic collector: the
+    scope (module, class, function) of each call of a ``gc`` function in
+    ``COLLECTOR_SWITCHES``, under any name it is imported as."""
+    found = set()
+    for path in sorted(source.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules, functions = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {a.asname or a.name for a in node.names if a.name == "gc"}
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                functions |= {
+                    a.asname or a.name
+                    for a in node.names
+                    if a.name in COLLECTOR_SWITCHES
+                }
+
+        def switches(call):
+            func = call.func
+            if isinstance(func, ast.Name):
+                return func.id in functions
+            return (
+                isinstance(func, ast.Attribute)
+                and func.attr in COLLECTOR_SWITCHES
+                and getattr(func.value, "id", None) in modules
+            )
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            if isinstance(node, ast.Call) and switches(node):
+                found.add(scope)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, path.stem)
+    return found
+
+
+def test_collector_is_switched_in_one_place():
+    """Only the pause around the presentation's build switches the cyclic
+    collector, so no other code changes process-wide collector state."""
+    assert _collector_switches(SOURCE) == {
+        "presentation._CollectorPaused.__enter__",
+        "presentation._CollectorPaused.__exit__",
+    }
+
+
+@pytest.mark.parametrize(
+    "toggle",
+    [
+        "import gc\n\n\ndef f():\n    gc.collect()\n",
+        "import gc as collector\n\ncollector.freeze()\n",
+        "from gc import set_threshold\n\n\nclass C:\n    def f(self):\n"
+        "        set_threshold(0)\n",
+        "from gc import disable as off\n\noff()\n",
+    ],
+    ids=["collect", "aliased-module", "imported-function", "aliased-function"],
+)
+def test_collector_check_sees_a_toggle_elsewhere(tmp_path, toggle):
+    for path in SOURCE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "structure.py", "a") as handle:
+        handle.write("\n" + toggle)
+    assert _collector_switches(tmp_path) - _collector_switches(SOURCE)
