@@ -698,13 +698,33 @@ def fix_set(pair: PermissiblePair) -> FixSet:
 # -- extended Green's relations ---------------------------------------------
 
 
+# Rows per step of ``_kernel_keys`` and ``extended_probe_check``; bounds
+# their temporaries to a few MB at n = 5.
+_BLOCK_ROWS = 64
+
+
 def _kernel_keys(rows: np.ndarray):
-    """Canonical key of the kernel (partition by equal values) of each row,
-    yielded row by row: at every position, the first position that holds
-    the same value, as ``int32`` bytes."""
-    for row in rows:
-        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
-        yield first[inverse].astype(np.int32).tobytes()
+    """Canonical key of the kernel (partition by equal values) of each row
+    of element indices, yielded row by row: at every position, the first
+    position that holds the same value, as ``int32`` bytes.
+
+    Each block of rows gets one ``int32`` slot number per (row, value),
+    at most 64 N, and one ``np.minimum.at`` leaves in every slot the least
+    position that holds the value, whatever order the repeated writes are
+    applied in.  Its operands are passed flat and of one length: numpy
+    2.4.6 filled slots with wrong values, garbage among them, for a 2-D
+    index and a 1-D ``positions`` left to broadcast.
+    """
+    width = rows.shape[1]
+    positions = np.tile(np.arange(width, dtype=np.int32), _BLOCK_ROWS)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        slots = int(block.max(initial=0)) + 1
+        flat = np.arange(len(block), dtype=np.int32)[:, np.newaxis] * slots + block
+        first = np.full(len(block) * slots, width, dtype=np.int32)
+        np.minimum.at(first, flat.ravel(), positions[: flat.size])
+        for key in first[flat]:
+            yield key.tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -825,39 +845,65 @@ def extended_partition(n: int, relation: str) -> GreenPartition:
 def extended_probe_check(
     n: int, relation: str, samples: int = 100_000, seed: int = 0
 ) -> bool:
-    """Spot-check R*/L* against its raw two-sided-quantifier definition.
+    """Check the R*/L* classes against the two-sided-quantifier definition.
 
-    The partition itself rests on the idempotent reduction (for R*) and
-    full translation kernels (for L*); this draws random (gamma, delta)
-    pairs and checks that no probe separates two elements placed in the
-    same class.  For n <= 4 the check is exhaustive instead of sampled.
+    a L* b when a gamma = a delta exactly where b gamma = b delta, for
+    every (gamma, delta): rows a and b of the table have one kernel.  R*
+    is the same on columns: the full column, not the idempotent rows the
+    brute side reads.  Every member of every class is compared with the
+    class's least member, and distinct classes must have distinct
+    kernels, so the check is exhaustive at every degree the table serves.
+    ``samples`` and ``seed`` are accepted for the sampled check this
+    replaced and are not read.
     """
     if relation not in ("R*", "L*"):
         raise ValueError("probe check applies to R* and L* only")
     uni = get_universe(n)
-    table = uni.table
-    if n <= 4:
-        g_idx = np.repeat(np.arange(uni.size), uni.size)
-        d_idx = np.tile(np.arange(uni.size), uni.size)
-    else:
-        rng = np.random.default_rng(seed)
-        g_idx = rng.integers(0, uni.size, size=samples)
-        d_idx = rng.integers(0, uni.size, size=samples)
-    for members in _classes(_brute_extended_labels(uni, relation)):
-        base = members[0]
-        for other in members[1:4]:
-            if relation == "R*":
-                lhs = table[g_idx, base] == table[d_idx, base]
-                rhs = table[g_idx, other] == table[d_idx, other]
-            else:
-                lhs = table[base, g_idx] == table[base, d_idx]
-                rhs = table[other, g_idx] == table[other, d_idx]
-            if not np.array_equal(lhs, rhs):
-                raise VerificationError(
-                    f"{relation} probe separated two same-class elements",
-                    counterexample=(uni.elements[base], uni.elements[other]),
-                )
+    lines = uni.table.T if relation == "R*" else uni.table
+    label = _brute_extended_labels(uni, relation)
+    for start in range(0, uni.size, _BLOCK_ROWS):
+        members = np.arange(start, min(start + _BLOCK_ROWS, uni.size))
+        other = _separated(lines[members], lines[label[members]], uni.size)
+        if other is not None:
+            i = members[other]
+            raise VerificationError(
+                f"{relation} probe separated two same-class elements",
+                counterexample=(uni.elements[label[i]], uni.elements[i]),
+            )
+    # Distinct classes, distinct kernels: each kernel keyed by the first
+    # position of each value, read off a sort of the base's line.
+    seen: dict[bytes, int] = {}
+    for base in np.unique(label).tolist():
+        _, first, inverse = np.unique(
+            lines[base], return_index=True, return_inverse=True
+        )
+        other = seen.setdefault(first[inverse].tobytes(), base)
+        if other != base:
+            raise VerificationError(
+                f"{relation} probe found one kernel on two classes",
+                counterexample=(uni.elements[other], uni.elements[base]),
+            )
     return True
+
+
+def _separated(lines: np.ndarray, bases: np.ndarray, size: int) -> int | None:
+    """The first row of ``lines`` whose kernel differs from that of the
+    same row of ``bases`` (both of values below ``size``), or None.
+
+    Two lines have one kernel exactly when each is a function of the
+    other.  Each direction is one scatter of the one line's values into
+    slots keyed by the other's, checked by reading every slot back, so
+    the order the repeated writes land in cannot change the answer.
+    """
+    offset = np.arange(len(lines))[:, np.newaxis] * size
+    bad = np.zeros(len(lines), dtype=bool)
+    for keys, values in ((bases, lines), (lines, bases)):
+        slot = (offset + keys).ravel()
+        image = np.empty(len(lines) * size, dtype=values.dtype)
+        image[slot] = values.ravel()
+        bad |= (image[slot] != values.ravel()).reshape(len(lines), -1).any(axis=1)
+    hit = np.flatnonzero(bad)
+    return int(hit[0]) if len(hit) else None
 
 
 # -- abundance --------------------------------------------------------------

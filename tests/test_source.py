@@ -157,6 +157,28 @@ def test_pairs_are_enumerated_by_array_passes():
     assert after_check == {"pairs.enumerate_P": True}
 
 
+def test_probe_check_reads_no_kernel_keys():
+    """``extended_probe_check`` compares the R*/L* classes with the
+    definition without ``_kernel_keys``, the fast key it checks.  Only
+    the labels under check, ``_brute_extended_labels``, may use it."""
+    tree = ast.parse((SOURCE / "structure.py").read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    reached, todo = set(), ["extended_probe_check"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        todo += names & functions.keys() - reached - {"_brute_extended_labels"}
+    assert "_separated" in reached
+    assert not any(
+        isinstance(n, ast.Name) and n.id == "_kernel_keys"
+        for name in reached
+        for n in ast.walk(functions[name])
+    )
+
+
 COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "set_threshold", "collect"}
 
 

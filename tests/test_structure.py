@@ -48,6 +48,7 @@ from endtn.structure import (
 from endtn.transformations import Transformation
 from endtn.universe import get_universe
 from test_universe import (
+    reference_is_two_sided_closed,
     reference_left_ideal,
     reference_right_ideal,
     reference_two_sided_ideal,
@@ -65,6 +66,13 @@ def reference_kernel_keys(rows):
         relabel = np.argsort(np.argsort(first))
         out.append(relabel[inv].astype(np.int32).tobytes())
     return out
+
+
+def unique_kernel_keys(rows):
+    """The sort-based kernel keys: per row, one ``np.unique``."""
+    for row in rows:
+        _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
+        yield first[inverse].astype(np.int32).tobytes()
 
 
 def reference_green_classes(table, relation):
@@ -375,6 +383,18 @@ class TestIdeals:
         for desc in enumerate_ideals(3):
             assert uni.is_two_sided_closed(frozenset(map(uni.of, desc.elements)))
 
+    def test_emitted_ideals_are_checked_closed(self, monkeypatch):
+        import endtn.structure as structure
+
+        uni = get_universe(4)
+        ideals = list(structure._ideal_index_sets(uni))
+        k, ideal = next((k, s) for k, s in enumerate(ideals) if len(s) > 1)
+        ideals[k] = ideal - {max(ideal)}
+        assert not reference_is_two_sided_closed(uni.table, ideals[k])
+        monkeypatch.setattr(structure, "_ideal_index_sets", lambda u: ideals)
+        with pytest.raises(VerificationError, match="not two-sided closed"):
+            enumerate_ideals(4)
+
     def test_ideals_are_kept_as_indices_until_read(self, monkeypatch):
         """Listing the ideals and rendering them builds no element set;
         ``elements`` builds the members once, on first read."""
@@ -525,6 +545,41 @@ class TestExtended:
             with pytest.raises(VerificationError):
                 extended_probe_check(4, relation, samples=0)
 
+    @pytest.mark.parametrize("relation", ["R*", "L*"])
+    def test_probe_check_compares_every_member(self, monkeypatch, relation):
+        """A wrong member anywhere in a class is caught, not only among
+        the first four."""
+        import endtn.structure as structure
+
+        uni = get_universe(4)
+        labels = _brute_extended_labels(uni, relation).copy()
+        members = max(structure._classes(labels), key=len)
+        assert len(members) >= 5
+        intruder = next(
+            i for i in range(members[3] + 1, uni.size) if labels[i] != members[0]
+        )
+        labels[intruder] = members[0]
+        monkeypatch.setattr(structure, "_brute_extended_labels", lambda u, r: labels)
+        with pytest.raises(VerificationError, match="probe separated") as err:
+            extended_probe_check(4, relation)
+        assert err.value.counterexample == (
+            uni.elements[members[0]],
+            uni.elements[intruder],
+        )
+
+    @pytest.mark.parametrize("relation", ["R*", "L*"])
+    def test_probe_check_separates_classes(self, monkeypatch, relation):
+        """Two classes with one kernel are caught."""
+        import endtn.structure as structure
+
+        uni = get_universe(4)
+        labels = _brute_extended_labels(uni, relation).copy()
+        members = max(structure._classes(labels), key=len)
+        labels[members[-1]] = members[-1]  # the last member split off
+        monkeypatch.setattr(structure, "_brute_extended_labels", lambda u, r: labels)
+        with pytest.raises(VerificationError, match="one kernel on two classes"):
+            extended_probe_check(4, relation)
+
     def test_saturated_ideals_match_reference(self):
         for n in (2, 3, 4):
             uni = get_universe(n)
@@ -561,6 +616,18 @@ class TestExtended:
         assert reference_kernel_keys(decoded) == reference
         # The key depends on the kernel only, not on the values.
         assert list(_kernel_keys(np.array(relabel, dtype=np.int32)[rows])) == keys
+
+    def test_kernel_keys_pinned_at_five(self):
+        """Byte for byte the keys of one ``np.unique`` per row, on the
+        inputs the brute side passes and on non-contiguous views."""
+        uni = get_universe(5)
+        table = uni.table
+        idem = uni.idempotent_indices
+        for rows in (table, table[idem, :].T, table.T, table[:, ::-1], table[::2]):
+            pairs = zip(_kernel_keys(rows), unique_kernel_keys(rows), strict=True)
+            for key, expected in pairs:
+                assert key == expected
+        assert list(_kernel_keys(np.empty((0, 7), dtype=np.int32))) == []
 
     @pytest.mark.parametrize("corruption", ["merge", "split"])
     @pytest.mark.parametrize("relation", ["R", "L*"])
