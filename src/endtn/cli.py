@@ -25,7 +25,7 @@ from .pairs import (
     brute_force_partners,
     count_pairs_for,
     enumerate_pairs_for,
-    is_in_U,
+    u_words,
 )
 from .presentation import (
     minimal_generating_set,
@@ -48,7 +48,7 @@ from .structure import (
     idempotent_partition,
     regular_elements,
 )
-from .transformations import Transformation, enumerate_all
+from .transformations import Transformation
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -104,9 +104,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_counts(args) -> int:
     rows = []
-    for t in enumerate_all(args.n):
-        if not is_in_U(t):
-            continue
+    for word in u_words(args.n).tolist():
+        t = Transformation(tuple(word))
         formula = count_pairs_for(t)
         constructive = sum(1 for _ in enumerate_pairs_for(t))
         row = [t.to_text(), formula, constructive]

@@ -3,9 +3,12 @@
 A pair (t, e) is permissible when t^3 = t and te = et = e^2 = e.  Every
 t admitting such an e satisfies t^3 = t and fixes at least one point;
 these t, the set U_n, are found by one array test over all n^n image
-words, and the admissible e of each are built constructively from the
-J/K/I/It/M partition of the domain of t.  ``enumerate_P`` then checks the
-defining identities on every pair it builds in one array pass.
+words.  The admissible e of each t are built from its root table: each
+point is sent to the first of x, xt, xt^2 that is a fixed point or the
+low side of a 2-cycle, and e is fixed by its values there.  Every pair
+so built is checked against the defining identities in one array pass
+before any is yielded.  ``brute_force_partners`` is the independent
+side: an array scan of every idempotent of T_n.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -23,24 +27,7 @@ from .transformations import (
     Transformation,
     check_capacity,
     compose,
-    enumerate_all,
 )
-
-
-@dataclass(frozen=True)
-class UDecomposition:
-    """Domain partition of a transformation t with t^3 = t (1-indexed).
-
-    J: fixed points; K: points with kt = kt^2 != k; I, It: the two sides
-    of the fixed-point-free 2-cycles; M: points at distance one from a
-    2-cycle.
-    """
-
-    J: frozenset[int]
-    K: frozenset[int]
-    I: frozenset[int]
-    It: frozenset[int]
-    M: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -84,34 +71,25 @@ def is_in_U(t: Transformation) -> bool:
     return compose(t2, t) == t and any(x == i for i, x in enumerate(t.word))
 
 
-def decompose(t: Transformation) -> UDecomposition:
-    """The J/K/I/It/M partition of the domain of t (requires t^3 = t)."""
-    t2 = compose(t, t)
-    if compose(t2, t) != t:
-        raise ValueError("decompose requires t^3 = t")
-    J, K, I, It, M = set(), set(), set(), set(), set()
-    for x in range(t.n):
-        j, i2 = t.word[x], t2.word[x]
-        if j == x:
-            J.add(x + 1)
-        elif i2 == j:
-            K.add(x + 1)
-        elif i2 == x:
-            # x lies on a 2-cycle; the smaller endpoint goes to I.
-            (I if x < j else It).add(x + 1)
-        else:
-            M.add(x + 1)
-    return UDecomposition(
-        frozenset(J), frozenset(K), frozenset(I), frozenset(It), frozenset(M)
-    )
+def _require_U(t: Transformation) -> None:
+    if not is_in_U(t):
+        raise ValueError("t admits no permissible partner (t is not in U_n)")
+
+
+def _fixed_and_low(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """J, the fixed points, and I, the low side of each 2-cycle, of the t
+    with image word w (0-indexed, ascending)."""
+    n = len(w)
+    J = [x for x in range(n) if w[x] == x]
+    I = [x for x in range(n) if x < w[x] and w[w[x]] == x]
+    return J, I
 
 
 def count_pairs_for(t: Transformation) -> int:
     """Number of e with (t, e) permissible: sum_r C(|J|, r) r^(|I|+|J|-r)."""
-    if not is_in_U(t):
-        raise ValueError("t admits no permissible partner (t is not in U_n)")
-    dec = decompose(t)
-    j, i = len(dec.J), len(dec.I)
+    _require_U(t)
+    J, I = _fixed_and_low(t.word)
+    j, i = len(J), len(I)
     return sum(math.comb(j, r) * r ** (i + j - r) for r in range(1, j + 1))
 
 
@@ -126,9 +104,7 @@ def _partner_words(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     that lies in J u I.
     """
     n = len(w)
-    # 0-indexed: the fixed points, and the low side of each 2-cycle.
-    J = [x for x in range(n) if w[x] == x]
-    I = [x for x in range(n) if x < w[x] and w[w[x]] == x]
+    J, I = _fixed_and_low(w)
     base = set(J + I)
     root = [next(y for y in (x, w[x], w[w[x]]) if y in base) for x in range(n)]
     subsets = sorted(
@@ -143,20 +119,39 @@ def _partner_words(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield tuple([f[r] for r in root])
 
 
+def _checked_pairs(t_words: np.ndarray) -> Iterator[PermissiblePair]:
+    """Every permissible pair of each t in the rows of ``t_words`` (image
+    words of members of U_n), grouped by t in row order.  All the pairs
+    are built and checked in one array pass before the first is yielded."""
+    n = t_words.shape[1]
+    ts = [Transformation(tuple(w)) for w in t_words.tolist()]
+    partners = [[Transformation(e) for e in _partner_words(t.word)] for t in ts]
+    _check_pairs(
+        np.repeat(t_words, [len(es) for es in partners], axis=0),
+        np.array([e.word for es in partners for e in es], dtype=np.int8).reshape(-1, n),
+    )
+    for t, es in zip(ts, partners):
+        for e in es:
+            yield PermissiblePair._checked(t, e)
+
+
 def enumerate_pairs_for(t: Transformation) -> Iterator[PermissiblePair]:
-    """All e with (t, e) permissible, built constructively (see
-    ``_partner_words``); each pair is checked as it is made."""
-    if not is_in_U(t):
-        raise ValueError("t admits no permissible partner (t is not in U_n)")
-    for e in _partner_words(t.word):
-        yield PermissiblePair(t, Transformation(e))
+    """All e with (t, e) permissible, built from the root table of t (see
+    ``_partner_words``) and checked in one array pass."""
+    _require_U(t)
+    yield from _checked_pairs(np.array([t.word], dtype=np.int8))
+
+
+def _all_words(n: int) -> np.ndarray:
+    """Every image word of T_n as ``int8`` rows, in lexicographic order."""
+    check_capacity(n, MAX_ENUM_DEGREE, "full transformation enumeration")
+    return np.indices((n,) * n, dtype=np.int8).reshape(n, -1).T
 
 
 def u_words(n: int) -> np.ndarray:
     """The image words of U_n, in lexicographic order, as ``int8`` rows:
     every t of T_n with t^3 = t and a fixed point, by one array test."""
-    check_capacity(n, MAX_ENUM_DEGREE, "full transformation enumeration")
-    words = np.indices((n,) * n, dtype=np.int8).reshape(n, -1).T
+    words = _all_words(n)
     cube = _then(_then(words, words), words)
     fixes = (words == np.arange(n, dtype=np.int8)).any(axis=1)
     return words[fixes & (cube == words).all(axis=1)]
@@ -193,23 +188,30 @@ def enumerate_P(n: int) -> Iterator[PermissiblePair]:
     first is yielded.
     """
     check_capacity(n, MAX_END_DEGREE, "permissible pair enumeration")
-    t_words = u_words(n)
-    ts = [Transformation(tuple(w)) for w in t_words.tolist()]
-    partners = [[Transformation(e) for e in _partner_words(t.word)] for t in ts]
-    _check_pairs(
-        np.repeat(t_words, [len(es) for es in partners], axis=0),
-        np.array([e.word for es in partners for e in es], dtype=np.int8).reshape(-1, n),
-    )
-    for t, es in zip(ts, partners):
-        for e in es:
-            yield PermissiblePair._checked(t, e)
+    yield from _checked_pairs(u_words(n))
+
+
+@lru_cache(maxsize=None)
+def _idempotent_words(n: int) -> np.ndarray:
+    """Every e of T_n with e^2 = e, as read-only ``int8`` rows in
+    lexicographic order."""
+    words = _all_words(n)
+    words = words[(_then(words, words) == words).all(axis=1)]
+    words.flags.writeable = False
+    return words
 
 
 def brute_force_partners(t: Transformation) -> list[Transformation]:
-    """All e with (t, e) permissible, by scanning every e in T_n.
+    """All e with (t, e) permissible, in lexicographic order, by testing
+    t^3 = t and then te = et = e on every idempotent e of T_n at once.
 
     Independent oracle for the counting formula and the constructive
-    enumeration; deliberately ignorant of the J/K/I/It/M structure.
+    enumeration; it reads nothing of the root construction.
     """
     check_capacity(t.n, MAX_END_DEGREE, "brute-force partner scan")
-    return [e for e in enumerate_all(t.n) if is_permissible(t, e)]
+    w = np.array(t.word, dtype=np.intp)
+    if not (w[w[w]] == w).all():
+        return []
+    E = _idempotent_words(t.n)
+    keep = ((E[:, w] == E) & (w[E] == E)).all(axis=1)
+    return [Transformation(tuple(e)) for e in E[keep].tolist()]

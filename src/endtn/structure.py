@@ -129,9 +129,6 @@ class GreenPartition:
         except KeyError:
             raise KeyError(f"{alpha!r} lies in no class of {self.relation}") from None
 
-    def related(self, alpha: Endomorphism, beta: Endomorphism) -> bool:
-        return beta in self.class_of(alpha)
-
     def to_json(self) -> dict:
         return {
             "relation": self.relation,

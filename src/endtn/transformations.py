@@ -146,10 +146,6 @@ class Transformation:
     def is_constant(self) -> bool:
         return self.rank == 1
 
-    def fixed_points(self) -> frozenset[int]:
-        """1-indexed fixed points."""
-        return frozenset(i + 1 for i, x in enumerate(self.word) if x == i)
-
     def inverse(self) -> "Transformation":
         inverse = self._inverse
         if inverse is None:

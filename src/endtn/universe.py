@@ -169,9 +169,12 @@ class Universe:
         return out
 
     def pack(self, indices) -> np.ndarray:
-        """The packed bitset of a set of indices."""
+        """The packed bitset of a set of indices: an index array or list is
+        used as it is, any other iterable is read into one."""
+        if not isinstance(indices, (np.ndarray, list)):
+            indices = np.fromiter(indices, dtype=np.int64)
         mask = np.zeros(self.size, dtype=bool)
-        mask[np.fromiter(indices, dtype=np.int64)] = True
+        mask[indices] = True
         return np.packbits(mask)
 
     def members(self, bits: np.ndarray) -> np.ndarray:
@@ -239,7 +242,7 @@ class Universe:
         idx = np.fromiter(indices, dtype=np.int64)
         _, label = self.two_sided_ideals
         touched = self._class_reach[np.unique(label[idx])]
-        return not (np.bitwise_or.reduce(touched, axis=0) & ~self.pack(indices)).any()
+        return not (np.bitwise_or.reduce(touched, axis=0) & ~self.pack(idx)).any()
 
 
 @lru_cache(maxsize=None)

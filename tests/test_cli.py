@@ -86,6 +86,35 @@ class TestVerification:
         for row in rows[1:]:
             assert row[1] == row[2] == row[3]
 
+    # sha256 of the csv stdout of `counts`, recorded when U_n came from a
+    # scalar test over T_n and the brute column from a scalar scan of it.
+    PINNED_COUNTS = {
+        "counts --n 1 --verify --format csv": "8bd2e4f986615b4c883d5300c21bf9e4d2a28c7cf56109dc289d1a4fbbcf5572",
+        "counts --n 2 --verify --format csv": "e5b200ec835581cef9e9b695f5a7e8fd2a5ccbdcc057afe5cf588eb7ec9a173f",
+        "counts --n 3 --verify --format csv": "b2ba07b1b8ac6c0d4f4d5a68b67648d9d2b09dc38bdae89c93de85ce92b9a405",
+        "counts --n 4 --verify --format csv": "917188b1ba8a040db92b6ed5539914f6730c374b2d9ba5adcd4e00c0169438dd",
+        "counts --n 5 --verify --format csv": "f0efa1d105cc5e8bb8cd3e9d6b125e358e949aa5dc5fdcd2777bd6a1a3a99405",
+        "counts --n 6 --format csv": "72f8e57a6ede21f2e37758f0090bee87325d083e1bf2d3085ac5a3e138bdbdc1",
+    }
+
+    @pytest.mark.parametrize("argv", list(PINNED_COUNTS))
+    def test_pinned_counts_output(self, capsys, argv):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_COUNTS[argv]
+
+    def test_counts_brute_side_at_degree_six(self, capsys):
+        code, out, _ = run(
+            capsys, "counts", "--n", "6", "--verify", "--format", "csv"
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 1 + 4_927
+        assert all(row[1] == row[2] == row[3] for row in rows[1:])
+        pinned = "".join(",".join(row[:3]) + "\n" for row in rows)
+        digest = hashlib.sha256(pinned.encode()).hexdigest()
+        assert digest == self.PINNED_COUNTS["counts --n 6 --format csv"]
+
     def test_presentation_check(self, capsys):
         code, out, _ = run(
             capsys, "presentation-check", "--n", "5", "--samples", "50"

@@ -357,7 +357,9 @@ class TestEnumeration:
         import endtn.pairs as pairs
 
         real = pairs._partner_words
-        # t = [1, 1, 3, 4] gets one partner that is not idempotent.
+        # t = [1, 1, 3, 4] gets one partner that is not idempotent, after
+        # its good ones: either enumeration checks its whole batch before
+        # it yields the first pair.
         bad_t, bad_e = (0, 0, 2, 3), (1, 0, 2, 3)
 
         def corrupted(w):
@@ -366,9 +368,11 @@ class TestEnumeration:
                 yield bad_e
 
         monkeypatch.setattr(pairs, "_partner_words", corrupted)
-        with pytest.raises(ValueError) as raised:
-            next(pairs.enumerate_P(4))
-        assert str(raised.value) == "(1 1 3 4, 2 1 3 4) is not a permissible pair"
+        batches = pairs.enumerate_P(4), pairs.enumerate_pairs_for(Transformation(bad_t))
+        for batch in batches:
+            with pytest.raises(ValueError) as raised:
+                next(batch)
+            assert str(raised.value) == "(1 1 3 4, 2 1 3 4) is not a permissible pair"
 
     def test_the_array_check_covers_every_pair_yielded(self, monkeypatch):
         import endtn.pairs as pairs

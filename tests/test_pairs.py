@@ -6,9 +6,9 @@ import pytest
 from endtn.pairs import (
     PermissiblePair,
     _check_pairs,
+    _fixed_and_low,
     brute_force_partners,
     count_pairs_for,
-    decompose,
     enumerate_P,
     enumerate_pairs_for,
     is_in_U,
@@ -56,36 +56,25 @@ class TestPermissibility:
 
 
 class TestDecomposition:
-    def test_partitions_the_domain(self):
-        for t in u_elements(4):
-            dec = decompose(t)
-            parts = [dec.J, dec.K, dec.I, dec.It, dec.M]
-            assert sum(len(p) for p in parts) == 4
-            union = set().union(*parts)
-            assert union == {1, 2, 3, 4}
-
     def test_fixed_points_are_J(self):
         t = Transformation.from_images([1, 3, 2, 1, 5])
-        dec = decompose(t)
-        assert dec.J == {1, 5}
-        assert dec.I | dec.It == {2, 3}
-        # 4 maps straight into J, so it lands in K rather than M.
-        assert dec.K == {4} and dec.M == set()
+        J, I = _fixed_and_low(t.word)
+        assert J == [0, 4]
+        # 2 <-> 3 is the one 2-cycle; 4 maps straight into J.
+        assert I == [1]
 
     def test_two_cycles_split_between_I_and_It(self):
         for t in u_elements(5):
-            dec = decompose(t)
-            assert len(dec.I) == len(dec.It)
-            for x in dec.I:
-                assert t(t(x)) == x and t(x) != x
-
-    def test_rejects_non_U(self):
-        with pytest.raises(ValueError):
-            decompose(Transformation.from_images([2, 3, 1]))
+            J, I = _fixed_and_low(t.word)
+            assert J == [x for x in range(5) if t.word[x] == x]
+            cycled = {x for x in range(5) if t.word[x] != x == t.word[t.word[x]]}
+            high = {t.word[x] for x in I}
+            assert set(I) | high == cycled and len(I) == len(high) == len(cycled) / 2
+            assert all(x < y for x, y in zip(I, map(t.word.__getitem__, I)))
 
 
 class TestCounting:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_formula_matches_both_enumerations(self, n):
         for t in u_elements(n):
             formula = count_pairs_for(t)
@@ -93,6 +82,12 @@ class TestCounting:
             brute = brute_force_partners(t)
             assert formula == len(constructive) == len(brute)
             assert {p.e for p in constructive} == set(brute)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_brute_scan_matches_the_definition(self, n):
+        maps = list(enumerate_all(n))
+        for t in maps:
+            assert brute_force_partners(t) == [e for e in maps if is_permissible(t, e)]
 
     def test_formula_not_in_U_rejected(self):
         with pytest.raises(ValueError):

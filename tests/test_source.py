@@ -139,7 +139,7 @@ def test_pairs_are_enumerated_by_array_passes():
         called = {c for c, _ in calls(functions[name])}
         todo += called & functions.keys() - reached
     forbidden = {"enumerate_all", "is_in_U", "is_permissible", "compose"}
-    assert {"u_words", "_partner_words", "_check_pairs"} <= reached
+    assert {"u_words", "_checked_pairs", "_partner_words", "_check_pairs"} <= reached
     assert not {c for name in reached for c, _ in calls(functions[name])} & forbidden
 
     # Each function that calls the unchecked constructor: whether every
@@ -154,23 +154,49 @@ def test_pairs_are_enumerated_by_array_passes():
                     after_check[f"{path.stem}.{node.name}"] = max(
                         checked, default=float("inf")
                     ) < min(made)
-    assert after_check == {"pairs.enumerate_P": True}
+    assert after_check == {"pairs._checked_pairs": True}
+
+
+def _names_reached(module: str, start: str, skip=frozenset()):
+    """The top-level functions of ``module``, and the names of those that
+    ``start`` names, directly or through another, not entering ``skip``."""
+    tree = ast.parse((SOURCE / module).read_text())
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+    }
+    reached, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        todo += names & functions.keys() - reached - skip
+    return functions, reached
+
+
+def test_brute_partner_scan_reads_no_construction():
+    """``brute_force_partners`` is the independent side of the pair counts:
+    no ``pairs`` function it names, directly or through another, builds,
+    counts or checks the partners by the root construction."""
+    functions, reached = _names_reached("pairs.py", "brute_force_partners")
+    construction = {
+        "_partner_words",
+        "_fixed_and_low",
+        "count_pairs_for",
+        "u_words",
+        "_check_pairs",
+        "_checked_pairs",
+    }
+    assert construction <= functions.keys()
+    assert "_idempotent_words" in reached and not reached & construction
 
 
 def test_probe_check_reads_no_kernel_keys():
     """``extended_probe_check`` compares the R*/L* classes with the
     definition without ``_kernel_keys``, the fast key it checks.  Only
     the labels under check, ``_brute_extended_labels``, may use it."""
-    tree = ast.parse((SOURCE / "structure.py").read_text())
-    functions = {
-        node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
-    }
-    reached, todo = set(), ["extended_probe_check"]
-    while todo:
-        name = todo.pop()
-        reached.add(name)
-        names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
-        todo += names & functions.keys() - reached - {"_brute_extended_labels"}
+    functions, reached = _names_reached(
+        "structure.py", "extended_probe_check", skip={"_brute_extended_labels"}
+    )
     assert "_separated" in reached
     assert not any(
         isinstance(n, ast.Name) and n.id == "_kernel_keys"

@@ -117,10 +117,6 @@ class TestClassify:
         with pytest.raises(ValueError):
             permutation_parity(t)
 
-    def test_fixed_points(self):
-        t = Transformation.from_images([1, 3, 3, 4])
-        assert t.fixed_points() == {1, 3, 4}
-
 
 def _parity_by_inversions(word):
     inversions = sum(1 for i, j in itertools.combinations(word, 2) if i > j)

@@ -180,6 +180,14 @@ class TestBitsets:
             subset = sorted(rng.sample(range(uni4.size), rng.randrange(uni4.size)))
             assert uni4.members(uni4.pack(subset)).tolist() == subset
 
+    def test_pack_reads_arrays_lists_and_sets_alike(self, uni4):
+        rng = random.Random(11)
+        for size in (0, 1, 17, uni4.size):
+            subset = rng.sample(range(uni4.size), size)
+            packed = uni4.pack(np.array(subset, dtype=np.int64)).tobytes()
+            assert uni4.pack(subset).tobytes() == packed
+            assert uni4.pack(frozenset(subset)).tobytes() == packed
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_closure_on_ideals_less_one_element(self, n):
         uni = get_universe(n)
