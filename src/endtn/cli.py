@@ -11,6 +11,7 @@ stderr and the status is 4.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -22,9 +23,9 @@ from .endomorphisms import elements, multiply, oracle_multiply
 from .errors import CapacityError, UsageError, VerificationError
 from .pairs import (
     PermissiblePair,
+    _checked_pairs,
     brute_force_partners,
     count_pairs_for,
-    enumerate_pairs_for,
     u_words,
 )
 from .presentation import (
@@ -104,10 +105,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_counts(args) -> int:
     rows = []
-    for word in u_words(args.n).tolist():
+    words = u_words(args.n)
+    # Every pair of U_n built and checked in one batch, counted per t; a t
+    # whose enumeration yields nothing still gets its row, with 0.
+    constructive_of = collections.Counter(pair.t for pair in _checked_pairs(words))
+    for word in words.tolist():
         t = Transformation(tuple(word))
         formula = count_pairs_for(t)
-        constructive = sum(1 for _ in enumerate_pairs_for(t))
+        constructive = constructive_of[t]
         row = [t.to_text(), formula, constructive]
         if args.verify:
             brute = len(brute_force_partners(t))

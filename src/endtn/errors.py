@@ -7,7 +7,8 @@ class CapacityError(Exception):
     The cost bounds are the capacity policy next to ``check_capacity`` in
     ``transformations``; set ENDTN_CAPACITY_OVERRIDE=1 to lift them
     (expert-only; runtimes blow up as n^n and worse).  The presentation's
-    degrees are not a cost bound, and the override does not lift them.
+    degrees and the product table's 65,536 elements (its ``uint16``
+    cells) are not cost bounds, and the override does not lift them.
     """
 
 

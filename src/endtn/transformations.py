@@ -27,6 +27,7 @@ MAX_ENUM_DEGREE = 7
 # fixers of a pair, and the composition oracle: 38,503 elements at n = 6.
 MAX_END_DEGREE = 6
 # The dense N x N product table: 3,226^2 cells at n = 5, 38,503^2 at 6.
+# Its uint16 cells also cap N at 65,536, in ``universe``, override or not.
 MAX_TABLE_DEGREE = 5
 
 _intern: dict[tuple[int, ...], "Transformation"] = {}

@@ -1,5 +1,10 @@
 """Interned element universe of End(T_n) with its full product table.
 
+The table holds one ``uint16`` element index per cell, 20.8 MB at n = 5,
+so a universe can hold at most 65,536 elements; a larger one is refused
+with ``CapacityError`` before the table is allocated.  The table and the
+bitsets read off it are read-only once built.
+
 The table is the substrate for every brute-force computation (ideals,
 Green's relations, kernels of left/right translations).  It is filled by
 one rule per block of the symbolic multiplication, which is itself
@@ -30,13 +35,19 @@ from .endomorphisms import (
     singular_words,
     star_map,
 )
-from .errors import VerificationError
+from .errors import CapacityError, VerificationError
 from .transformations import (
     MAX_TABLE_DEGREE,
     check_capacity,
     conjugate_words,
     pair_codes,
 )
+
+# The cells are element indices in ``uint16``.  The bound is one of the
+# representation, not a cost, so ENDTN_CAPACITY_OVERRIDE does not lift it;
+# n = 6, with 38,503 elements, fits.
+_CELL = np.uint16
+MAX_TABLE_SIZE = int(np.iinfo(_CELL).max) + 1
 
 # Rows per step when scattering the table into bitsets; bounds the index
 # temporaries to a few MB at n = 5.
@@ -59,15 +70,21 @@ class Universe:
             for kind in ("is_aut", "is_phi", "is_sigma4")
         )
         self.table = self._build_table()
+        self.table.flags.writeable = False
         self._element_sets: dict[bytes, frozenset[Endomorphism]] = {}
 
     # -- construction ------------------------------------------------------
 
     def _build_table(self) -> np.ndarray:
+        if self.size > MAX_TABLE_SIZE:
+            raise CapacityError(
+                f"the product table holds at most {MAX_TABLE_SIZE} elements "
+                f"in {np.dtype(_CELL).name} cells, got {self.size}"
+            )
         els, idx = self.elements, self.index
         auts, phis, sigmas = self.aut_indices, self.phi_indices, self.sigma_indices
         units_and_sigmas = np.concatenate([auts, sigmas])
-        table = np.empty((self.size, self.size), dtype=np.int32)
+        table = np.empty((self.size, self.size), dtype=_CELL)
 
         def by_multiply(rows, cols):
             table[np.ix_(rows, cols)] = [
@@ -104,7 +121,7 @@ class Universe:
         """
         t_words, e_words = singular_words(self.n)
         codes = pair_codes(t_words, e_words)
-        block = np.empty((len(codes), len(self.aut_indices)), dtype=np.int32)
+        block = np.empty((len(codes), len(self.aut_indices)), dtype=_CELL)
         for col, i in enumerate(self.aut_indices):
             g = self.elements[i].g
             key = pair_codes(conjugate_words(t_words, g), conjugate_words(e_words, g))
@@ -159,6 +176,8 @@ class Universe:
         return self._value_sets(self.table.T)
 
     def _value_sets(self, rows: np.ndarray) -> np.ndarray:
+        """One read-only packed row per row of ``rows``: the set of its
+        values."""
         N = self.size
         out = np.empty((N, (N + 7) // 8), dtype=np.uint8)
         for start in range(0, N, _SCATTER_ROWS):
@@ -166,6 +185,7 @@ class Universe:
             hit = np.zeros((len(block), N), dtype=bool)
             np.put_along_axis(hit, block, True, axis=1)
             out[start : start + len(block)] = np.packbits(hit, axis=1)
+        out.flags.writeable = False
         return out
 
     def pack(self, indices) -> np.ndarray:

@@ -2,10 +2,16 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import endtn
+from endtn import pairs
 from endtn.cli import main
 from endtn.endomorphisms import enumerate_End, oracle_multiply
 
@@ -114,6 +120,20 @@ class TestVerification:
         pinned = "".join(",".join(row[:3]) + "\n" for row in rows)
         digest = hashlib.sha256(pinned.encode()).hexdigest()
         assert digest == self.PINNED_COUNTS["counts --n 6 --format csv"]
+
+    def test_counts_builds_its_pairs_in_one_batch(self, capsys, monkeypatch):
+        import endtn.cli as cli
+
+        batches = []
+
+        def recording(t_words):
+            batches.append(len(t_words))
+            return pairs._checked_pairs(t_words)
+
+        monkeypatch.setattr(cli, "_checked_pairs", recording)
+        code, _, _ = run(capsys, "counts", "--n", "4", "--format", "csv")
+        assert code == 0 and batches == [len(pairs.u_words(4))]
+        assert not hasattr(cli, "enumerate_pairs_for")
 
     def test_presentation_check(self, capsys):
         code, out, _ = run(
@@ -355,3 +375,50 @@ class TestExitCodes:
             capsys, "fix", "--n", "9", "--t", "1 2 3", "--e", "1 1 1"
         )
         assert code == 2 and out == "" and "degree" in err
+
+
+# Starts the command in its argv and prints its exit code and ``ru_maxrss``
+# from ``os.wait4``, the rusage of that one child (``RUSAGE_CHILDREN`` is a
+# maximum over every child so far, so it cannot tell verbs apart).
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestMemoryBounds:
+    """Each verb's own peak RSS, run in a fresh process.
+
+    Linux keeps a process's ``ru_maxrss`` across ``execve``, so a verb
+    started straight from the test process would report that process's
+    peak.  A small launcher process starts it instead.  ``ru_maxrss`` is
+    in KiB.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, bound_mb",
+        [
+            # 88-89 MB with int32 product-table cells, 66-70 MB with uint16.
+            ("extended --n 5", 80),
+            ("ideals --n 5", 80),
+            # Builds no table: 47 MB.
+            ("idempotents --n 6", 60),
+        ],
+    )
+    def test_peak_rss_is_bounded(self, monkeypatch, argv, bound_mb):
+        monkeypatch.delenv("ENDTN_CAPACITY_OVERRIDE", raising=False)
+        src = str(Path(endtn.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        verb = [sys.executable, "-m", "endtn.cli", *argv.split()]
+        launched = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *verb],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        code, peak_kib = map(int, launched.stdout.split())
+        assert code == 0
+        assert peak_kib / 1024 < bound_mb

@@ -7,11 +7,12 @@ import pytest
 from endtn.endomorphisms import TypeTag, elements, epsilon, multiply
 from endtn.errors import CapacityError
 from endtn.structure import enumerate_ideals
-from endtn.universe import Universe, get_universe
+from endtn.universe import MAX_TABLE_SIZE, Universe, get_universe
 
 
-# sha256 of ``get_universe(n).table.tobytes()`` (int32 cells), recorded
-# from the table built by the symbolic product block by block.
+# sha256 of ``get_universe(n).table.astype(np.int32).tobytes()``, recorded
+# from the table built by the symbolic product block by block when its
+# cells were int32; the uint16 table is hashed over the same int32 bytes.
 TABLE_SHA256 = {
     1: "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
     2: "838af80083cb678e2167d6cb1baf87d804d8e7ed0a0032f5db0b595ad5d2637a",
@@ -113,9 +114,29 @@ class TestTable:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_table_bytes_are_pinned(self, n):
-        assert hashlib.sha256(get_universe(n).table.tobytes()).hexdigest() == (
-            TABLE_SHA256[n]
-        )
+        cells = get_universe(n).table.astype(np.int32).tobytes()
+        assert hashlib.sha256(cells).hexdigest() == TABLE_SHA256[n]
+
+    def test_table_cells_are_uint16(self):
+        table = get_universe(5).table
+        assert table.dtype == np.uint16
+        assert table.nbytes == 2 * 3226**2
+
+    @pytest.mark.parametrize("override", ["", "1"])
+    def test_cell_bound_is_checked_before_the_table(self, monkeypatch, override):
+        """A universe past 65,536 elements would wrap in uint16 cells: it is
+        refused, override or not, before any block is built."""
+        monkeypatch.setenv("ENDTN_CAPACITY_OVERRIDE", override)
+        uni = Universe.__new__(Universe)
+        uni.size = MAX_TABLE_SIZE + 1
+        assert MAX_TABLE_SIZE == 65_536
+        with pytest.raises(CapacityError, match="65536"):
+            uni._build_table()
+
+    def test_shared_arrays_are_read_only(self, uni4):
+        for array in (uni4.table, uni4.right_bits, uni4.left_bits):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = array[0, 1]
 
     def test_identity_row_and_column(self, uni4):
         e = uni4.of(epsilon(4))
