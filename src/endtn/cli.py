@@ -188,7 +188,7 @@ def cmd_extended(args) -> int:
         if args.relation not in (None, "R*", "L*"):
             raise UsageError(f"--verify has no probe check for {args.relation}")
         for rel in [args.relation] if args.relation else ["R*", "L*"]:
-            extended_probe_check(args.n, rel, samples=args.samples, seed=args.seed)
+            extended_probe_check(args.n, rel)
     if args.relation:
         _emit_partitions(args, [extended_partition(args.n, args.relation)])
         return EXIT_OK
@@ -377,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         "extended",
         cmd_extended,
         "extended Green's relations and abundance",
-        sampled=True,
         verify=True,
     )
     x.add_argument(

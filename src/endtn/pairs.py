@@ -6,9 +6,9 @@ these t, the set U_n, are found by one array test over all n^n image
 words.  The admissible e of each t are built from its root table: each
 point is sent to the first of x, xt, xt^2 that is a fixed point or the
 low side of a 2-cycle, and e is fixed by its values there.  Every pair
-so built is checked against the defining identities in one array pass
-before any is yielded.  ``brute_force_partners`` is the independent
-side: an array scan of every idempotent of T_n.
+so built is checked against the defining identities, in array passes
+over blocks of t, before any is yielded.  ``brute_force_partners`` is
+the independent side: an array scan of every idempotent of T_n.
 """
 
 from __future__ import annotations
@@ -119,17 +119,32 @@ def _partner_words(w: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield tuple([f[r] for r in root])
 
 
+# Rows of t per ``_check_pairs`` call in ``_checked_pairs``.  The check
+# indexes with 8-byte copies of the words, so one batch of all 524,574
+# pairs at n = 7 would hold tens of MB at once.
+_CHECK_ROWS = 4096
+
+
 def _checked_pairs(t_words: np.ndarray) -> Iterator[PermissiblePair]:
     """Every permissible pair of each t in the rows of ``t_words`` (image
     words of members of U_n), grouped by t in row order.  All the pairs
-    are built and checked in one array pass before the first is yielded."""
+    are built and checked, in array passes over blocks of ``_CHECK_ROWS``
+    t, before the first is yielded."""
     n = t_words.shape[1]
     ts = [Transformation(tuple(w)) for w in t_words.tolist()]
     partners = [[Transformation(e) for e in _partner_words(t.word)] for t in ts]
-    _check_pairs(
-        np.repeat(t_words, [len(es) for es in partners], axis=0),
-        np.array([e.word for es in partners for e in es], dtype=np.int8).reshape(-1, n),
-    )
+    for start in range(0, len(ts), _CHECK_ROWS):
+        block = partners[start : start + _CHECK_ROWS]
+        sizes = [len(es) for es in block]
+        e_words = np.fromiter(
+            itertools.chain.from_iterable(e.word for es in block for e in es),
+            dtype=np.int8,
+            count=sum(sizes) * n,
+        )
+        _check_pairs(
+            np.repeat(t_words[start : start + _CHECK_ROWS], sizes, axis=0),
+            e_words.reshape(-1, n),
+        )
     for t, es in zip(ts, partners):
         for e in es:
             yield PermissiblePair._checked(t, e)
@@ -184,8 +199,8 @@ def enumerate_P(n: int) -> Iterator[PermissiblePair]:
     """All permissible pairs of degree n, grouped by t in lexicographic order.
 
     Only the members of U_n, of which every e is one, are made into
-    transformations.  Every pair is checked in one array pass before the
-    first is yielded.
+    transformations.  Every pair is checked, in array passes over blocks
+    of t, before the first is yielded.
     """
     check_capacity(n, MAX_END_DEGREE, "permissible pair enumeration")
     yield from _checked_pairs(u_words(n))

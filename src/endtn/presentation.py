@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import repeat
+from functools import lru_cache
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -220,12 +220,49 @@ class Relation(NamedTuple):
 
 
 @dataclass(frozen=True)
+class Relations:
+    """The relations of a presentation in order: the records before R4,
+    then R4, then the records after it.
+
+    R4 is kept as its ordered pairs (p, p') of distinct same-type
+    p-symbols; each pair stands for (p, x) = (p', x) over every p-symbol x,
+    and its records are made while iterating.  Sized and re-iterable.
+    """
+
+    head: tuple[Relation, ...]
+    r4_pairs: tuple[tuple[str, str], ...]
+    # The two-letter words (p, x) of each p, in p-symbol order, shared by
+    # every R4 record that reads them.
+    words_from: dict[str, list[Word]]
+    tail: tuple[Relation, ...]
+
+    def __iter__(self):
+        words_from = self.words_from
+        # The C-level tuple constructor makes each record in about half the
+        # time of the generated ``Relation.__new__``.
+        r4 = (
+            map(
+                tuple.__new__,
+                repeat(Relation),
+                zip(repeat("R4"), words_from[p], words_from[p_prime]),
+            )
+            for p, p_prime in self.r4_pairs
+        )
+        return chain(self.head, chain.from_iterable(r4), self.tail)
+
+    def __len__(self) -> int:
+        words_from = self.words_from
+        r4 = sum(len(words_from[p]) for p, _ in self.r4_pairs)
+        return len(self.head) + r4 + len(self.tail)
+
+
+@dataclass(frozen=True)
 class Presentation:
     n: int
     q_symbols: tuple[str, ...]
     p_symbols: tuple[str, ...]
     images: dict[str, Endomorphism]
-    relations: tuple[Relation, ...]
+    relations: Relations
     # Normal-form prefix of each singular orbit, keyed by its representative.
     prefixes: dict[Endomorphism, Word]
 
@@ -237,6 +274,11 @@ class Presentation:
         """The left fold of ``multiply`` over the images of the word's
         symbols, its first two read from ``products``; epsilon for the
         empty word."""
+        # A two-letter tuple of known symbols is one read of the table.
+        if type(word) is tuple:
+            result = self.products.get(word)
+            if result is not None:
+                return result
         word = tuple(word)
         result = self.products.get(word[:2])
         images = self.images
@@ -252,9 +294,11 @@ class _CollectorPaused:
     """Pause the cyclic garbage collector for the body of a ``with``, then
     restore the caller's state; no collection is forced.
 
-    The presentation's build appends hundreds of thousands of relation
-    records and makes no cyclic garbage, yet with the collector on every
-    allocation threshold it crosses rescans the records made so far.
+    The presentation's build computes the elements and cosets of its
+    degree first (``elements(6)``, ``get_cosets(6)``): many thousands of
+    tracked objects and no cyclic garbage, yet with the collector on every
+    allocation threshold they cross rescans the objects made so far.  The
+    R4 records are not among them: ``Relations`` makes those on iteration.
     ``timeit`` pauses the collector the same way.  This is a class rather
     than a ``contextmanager`` generator, whose exit allocates a
     ``StopIteration`` after re-enabling and so starts a collection before
@@ -319,31 +363,31 @@ def _build_presentation(n: int) -> Presentation:
     def sym_type(sym: str) -> TypeTag:
         return images[sym].type_tag
 
-    relations: list[Relation] = []
+    head: list[Relation] = []
 
     # Coxeter relations presenting the automorphism group.
     for i in range(1, n):
         qi = q_symbol(i)
-        relations.append(Relation("RPi", (qi, qi), ()))
+        head.append(Relation("RPi", (qi, qi), ()))
     for i in range(1, n - 1):
         qi, qj = q_symbol(i), q_symbol(i + 1)
-        relations.append(Relation("RPi", (qi, qj) * 3, ()))
+        head.append(Relation("RPi", (qi, qj) * 3, ()))
     for i in range(1, n):
         for j in range(i + 2, n):
             qi, qj = q_symbol(i), q_symbol(j)
-            relations.append(Relation("RPi", (qi, qj) * 2, ()))
+            head.append(Relation("RPi", (qi, qj) * 2, ()))
 
     # R1: automorphism generators are left identities for every p.
     for q in q_symbols:
         for p in p_symbols:
-            relations.append(Relation("R1", (q, p), (p,)))
+            head.append(Relation("R1", (q, p), (p,)))
 
     # R2: one canonical word per non-trivial element fixing a generator.
     cosets = get_cosets(n)
     for p in p_symbols:
         for g in sorted(cosets.stabiliser(images[p])):
             if not g.is_identity:
-                relations.append(Relation("R2", (p,) + canonical_word(g), (p,)))
+                head.append(Relation("R2", (p,) + canonical_word(g), (p,)))
 
     # R3: products landing outside the essential orbits rewrite to the
     # canonical generator pair of their orbit, with a q-tail carrying the
@@ -366,51 +410,47 @@ def _build_presentation(n: int) -> Presentation:
             g = cosets.least_conjugator(products[p1, p2], target)
             if (p1, p2) == (u1, u2) and g.is_identity:
                 continue
-            relations.append(
-                Relation("R3", (p1, p2) + canonical_word(g), (u1, u2))
-            )
+            head.append(Relation("R3", (p1, p2) + canonical_word(g), (u1, u2)))
 
     # R4: in front of another p, only the type of the first factor matters.
-    # There are far more R4 relations than two-letter words, so each word
-    # is one shared tuple.
+    # There are far more R4 relations than two-letter words, so R4 is kept
+    # as its same-type pairs and ``Relations`` makes its records.
     by_type: dict[TypeTag, list[str]] = {}
     for p in p_symbols:
         by_type.setdefault(sym_type(p), []).append(p)
-    # The C-level tuple constructor makes each record in about half the
-    # time of the generated ``Relation.__new__``.
+    r4_pairs = tuple(
+        (p, p_prime)
+        for group in by_type.values()
+        for p in group
+        for p_prime in group
+        if p != p_prime
+    )
     words_from = {p: [(p, target) for target in p_symbols] for p in p_symbols}
-    r4 = partial(tuple.__new__, Relation)
-    for tag, group in by_type.items():
-        for p in group:
-            for p_prime in group:
-                if p != p_prime:
-                    relations.extend(
-                        map(r4, zip(repeat("R4"), words_from[p], words_from[p_prime]))
-                    )
 
     # R5..R10: marker combinatorics.
+    tail: list[Relation] = []
     od, ev, np_, tr = "p^od", "p^ev", "p^np", "p^tr"
     for p in p_symbols:
-        relations.append(Relation("R5", (od, p), (p,)))
+        tail.append(Relation("R5", (od, p), (p,)))
         if images[p].rank == 2:
-            relations.append(Relation("R6", (ev, p), (p,)))
-        relations.append(Relation("R7", (ev, ev, p), (ev, p)))
-        relations.append(Relation("R8", (np_, ev, p), (np_, p)))
-        relations.append(Relation("R8", (ev, np_, p), (np_, p)))
-        relations.append(Relation("R8", (np_, np_, p), (np_, p)))
-        relations.append(Relation("R10", (tr, np_, p), (np_, p)))
+            tail.append(Relation("R6", (ev, p), (p,)))
+        tail.append(Relation("R7", (ev, ev, p), (ev, p)))
+        tail.append(Relation("R8", (np_, ev, p), (np_, p)))
+        tail.append(Relation("R8", (ev, np_, p), (np_, p)))
+        tail.append(Relation("R8", (np_, np_, p), (np_, p)))
+        tail.append(Relation("R10", (tr, np_, p), (np_, p)))
         if sym_type(p) in (TypeTag.ODD, TypeTag.EVEN):
-            relations.append(Relation("R10", (tr, p), (tr,)))
-    relations.append(Relation("R9", (ev, tr), (tr,)))
-    relations.append(Relation("R9", (np_, tr), (tr,)))
-    relations.append(Relation("R9", (tr, tr), (tr,)))
+            tail.append(Relation("R10", (tr, p), (tr,)))
+    tail.append(Relation("R9", (ev, tr), (tr,)))
+    tail.append(Relation("R9", (np_, tr), (tr,)))
+    tail.append(Relation("R9", (tr, tr), (tr,)))
 
     return Presentation(
         n=n,
         q_symbols=q_symbols,
         p_symbols=p_symbols,
         images=images,
-        relations=tuple(relations),
+        relations=Relations(tuple(head), r4_pairs, words_from, tuple(tail)),
         prefixes=prefixes,
         products=products,
     )

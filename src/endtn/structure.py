@@ -839,9 +839,7 @@ def extended_partition(n: int, relation: str) -> GreenPartition:
     return _as_partition(relation, uni, formula)
 
 
-def extended_probe_check(
-    n: int, relation: str, samples: int = 100_000, seed: int = 0
-) -> bool:
+def extended_probe_check(n: int, relation: str) -> bool:
     """Check the R*/L* classes against the two-sided-quantifier definition.
 
     a L* b when a gamma = a delta exactly where b gamma = b delta, for
@@ -850,8 +848,6 @@ def extended_probe_check(
     brute side reads.  Every member of every class is compared with the
     class's least member, and distinct classes must have distinct
     kernels, so the check is exhaustive at every degree the table serves.
-    ``samples`` and ``seed`` are accepted for the sampled check this
-    replaced and are not read.
     """
     if relation not in ("R*", "L*"):
         raise ValueError("probe check applies to R* and L* only")

@@ -199,8 +199,8 @@ def test_criterion_08_extended_relations(n):
     rank_classes = {frozenset(cls) for cls in by_rank.values()}
     assert set(extended_partition(n, "R*").classes) == rank_classes
     assert set(extended_partition(n, "R~").classes) == rank_classes
-    extended_probe_check(n, "R*", samples=100_000, seed=0)
-    extended_probe_check(n, "L*", samples=100_000, seed=0)
+    extended_probe_check(n, "R*")
+    extended_probe_check(n, "L*")
     if n == 5:
         t = Transformation.from_images([1, 3, 2, 1, 5])
         u = Transformation.from_images([1, 1, 1, 4, 4])

@@ -170,15 +170,13 @@ class TestStructureVerbs:
         probed = []
         probe = cli.extended_probe_check
 
-        def counting(n, relation, samples, seed):
-            probed.append((n, relation, samples, seed))
-            return probe(n, relation, samples=samples, seed=seed)
+        def counting(n, relation):
+            probed.append((n, relation))
+            return probe(n, relation)
 
         monkeypatch.setattr(cli, "extended_probe_check", counting)
-        code, verified, _ = run(
-            capsys, "extended", "--n", "4", "--verify", "--samples", "7", "--seed", "3"
-        )
-        assert code == 0 and probed == [(4, "R*", 7, 3), (4, "L*", 7, 3)]
+        code, verified, _ = run(capsys, "extended", "--n", "4", "--verify")
+        assert code == 0 and probed == [(4, "R*"), (4, "L*")]
         code, plain, _ = run(capsys, "extended", "--n", "4")
         assert code == 0 and verified == plain and len(probed) == 2
 
@@ -338,20 +336,27 @@ class TestExitCodes:
             capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ("extended", "--n", "5", "--relation", "R*", "--verify", "--samples", "-1"),
-            ("extended", "--n", "5", "--relation", "R*", "--verify", "--seed", "-1"),
-            ("presentation-check", "--n", "5", "--samples", "-3"),
-            ("verify-mult", "--n", "5", "--seed", "-1"),
+            # ``extended`` samples nothing, so it has neither flag.
+            (
+                ("extended", "--n", "5", "--relation", "R*", "--verify", "--samples", "7"),
+                "unrecognized arguments: --samples 7",
+            ),
+            (
+                ("extended", "--n", "5", "--relation", "R*", "--verify", "--seed", "3"),
+                "unrecognized arguments: --seed 3",
+            ),
+            (("presentation-check", "--n", "5", "--samples", "-3"), "must be non-negative"),
+            (("verify-mult", "--n", "5", "--seed", "-1"), "must be non-negative"),
         ],
         ids=["extended-samples", "extended-seed", "presentation-samples", "mult-seed"],
     )
-    def test_usage_negative_seed_or_samples(self, capsys, argv):
+    def test_usage_negative_seed_or_samples(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
             main(list(argv))
         assert excinfo.value.code == 2
-        assert "must be non-negative" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_usage_bad_fix_pair(self, capsys):
         code, _, err = run(
@@ -405,6 +410,9 @@ class TestMemoryBounds:
             ("ideals --n 5", 80),
             # Builds no table: 47 MB.
             ("idempotents --n 6", 60),
+            # 89 MB while every R4 record was stored, 50 MB with R4 kept
+            # as its same-type pairs.
+            ("presentation-check --n 6 --samples 1000", 65),
         ],
     )
     def test_peak_rss_is_bounded(self, monkeypatch, argv, bound_mb):

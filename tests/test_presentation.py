@@ -5,6 +5,7 @@ import importlib
 import json
 import random
 import types
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from endtn.cosets import get_cosets
 from endtn.endomorphisms import TypeTag, enumerate_End, multiply, oracle_multiply
 from endtn.errors import CapacityError, VerificationError
 from endtn.presentation import (
+    Relation,
     canonical_word,
     essential_orbits,
     minimal_generating_set,
@@ -190,6 +192,42 @@ class TestPresentation:
         for word in (["q:1-2", "p^od"], ["p^od", "q:1-2", "p^ev"], ["p^tr"], []):
             assert pres.theta(word) is pres.theta(tuple(word))
 
+    def test_theta_reads_two_letter_words_from_the_table(self, pres, monkeypatch):
+        module = importlib.import_module("endtn.presentation")
+        calls = []
+        monkeypatch.setattr(module, "multiply", lambda a, b: calls.append((a, b)))
+        for word, value in pres.products.items():
+            assert pres.theta(word) is value
+            assert pres.theta(list(word)) is value
+        assert calls == []
+        for word in (("q:1-2", "p:bogus"), ("p:bogus", "q:1-2")):
+            for bad in (word, list(word)):
+                with pytest.raises(ValueError, match=r"unknown symbol 'p:bogus'"):
+                    pres.theta(bad)
+
+
+class TestRelationsAtSix:
+    """``Presentation.relations`` keeps R4 as its same-type pairs and makes
+    the R4 records while iterating."""
+
+    def test_is_sized_and_re_iterable(self):
+        relations = presentation(6).relations
+        families = Counter()
+        for first, second in zip(relations, relations, strict=True):
+            assert first == second and type(first) is Relation
+            families[first.family] += 1
+        assert sum(families.values()) == len(relations)
+        assert families == {
+            "R4": 411_768, "R3": 6_110, "R2": 971, "R1": 420, "R8": 252,
+            "R10": 97, "R5": 84, "R7": 84, "R6": 37, "RPi": 15, "R9": 3,
+        }
+
+    def test_stores_no_r4_record(self):
+        relations = presentation(6).relations
+        stored = relations.head + relations.tail
+        assert len(stored) == 8_073 and len(relations.r4_pairs) == 4_902
+        assert "R4" not in {rel.family for rel in stored}
+
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_product_table_is_attested(n):
@@ -361,10 +399,10 @@ class TestPinnedOutput:
 
     def test_relations_at_six(self):
         """The n = 6 sequence, recorded while each R4 record was still made
-        by ``Relation.__new__``."""
+        by ``Relation.__new__`` and ``relations`` was a tuple."""
         relations = presentation(6).relations
         assert len(relations) == 419_841
-        assert _sha256(relations) == (
+        assert _sha256(list(relations)) == (
             "16d3bb0536745f820f6c45ec4773c7919664893db22d2ca61dbfa4d106de2d7e"
         )
 

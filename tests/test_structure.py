@@ -542,7 +542,7 @@ class TestExtended:
         monkeypatch.setattr(structure, "_brute_extended_labels", lambda u, r: labels)
         for relation in ("R*", "L*"):
             with pytest.raises(VerificationError):
-                extended_probe_check(4, relation, samples=0)
+                extended_probe_check(4, relation)
 
     @pytest.mark.parametrize("relation", ["R*", "L*"])
     def test_probe_check_compares_every_member(self, monkeypatch, relation):
