@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NotAnEndomorphismError
-from .pairs import PermissiblePair, enumerate_P, is_permissible
+from .pairs import PermissiblePair, enumerate_P
 from .transformations import (
     MAX_END_DEGREE,
     Transformation,
@@ -28,6 +28,7 @@ from .transformations import (
     compose,
     conjugate,
     enumerate_permutations,
+    generators,
     permutation_parity,
 )
 
@@ -297,66 +298,64 @@ def identify(
 ) -> Endomorphism:
     """Recover the symbolic form of an endomorphism from its value map.
 
-    Probes constants and a couple of small permutations rather than
-    scanning all of T_n, evaluating the table once on each probe.
+    ``table`` must be an endomorphism of T_n: only its values on the
+    generators of T_n (``generators(n)``) are read, once each, and an
+    endomorphism is fixed by them.  One candidate is read off those
+    values and returned only if its own values on the generators are the
+    same objects; otherwise ``NotAnEndomorphismError`` is raised.
     """
-    values = [table(s) for s in _probes(n)[0]]
-    const_images = values[:n]
-    points = [c.word[0] if c.is_constant else None for c in const_images]
-    if None not in points and len(set(points)) == n:
-        # Constants map to n distinct constants: an automorphism.
-        g = Transformation(tuple(points))
-        result = aut(g)
-        if n >= 2 and not _probes_match(values, result, n):
-            raise NotAnEndomorphismError("table is inconsistent with any automorphism")
-        return result
-    e = const_images[0]
-    if any(c is not e for c in const_images):
-        raise NotAnEndomorphismError("constants map to distinct non-constant values")
+    gens = generators(n)
+    values = [table(s) for s in gens]
     if n == 1:
-        return epsilon(1)
-    t = values[_probes(n)[1][2]]  # the transposition (1 2)
-    if is_permissible(t, e):
-        candidate = phi(t, e)
-        if _probes_match(values, candidate, n):
-            return candidate
-    if n == 4:
-        for g in enumerate_permutations(4):
-            candidate = sigma4(g)
-            if _probes_match(values, candidate, 4):
-                return candidate
-    raise NotAnEndomorphismError("no symbolic endomorphism matches the table")
+        candidate = epsilon(1)
+    else:
+        A, C = values[0], values[-1]
+        B = values[1] if n > 2 else A  # b = a at n = 2
+        if _is_n_cycle(B):
+            # Only an automorphism aut(g) sends b to an n-cycle: a phi
+            # sends it to t or t^2, a non-permutation or a permutation
+            # squaring to id (not (1 2) at n = 2), and a sigma4 to a map
+            # fixing a point.  c moves only 2, to 1, so C = c^g moves
+            # only g(2), to g(1); and b^g = B gives g(i + 1) = B(g(i)).
+            moved = [x for x, y in enumerate(C.word) if x != y]
+            if len(moved) != 1:
+                raise NotAnEndomorphismError("c has no automorphic image")
+            g = [C.word[moved[0]]]
+            for _ in range(n - 1):
+                g.append(B.word[g[-1]])
+            candidate = aut(Transformation(tuple(g)))
+        elif n == 4 and tuple(values) in _sigma4_by_values():
+            candidate = _sigma4_by_values()[tuple(values)]
+        else:
+            # phi(t, e) sends the odd a to t and the non-permutation c to e.
+            try:
+                candidate = phi(A, C)
+            except ValueError as exc:
+                raise NotAnEndomorphismError(str(exc)) from None
+    if any(apply(candidate, s) is not v for s, v in zip(gens, values)):
+        raise NotAnEndomorphismError("no endomorphism has the table's values")
+    return candidate
+
+
+def _is_n_cycle(s: Transformation) -> bool:
+    if not s.is_permutation:
+        return False
+    word, x = s.word, 0
+    for _ in range(s.n - 1):
+        x = word[x]
+        if x == 0:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
-def _constants(n: int) -> tuple[Transformation, ...]:
-    return tuple(Transformation.constant(n, i) for i in range(1, n + 1))
-
-
-@lru_cache(maxsize=None)
-def _probe_set(n: int) -> tuple[Transformation, ...]:
-    probes = [Transformation.identity(n), Transformation.constant(n, 1)]
-    if n >= 2:
-        probes.append(Transformation.transposition(n, 1, 2))
-    if n >= 3:
-        probes.append(Transformation.transposition(n, 1, 3))
-        probes.append(Transformation.cycle(n, (1, 2, 3)))
-    return tuple(probes)
-
-
-@lru_cache(maxsize=None)
-def _probes(n: int) -> tuple[tuple[Transformation, ...], tuple[int, ...]]:
-    """The distinct probes ``identify`` evaluates, the n constants first,
-    and the position among them of each member of the probe set (c_1 is in
-    both, and is the identity at n = 1)."""
-    probes = tuple(dict.fromkeys(_constants(n) + _probe_set(n)))
-    return probes, tuple(probes.index(s) for s in _probe_set(n))
-
-
-def _probes_match(values: list, candidate: Endomorphism, n: int) -> bool:
-    # Transformations are interned, so equal values are the same object.
-    probes, positions = _probes(n)
-    return all(values[k] is apply(candidate, probes[k]) for k in positions)
+def _sigma4_by_values() -> dict[tuple[Transformation, ...], Endomorphism]:
+    """The 24 rank-7 maps, each keyed by its values on ``generators(4)``."""
+    gens = generators(4)
+    return {
+        tuple(apply(el, s) for s in gens): el
+        for el in map(sigma4, enumerate_permutations(4))
+    }
 
 
 def oracle_multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -244,6 +245,20 @@ def pair_codes(t: np.ndarray, e: np.ndarray) -> np.ndarray:
     (t, e) word order."""
     n = t.shape[1]
     return word_codes(t) * n**n + word_codes(e)
+
+
+@lru_cache(maxsize=None)
+def generators(n: int) -> tuple[Transformation, ...]:
+    """A generating set G of T_n: a = (1 2), b = (1 2 ... n) and
+    c = [1, 1, 3, ..., n] (Howie, *Fundamentals of Semigroup Theory*,
+    1995), each listed once, so (a, c) at n = 2, where b = a, and (id,)
+    at n = 1.  Two endomorphisms of T_n that agree on G are equal."""
+    if n == 1:
+        return (Transformation.identity(1),)
+    a = Transformation.transposition(n, 1, 2)
+    b = Transformation.cycle(n, range(1, n + 1))
+    c = Transformation((0, 0, *range(2, n)))
+    return tuple(dict.fromkeys((a, b, c)))
 
 
 def enumerate_all(n: int) -> Iterator[Transformation]:

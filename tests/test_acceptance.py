@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from endtn.action import product_mismatches
 from endtn.endomorphisms import (
     TypeTag,
     aut,
@@ -57,6 +58,10 @@ from endtn.universe import get_universe
 
 
 def test_criterion_01_symbolic_product_matches_composition_oracle():
+    # Every cell of the n = 5 table against composition on the generators
+    # of T_5: with the homomorphism check of ``tests/test_action.py``,
+    # this proves that the table is the composition table.
+    assert product_mismatches(get_universe(5).table, 5).size == 0
     for n in (2, 3, 4):
         for a, b in itertools.product(enumerate_End(n), repeat=2):
             assert multiply(a, b) is oracle_multiply(a, b)

@@ -1,0 +1,87 @@
+import itertools
+import random
+
+import numpy as np
+import pytest
+
+from endtn import action
+from endtn.action import (
+    action_matrix,
+    check_homomorphisms,
+    product_mismatches,
+)
+from endtn.endomorphisms import apply, elements
+from endtn.errors import CapacityError, VerificationError
+from endtn.transformations import compose, enumerate_all, generators
+from endtn.universe import get_universe
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_is_the_action(n):
+    maps = list(enumerate_all(n))
+    code = {s: i for i, s in enumerate(maps)}
+    expected = [[code[apply(el, s)] for s in maps] for el in elements(n)]
+    assert action_matrix(n).tolist() == expected
+
+
+def test_matrix_is_the_action_sampled_at_five():
+    maps = list(enumerate_all(5))
+    code = {s: i for i, s in enumerate(maps)}
+    els = elements(5)
+    matrix = action_matrix(5)
+    assert matrix.shape == (3_226, 3_125) and matrix.dtype == np.uint16
+    rng = random.Random(5)
+    for _ in range(20_000):
+        i, x = rng.randrange(len(els)), rng.randrange(len(maps))
+        assert matrix[i, x] == code[apply(els[i], maps[x])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_composition_codes(n):
+    maps = list(enumerate_all(n))
+    code = {s: i for i, s in enumerate(maps)}
+    expected = [[code[compose(s, u)] for u in maps] for s in maps]
+    assert action._composition(n).tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "n, checks", [(1, 1), (2, 56), (3, 3_240), (4, 264_960), (5, 30_243_750)]
+)
+def test_every_element_is_a_homomorphism(n, checks):
+    assert checks == len(elements(n)) * n**n * len(generators(n))
+    assert check_homomorphisms(n) == checks
+
+
+def test_a_corrupted_entry_is_caught(monkeypatch):
+    matrix = action_matrix(4)
+    # An automorphism row, at the map [1, 1, 1, 2]: sent to itself.
+    corrupted = matrix.copy()
+    corrupted[5, 1] = 1
+    assert matrix[5, 1] != 1
+    monkeypatch.setattr(action, "action_matrix", lambda n: corrupted)
+    with pytest.raises(VerificationError, match="homomorphism"):
+        check_homomorphisms(4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_table_has_no_mismatch(n):
+    assert product_mismatches(get_universe(n).table, n).shape == (0, 2)
+
+
+def test_a_corrupted_cell_is_the_one_mismatch():
+    table = get_universe(4).table.copy()
+    size = len(table)
+    for i, j in itertools.islice(
+        zip(range(0, size, 7), range(size - 1, -1, -11)), 20
+    ):
+        corrupted = table.copy()
+        corrupted[i, j] = (table[i, j] + 1) % size
+        assert product_mismatches(corrupted, 4).tolist() == [[i, j]]
+
+
+def test_dense_matrix_is_guarded(monkeypatch):
+    monkeypatch.delenv("ENDTN_CAPACITY_OVERRIDE", raising=False)
+    with pytest.raises(CapacityError):
+        action_matrix(6)
+    with pytest.raises(CapacityError):
+        check_homomorphisms(6)

@@ -430,3 +430,53 @@ class TestMemoryBounds:
         code, peak_kib = map(int, launched.stdout.split())
         assert code == 0
         assert peak_kib / 1024 < bound_mb
+
+
+class TestEnvironmentMatrix:
+    """The same stdout under ``python -O`` and under fixed hash seeds.
+
+    ``-O`` strips ``assert`` statements and ``__debug__`` blocks, and the
+    hash seed reorders sets and dicts keyed by strings, so a check that
+    depended on either, or an output that followed set order, would change
+    the bytes.  The digests were recorded under plain ``python``.
+    """
+
+    ENVIRONMENTS = [
+        (["-O"], {}),
+        ([], {"PYTHONHASHSEED": "0"}),
+        ([], {"PYTHONHASHSEED": "424242"}),
+    ]
+
+    PINNED = [
+        ("verify-mult --n 4", "5bc663e7afce22e9d2efe4fdcb3ca8783be022fd4dc72066ddfc5602b913565e"),
+        (
+            "verify-mult --n 5 --samples 20000 --seed 7",
+            "dcaff03ccc01ae9501d827217f18522b4de29255438bf83689d872ec93ee1bf0",
+        ),
+        ("counts --n 5 --verify", "60c99db6645b32c5ab3827f8657b517338d6322bb0259d4be153351e14f43aa0"),
+        ("presentation-check --n 5", "4834bbeb6c5ae95db673628fe0e0d8d2dd5652fa2b447ad992b72fa0c0651e0a"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", PINNED, ids=[argv for argv, _ in PINNED])
+    def test_stdout_is_pinned_in_every_environment(self, monkeypatch, argv, digest):
+        monkeypatch.delenv("ENDTN_CAPACITY_OVERRIDE", raising=False)
+        monkeypatch.delenv("PYTHONHASHSEED", raising=False)
+        src = str(Path(endtn.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # The three environments run side by side, one process each.
+        children = [
+            subprocess.Popen(
+                [sys.executable, *flags, "-m", "endtn.cli", *argv.split()],
+                env={**os.environ, "PYTHONPATH": path, **extra},
+                stdout=subprocess.PIPE,
+            )
+            for flags, extra in self.ENVIRONMENTS
+        ]
+        try:
+            outputs = [child.communicate(timeout=60)[0] for child in children]
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
+        assert [child.returncode for child in children] == [0, 0, 0]
+        assert {hashlib.sha256(out).hexdigest() for out in outputs} == {digest}

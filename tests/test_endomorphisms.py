@@ -8,8 +8,6 @@ import pytest
 from endtn.endomorphisms import (
     Endomorphism,
     TypeTag,
-    _constants,
-    _probe_set,
     apply,
     aut,
     coset_rep_fixing_4,
@@ -32,6 +30,7 @@ from endtn.transformations import (
     compose,
     enumerate_all,
     enumerate_permutations,
+    generators,
 )
 
 
@@ -195,58 +194,63 @@ class TestIdentify:
             assert identify(lambda s: apply(el, s), n) is el
 
     def test_rejects_non_homomorphism(self):
-        flip = Transformation.transposition(3, 1, 2)
+        # a and b fixed, as by epsilon, but c sent to the constant c_1:
+        # no element has these values on the generators.
+        a, b, c = generators(3)
+        const = Transformation.constant(3, 1)
 
         def bogus(s):
-            return flip if s.is_constant else s
+            return const if s is c else s
 
         with pytest.raises(NotAnEndomorphismError):
             identify(bogus, 3)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_probes_separate_every_element(self, n):
-        # identify reads an element off its values on the n constants and
-        # the probe set, so that is exact only if no two elements agree on
-        # all of them.  The probe set alone does not separate: at n >= 5,
-        # aut((4 5)) and epsilon agree on it.
-        probes = _constants(n) + _probe_set(n)
-        els = list(enumerate_End(n))
-        values = {tuple(apply(el, s) for s in probes) for el in els}
+        # identify reads an element off its values on the generators of
+        # T_n, so that is exact only if no two elements agree on all of
+        # them.
+        els = elements(n)
+        values = {tuple(apply(el, s) for s in generators(n)) for el in els}
         assert len(values) == len(els)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_evaluates_each_distinct_probe_once(self, n):
-        # The probes are the n constants, then id, (1 2), (1 3) and (1 2 3)
-        # as far as n allows; c_1 is among both, and is id at n = 1.
-        probes = dict.fromkeys(_constants(n) + _probe_set(n), 1)
-        ident = Transformation.identity(n)
+        # The probes are the generators of T_n: (a, b, c), (a, c) at n = 2
+        # and (id,) at n = 1.
+        probes = dict.fromkeys(generators(n), 1)
         tables = [lambda s, el=el: apply(el, s) for el in enumerate_End(n)]
         if n >= 2:
-            flip = Transformation.transposition(n, 1, 2)
+            a, *_, c = generators(n)
+            ident = Transformation.identity(n)
             tables += [
-                # automorphism rejected on the probe set
-                lambda s: s if s.is_constant else flip,
-                # constants to distinct non-constant values
-                lambda s: ident if s is _constants(n)[0] else s,
-                # constants agree, no candidate matches
-                lambda s: flip if s.is_constant else s,
+                # a and b as under epsilon, but c sent to id, which moves
+                # no point
+                lambda s: ident if s is c else s,
+                # no automorphism: phi(id, a), and a is not idempotent
+                lambda s: a if s is c else ident,
             ]
-        for table in tables:
+        if n >= 3:
+            # epsilon, read off b and c, but a sent to c_1
+            const = Transformation.constant(n, 1)
+            tables.append(lambda s: const if s is a else s)
+        for k, table in enumerate(tables):
             calls = []
 
             def counting(s):
                 calls.append(s)
                 return table(s)
 
-            try:
+            if k < len(elements(n)):
                 identify(counting, n)
-            except NotAnEndomorphismError:
-                pass
+            else:
+                with pytest.raises(NotAnEndomorphismError):
+                    identify(counting, n)
             assert collections.Counter(calls) == probes
 
     def test_oracle_composes_on_every_call(self, monkeypatch):
         # No product is remembered: every call composes both actions on the
-        # constants and the probe set again.
+        # generators again.
         import endtn.endomorphisms as endomorphisms
 
         real = endomorphisms.apply
@@ -257,14 +261,13 @@ class TestIdentify:
             return real(alpha, s)
 
         monkeypatch.setattr(endomorphisms, "apply", counting)
-        probes = len(_constants(5)) + len(_probe_set(5))
         for a, b in zip(sample_elements(5, 50, seed=3), sample_elements(5, 50, seed=4)):
             counts = []
             for _ in range(2):
                 applied.clear()
                 assert oracle_multiply(a, b) is multiply(a, b)
                 counts.append(len(applied))
-            assert counts[0] == counts[1] >= 2 * probes
+            assert counts[0] == counts[1] >= 2 * len(generators(5))
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_oracle_is_independent_of_multiply(self, n, monkeypatch):

@@ -55,10 +55,9 @@ def test_one_capacity_policy():
     assert literals == []
 
 
-def test_universe_reads_no_formula_side():
-    """The product table is the brute side that ``cosets``, ``structure``
-    and ``presentation`` are checked against, so it imports none of them."""
-    tree = ast.parse((SOURCE / "universe.py").read_text())
+def _imported(module: str) -> set[str]:
+    """The modules and names that ``module`` imports, by their last part."""
+    tree = ast.parse((SOURCE / module).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -66,7 +65,42 @@ def test_universe_reads_no_formula_side():
         elif isinstance(node, ast.ImportFrom):
             imported.add((node.module or "").rpartition(".")[2])
             imported |= {alias.name for alias in node.names}
+    return imported
+
+
+def test_universe_reads_no_formula_side():
+    """The product table is the brute side that ``cosets``, ``structure``
+    and ``presentation`` are checked against, so it imports none of them."""
+    imported = _imported("universe.py")
     assert imported and not imported & {"cosets", "structure", "presentation"}
+
+
+def test_action_reads_no_product():
+    """The action matrix is the brute side that the product table is
+    certified against, so it imports neither the symbolic product nor a
+    module built on it."""
+    imported = _imported("action.py")
+    assert {"elements", "generators"} <= imported
+    assert not imported & {
+        "multiply",
+        "star_map",
+        "universe",
+        "cosets",
+        "presentation",
+        "structure",
+    }
+
+
+def test_cli_does_not_import_action():
+    """The dense action matrix (20 MB at n = 5) is built only by the
+    checks that read it, never on a verb's path: neither ``cli`` nor a
+    module it can reach imports ``action``."""
+    importers = [
+        path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "action.py" and "action" in _imported(path.name)
+    ]
+    assert importers == []
 
 
 def test_benchmark_hooks_resolve():

@@ -10,6 +10,7 @@ from endtn.transformations import (
     conjugate,
     enumerate_all,
     enumerate_permutations,
+    generators,
     permutation_parity,
 )
 
@@ -100,6 +101,26 @@ class TestAlgebra:
         assert compose(g, g.inverse()).is_identity
         with pytest.raises(ValueError):
             Transformation.constant(3, 1).inverse()
+
+
+class TestGenerators:
+    def test_listed_once_each(self):
+        assert [g.to_text() for g in generators(1)] == ["1"]
+        assert [g.to_text() for g in generators(2)] == ["2 1", "1 1"]
+        assert [g.to_text() for g in generators(4)] == [
+            "2 1 3 4",
+            "2 3 4 1",
+            "1 1 3 4",
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_generate_the_full_semigroup(self, n):
+        reached = frontier = set(generators(n))
+        while frontier:
+            frontier = {compose(s, g) for s in frontier for g in generators(n)}
+            frontier -= reached
+            reached = reached | frontier
+        assert reached == set(enumerate_all(n))
 
 
 class TestClassify:
