@@ -41,7 +41,6 @@ from .structure import (
     green_partition,
     idempotent_partition,
     j_leq,
-    j_order_dot,
     principal_ideals,
     regular_elements,
 )

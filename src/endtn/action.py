@@ -30,6 +30,7 @@ from .errors import VerificationError
 from .transformations import (
     MAX_TABLE_DEGREE,
     Transformation,
+    all_words,
     check_capacity,
     conjugate_words,
     enumerate_all,
@@ -43,11 +44,6 @@ from .transformations import (
 _BLOCK = 64
 
 
-def _all_words(n: int) -> np.ndarray:
-    """Every image word of T_n, one row each, in code order."""
-    return np.indices((n,) * n, dtype=np.int8).reshape(n, -1).T
-
-
 def _codes(maps) -> np.ndarray:
     return word_codes(np.array([s.word for s in maps], dtype=np.int64))
 
@@ -57,7 +53,7 @@ def action_matrix(n: int) -> np.ndarray:
     in code order."""
     check_capacity(n, MAX_TABLE_DEGREE, "the dense action matrix")
     els = elements(n)
-    words = _all_words(n)
+    words = all_words(n)
     matrix = np.empty((len(els), len(words)), dtype=np.min_scalar_type(n**n - 1))
     perms = np.flatnonzero((np.sort(words, axis=1) == np.arange(n)).all(axis=1))
     # The class of each x: 0 a non-permutation, 1 odd, 2 even.
@@ -84,7 +80,7 @@ def action_matrix(n: int) -> np.ndarray:
 def _composition(n: int) -> np.ndarray:
     """R[u, v]: the code of the product uv (x -> (x u) v) of the maps with
     codes u and v."""
-    words = _all_words(n).astype(np.intp)
+    words = all_words(n).astype(np.intp)
     powers = n ** np.arange(n - 1, -1, -1)
     table = np.empty((len(words), len(words)), dtype=np.min_scalar_type(n**n - 1))
     for start in range(0, len(words), _BLOCK):
@@ -112,7 +108,7 @@ def check_homomorphisms(n: int) -> int:
             bad = rows[:, times_g] != product[rows, rows[:, [code]]]
             if bad.any():
                 i, x = np.argwhere(bad)[0]
-                x = Transformation(tuple(_all_words(n)[x].tolist()))
+                x = Transformation(tuple(all_words(n)[x].tolist()))
                 raise VerificationError(
                     "an element does not act as a homomorphism",
                     counterexample=(els[start + i].key(), x.to_text(), g.to_text()),

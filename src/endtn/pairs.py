@@ -21,10 +21,11 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import VerificationError
 from .transformations import (
     MAX_END_DEGREE,
-    MAX_ENUM_DEGREE,
     Transformation,
+    all_words,
     check_capacity,
     compose,
 )
@@ -37,7 +38,7 @@ class PermissiblePair:
 
     def __post_init__(self):
         if not is_permissible(self.t, self.e):
-            raise _not_permissible(self.t, self.e)
+            raise ValueError(_not_permissible(self.t, self.e))
 
     @classmethod
     def _checked(cls, t: Transformation, e: Transformation) -> "PermissiblePair":
@@ -51,8 +52,8 @@ class PermissiblePair:
         return (self.t.word, self.e.word)
 
 
-def _not_permissible(t: Transformation, e: Transformation) -> ValueError:
-    return ValueError(f"({t.to_text()}, {e.to_text()}) is not a permissible pair")
+def _not_permissible(t: Transformation, e: Transformation) -> str:
+    return f"({t.to_text()}, {e.to_text()}) is not a permissible pair"
 
 
 def is_permissible(t: Transformation, e: Transformation) -> bool:
@@ -157,16 +158,10 @@ def enumerate_pairs_for(t: Transformation) -> Iterator[PermissiblePair]:
     yield from _checked_pairs(np.array([t.word], dtype=np.int8))
 
 
-def _all_words(n: int) -> np.ndarray:
-    """Every image word of T_n as ``int8`` rows, in lexicographic order."""
-    check_capacity(n, MAX_ENUM_DEGREE, "full transformation enumeration")
-    return np.indices((n,) * n, dtype=np.int8).reshape(n, -1).T
-
-
 def u_words(n: int) -> np.ndarray:
     """The image words of U_n, in lexicographic order, as ``int8`` rows:
     every t of T_n with t^3 = t and a fixed point, by one array test."""
-    words = _all_words(n)
+    words = all_words(n)
     cube = _then(_then(words, words), words)
     fixes = (words == np.arange(n, dtype=np.int8)).any(axis=1)
     return words[fixes & (cube == words).all(axis=1)]
@@ -180,8 +175,8 @@ def _then(s: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _check_pairs(t: np.ndarray, e: np.ndarray) -> None:
     """Check t^3 = t and te = et = e^2 = e on every row of the two arrays of
-    image words at once, raising the error ``PermissiblePair`` raises for
-    the first pair that fails."""
+    image words at once.  The first pair that fails raises
+    ``VerificationError``, with the message ``PermissiblePair`` gives."""
     bad = (
         (_then(_then(t, t), t) != t)
         | (_then(t, e) != e)
@@ -190,8 +185,10 @@ def _check_pairs(t: np.ndarray, e: np.ndarray) -> None:
     ).any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
-        raise _not_permissible(
-            Transformation(tuple(t[k].tolist())), Transformation(tuple(e[k].tolist()))
+        bad_t = Transformation(tuple(t[k].tolist()))
+        bad_e = Transformation(tuple(e[k].tolist()))
+        raise VerificationError(
+            _not_permissible(bad_t, bad_e), counterexample=(bad_t, bad_e)
         )
 
 
@@ -210,7 +207,7 @@ def enumerate_P(n: int) -> Iterator[PermissiblePair]:
 def _idempotent_words(n: int) -> np.ndarray:
     """Every e of T_n with e^2 = e, as read-only ``int8`` rows in
     lexicographic order."""
-    words = _all_words(n)
+    words = all_words(n)
     words = words[(_then(words, words) == words).all(axis=1)]
     words.flags.writeable = False
     return words

@@ -7,7 +7,8 @@ p-symbols are distinguished as markers (p^od, p^ev, p^np, p^tr), one per
 multiplicative type, and the relation families R1..R10 hold under theta.
 Every word has the value of one of shape  q...q,  p q...q  or  p p q...q;
 ``normal_form`` reads that word off the value's orbit, whose one- or
-two-letter prefix is recorded while R3 is built.  The singular orbits,
+two-letter prefix is recorded while R3 is built, and
+``check_normal_forms`` checks it on every element.  The singular orbits,
 their stabilisers and the conjugating q-tails come from ``endtn.cosets``.
 Checking that the relations derive each normal form is not done here.
 """
@@ -26,6 +27,7 @@ from .endomorphisms import (
     Endomorphism,
     TypeTag,
     aut,
+    elements,
     epsilon,
     multiply,
     phi_trivial,
@@ -33,7 +35,7 @@ from .endomorphisms import (
     star_map,
 )
 from .cosets import get_cosets
-from .errors import CapacityError
+from .errors import CapacityError, VerificationError
 from .transformations import Transformation, compose, enumerate_permutations
 from .universe import get_universe
 
@@ -289,6 +291,23 @@ class Presentation:
             result = image if result is None else multiply(result, image)
         return epsilon(self.n) if result is None else result
 
+    def word_of(self, value: Endomorphism) -> Word:
+        """The normal form of an element: a q-word, or  p q...q,  or
+        p p q...q.
+
+        A unit gives its least reduced q-word.  Any other element gives its
+        orbit's prefix (the orbit's generator if it is essential, otherwise
+        the generator pair R3 rewrites to) and the least q-word conjugating
+        the prefix's value onto it.
+        """
+        if value.is_aut:
+            return canonical_word(value.g)
+        cosets = get_cosets(self.n)
+        prefix = self.prefixes[cosets.representative(value)]
+        return prefix + canonical_word(
+            cosets.least_conjugator(self.theta(prefix), value)
+        )
+
 
 class _CollectorPaused:
     """Pause the cyclic garbage collector for the body of a ``with``, then
@@ -465,19 +484,30 @@ def theta_eval(word: Word, n: int) -> Endomorphism:
 
 
 def normal_form(word, n: int) -> Word:
-    """The normal form of the word's value: a q-word, or  p q...q,  or
-    p p q...q.
-
-    A unit gives its least reduced q-word.  Any other value gives its
-    orbit's prefix (the orbit's generator if it is essential, otherwise
-    the generator pair R3 rewrites to, ``Presentation.prefixes``) and the
-    least q-word conjugating the prefix's value onto it.  The result
-    depends only on the value, so equal elements share one normal form.
-    """
+    """The normal form of the word's value (``Presentation.word_of``)."""
     pres = presentation(n)
-    value = pres.theta(word)
-    if value.is_aut:
-        return canonical_word(value.g)
-    cosets = get_cosets(n)
-    prefix = pres.prefixes[cosets.representative(value)]
-    return prefix + canonical_word(cosets.least_conjugator(pres.theta(prefix), value))
+    return pres.word_of(pres.theta(word))
+
+
+def check_normal_forms(pres: Presentation) -> int:
+    """Check that the normal form of every element evaluates back to it,
+    and return the number of elements checked.
+
+    ``normal_form(w)`` depends only on theta(w), and every value of theta
+    is listed by ``elements``, so this covers every word, and the normal
+    forms are distinct.  An element whose orbit has no prefix, or a prefix
+    outside the orbit (no q-word conjugates it onto the element), fails
+    too, with no word.  The first failure raises ``VerificationError``.
+    """
+    members = elements(pres.n)
+    for value in members:
+        try:
+            word = pres.word_of(value)
+        except (KeyError, ValueError):
+            word = None
+        if word is None or pres.theta(word) is not value:
+            raise VerificationError(
+                "normal form changed the evaluated element",
+                counterexample=(value.key(), word),
+            )
+    return len(members)

@@ -636,38 +636,6 @@ def _ideal_index_sets(uni: Universe) -> list[frozenset[int]]:
     return sorted(set(out), key=lambda s: (len(s), min(s)))
 
 
-def j_order_dot(n: int) -> str:
-    """The J-order as a Graphviz digraph (covering relations only), with
-    the J-classes numbered by least member."""
-    uni = get_universe(n)
-    classes = np.unique(_green_labels(uni, "J")).tolist()
-    reps = [uni.elements[r] for r in classes]
-
-    def label(idx: int) -> str:
-        name = component_of(reps[idx])
-        if name in ("A", "B", "C"):
-            return f"{name}[{reps[idx].key()}]"
-        return name
-
-    k = len(classes)
-    leq = _j_order(uni, classes).tolist()
-    lines = ["digraph j_order {", "  rankdir=BT;"]
-    for i in range(k):
-        lines.append(f'  c{i} [label="{label(i)}"];')
-    for i in range(k):
-        for j in range(k):
-            if i != j and leq[i][j] and not leq[j][i]:
-                # keep only covering edges
-                if not any(
-                    leq[i][m] and leq[m][j] and not leq[m][i] and not leq[j][m]
-                    for m in range(k)
-                    if m not in (i, j)
-                ):
-                    lines.append(f"  c{j} -> c{i};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 # -- fixed-point subgroups --------------------------------------------------
 
 

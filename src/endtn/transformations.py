@@ -261,6 +261,13 @@ def generators(n: int) -> tuple[Transformation, ...]:
     return tuple(dict.fromkeys((a, b, c)))
 
 
+def all_words(n: int) -> np.ndarray:
+    """Every image word of T_n as ``int8`` rows, in lexicographic order,
+    which is the order of their ``word_codes``."""
+    check_capacity(n, MAX_ENUM_DEGREE, "full transformation enumeration")
+    return np.indices((n,) * n, dtype=np.int8).reshape(n, -1).T
+
+
 def enumerate_all(n: int) -> Iterator[Transformation]:
     """All n^n transformations, in lexicographic order of image words."""
     check_capacity(n, MAX_ENUM_DEGREE, "full transformation enumeration")

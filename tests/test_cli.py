@@ -135,17 +135,29 @@ class TestVerification:
         assert code == 0 and batches == [len(pairs.u_words(4))]
         assert not hasattr(cli, "enumerate_pairs_for")
 
+    def test_counts_exits_1_on_a_bad_constructed_pair(self, capsys, monkeypatch):
+        real = pairs._partner_words
+        bad_t, bad_e = (0, 0, 2), (1, 0, 2)
+
+        def corrupted(w):
+            yield from real(w)
+            if w == bad_t:
+                yield bad_e
+
+        monkeypatch.setattr(pairs, "_partner_words", corrupted)
+        code, out, err = run(capsys, "counts", "--n", "3")
+        assert code == 1 and out == ""
+        assert "(1 1 3, 2 1 3) is not a permissible pair" in err
+
     def test_presentation_check(self, capsys):
-        code, out, _ = run(
-            capsys, "presentation-check", "--n", "5", "--samples", "50"
-        )
-        assert code == 0 and "all sound" in out
+        code, out, _ = run(capsys, "presentation-check", "--n", "5", "--format", "csv")
+        assert code == 0
+        assert out == "n,relations,normal_forms,status\n5,21778,3226,all sound\n"
 
     def test_presentation_check_at_six(self, capsys):
-        code, out, _ = run(
-            capsys, "presentation-check", "--n", "6", "--samples", "1000"
-        )
-        assert code == 0 and "all sound" in out
+        code, out, _ = run(capsys, "presentation-check", "--n", "6", "--format", "csv")
+        assert code == 0
+        assert out == "n,relations,normal_forms,status\n6,419841,38503,all sound\n"
 
 
 class TestStructureVerbs:
@@ -338,7 +350,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # ``extended`` samples nothing, so it has neither flag.
+            # ``extended`` and ``presentation-check`` sample nothing, so
+            # they have neither flag.
             (
                 ("extended", "--n", "5", "--relation", "R*", "--verify", "--samples", "7"),
                 "unrecognized arguments: --samples 7",
@@ -347,10 +360,21 @@ class TestExitCodes:
                 ("extended", "--n", "5", "--relation", "R*", "--verify", "--seed", "3"),
                 "unrecognized arguments: --seed 3",
             ),
-            (("presentation-check", "--n", "5", "--samples", "-3"), "must be non-negative"),
+            (
+                ("presentation-check", "--n", "5", "--samples", "3"),
+                "unrecognized arguments: --samples 3",
+            ),
+            (
+                ("presentation-check", "--n", "5", "--seed", "3"),
+                "unrecognized arguments: --seed 3",
+            ),
             (("verify-mult", "--n", "5", "--seed", "-1"), "must be non-negative"),
+            (("verify-mult", "--n", "5", "--samples", "-3"), "must be non-negative"),
         ],
-        ids=["extended-samples", "extended-seed", "presentation-samples", "mult-seed"],
+        ids=[
+            "extended-samples", "extended-seed", "presentation-samples",
+            "presentation-seed", "mult-seed", "mult-samples",
+        ],
     )
     def test_usage_negative_seed_or_samples(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -410,9 +434,10 @@ class TestMemoryBounds:
             ("ideals --n 5", 80),
             # Builds no table: 47 MB.
             ("idempotents --n 6", 60),
-            # 89 MB while every R4 record was stored, 50 MB with R4 kept
-            # as its same-type pairs.
-            ("presentation-check --n 6 --samples 1000", 65),
+            # 89 MB while every R4 record was stored, 49-50 MB with R4 kept
+            # as its same-type pairs, for 1,000 sampled words or for every
+            # element's normal form.
+            ("presentation-check --n 6", 65),
         ],
     )
     def test_peak_rss_is_bounded(self, monkeypatch, argv, bound_mb):
@@ -454,7 +479,7 @@ class TestEnvironmentMatrix:
             "dcaff03ccc01ae9501d827217f18522b4de29255438bf83689d872ec93ee1bf0",
         ),
         ("counts --n 5 --verify", "60c99db6645b32c5ab3827f8657b517338d6322bb0259d4be153351e14f43aa0"),
-        ("presentation-check --n 5", "4834bbeb6c5ae95db673628fe0e0d8d2dd5652fa2b447ad992b72fa0c0651e0a"),
+        ("presentation-check --n 5", "f653d186244170df6902521d303ff4d55a8f7d092a69f2fd2fc0d7274e497a67"),
     ]
 
     @pytest.mark.parametrize("argv, digest", PINNED, ids=[argv for argv, _ in PINNED])

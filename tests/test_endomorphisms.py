@@ -24,7 +24,7 @@ from endtn.endomorphisms import (
     singular_words,
     star_map,
 )
-from endtn.errors import CapacityError, NotAnEndomorphismError
+from endtn.errors import CapacityError, NotAnEndomorphismError, VerificationError
 from endtn.transformations import (
     Transformation,
     compose,
@@ -373,9 +373,10 @@ class TestEnumeration:
         monkeypatch.setattr(pairs, "_partner_words", corrupted)
         batches = pairs.enumerate_P(4), pairs.enumerate_pairs_for(Transformation(bad_t))
         for batch in batches:
-            with pytest.raises(ValueError) as raised:
+            with pytest.raises(VerificationError) as raised:
                 next(batch)
             assert str(raised.value) == "(1 1 3 4, 2 1 3 4) is not a permissible pair"
+            assert raised.value.counterexample == tuple(map(Transformation, (bad_t, bad_e)))
 
     def test_the_array_check_covers_every_pair_yielded(self, monkeypatch):
         import endtn.pairs as pairs

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from endtn.errors import VerificationError
 from endtn.pairs import (
     PermissiblePair,
     _check_pairs,
@@ -45,8 +46,11 @@ class TestPermissibility:
                 if is_permissible(t, e):
                     _check_pairs(*words)
                 else:
-                    with pytest.raises(ValueError, match="not a permissible pair"):
+                    with pytest.raises(
+                        VerificationError, match="not a permissible pair"
+                    ) as raised:
                         _check_pairs(*words)
+                    assert raised.value.counterexample == (t, e)
 
     def test_pair_constructor_validates(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from endtn.errors import CapacityError, VerificationError
 from endtn.presentation import (
     Relation,
     canonical_word,
+    check_normal_forms,
     essential_orbits,
     minimal_generating_set,
     normal_form,
@@ -251,7 +252,7 @@ def test_relation_check_sees_a_corrupted_product(monkeypatch):
     corrupted = dataclasses.replace(pres, products={**pres.products, r4.lhs: wrong})
     assert corrupted.theta(r4.lhs) is wrong
     monkeypatch.setattr(cli, "presentation", lambda n: corrupted)
-    args = types.SimpleNamespace(n=5, seed=0, samples=0)
+    args = types.SimpleNamespace(n=5)
     with pytest.raises(VerificationError, match="relation is not theta-sound") as raised:
         cli.cmd_presentation_check(args)
     family, lhs, rhs = raised.value.counterexample
@@ -309,24 +310,56 @@ class TestNormalFormSet:
     """The normal-form words: one per element, each its own normal form."""
 
     def test_exhaustive_at_five(self, pres):
+        assert check_normal_forms(pres) == 3226
         cosets = get_cosets(5)
         essential = {o.representative for o in essential_orbits(5)}
         words = set()
         for value in enumerate_End(5):
-            if value.is_aut:
-                prefix, g = (), value.g
-            else:
+            word = pres.word_of(value)
+            prefix = ()
+            if not value.is_aut:
                 rep = cosets.representative(value)
                 prefix = pres.prefixes[rep]
                 assert len(prefix) == (1 if rep in essential else 2)
-                g = cosets.least_conjugator(pres.theta(prefix), value)
-            word = prefix + canonical_word(g)
+                assert word[: len(prefix)] == prefix
             assert pres.theta(word) is value
             assert normal_form(word, 5) == word
             assert all(s in pres.p_symbols for s in prefix)
             assert all(s in pres.q_symbols for s in word[len(prefix):])
             words.add(word)
         assert len(words) == 3226
+
+    @pytest.mark.parametrize("corruption", ["swapped", "missing"])
+    def test_a_corrupted_prefix_is_named(self, pres, monkeypatch, capsys, corruption):
+        """Two orbits' prefixes swapped, so that no q-word conjugates the
+        other prefix onto the lesser representative, or that one's prefix
+        missing: the check names that representative, and so does the verb,
+        with exit status 1."""
+        first, second = [r for r in get_cosets(5).representatives if r.rank == 2][:2]
+        prefixes = dict(pres.prefixes)
+        if corruption == "swapped":
+            prefixes[first], prefixes[second] = prefixes[second], prefixes[first]
+        else:
+            del prefixes[first]
+        corrupted = dataclasses.replace(pres, prefixes=prefixes)
+        with pytest.raises(VerificationError, match="normal form changed") as raised:
+            check_normal_forms(corrupted)
+        assert raised.value.counterexample == (first.key(), None)
+        monkeypatch.setattr(cli, "presentation", lambda n: corrupted)
+        assert cli.main(["presentation-check", "--n", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and first.key() in err
+
+    def test_a_wrong_evaluation_is_named(self, pres):
+        """The q-tail of some normal form starts in a corrupted table entry,
+        so that word evaluates to another element."""
+        key = (pres.p_symbols[0], pres.q_symbols[0])
+        wrong = pres.products[pres.p_symbols[1], pres.q_symbols[0]]
+        corrupted = dataclasses.replace(pres, products={**pres.products, key: wrong})
+        with pytest.raises(VerificationError, match="normal form changed") as raised:
+            check_normal_forms(corrupted)
+        element, word = raised.value.counterexample
+        assert word[:2] == key and corrupted.theta(word).key() != element
 
     def test_prefix_table_at_six(self):
         pres = presentation(6)

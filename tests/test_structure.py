@@ -41,7 +41,6 @@ from endtn.structure import (
     green_partition,
     idempotent_partition,
     j_leq,
-    j_order_dot,
     principal_ideals,
     regular_elements,
 )
@@ -481,10 +480,6 @@ class TestIdeals:
         with pytest.raises(VerificationError, match="two-sided principal") as err:
             enumerate_ideals(4)
         assert err.value.counterexample is uni.elements[min(extra)]
-
-    def test_dot_output(self):
-        dot = j_order_dot(3)
-        assert dot.startswith("digraph") and "->" in dot
 
 
 def uni_size(n):
