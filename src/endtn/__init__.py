@@ -7,7 +7,6 @@ from .pairs import (
     PermissiblePair,
     count_pairs_for,
     enumerate_P,
-    enumerate_pairs_for,
     is_permissible,
 )
 from .endomorphisms import (
@@ -24,7 +23,7 @@ from .endomorphisms import (
     sigma4,
     star_map,
 )
-from .universe import Universe, get_universe
+from .universe import ElementIndex, Universe, get_index, get_universe
 from .structure import (
     AbundanceReport,
     FixSet,

@@ -48,7 +48,12 @@ from .structure import (
     idempotent_partition,
     regular_elements,
 )
-from .transformations import Transformation
+from .transformations import (
+    MAX_END_DEGREE,
+    MAX_TABLE_DEGREE,
+    Transformation,
+    check_capacity,
+)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -103,6 +108,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_counts(args) -> int:
+    if args.verify:
+        # brute_force_partners' own guard, before any pair is built.
+        check_capacity(args.n, MAX_END_DEGREE, "brute-force partner scan")
     rows = []
     words = u_words(args.n)
     # Every pair of U_n built and checked in one batch, counted per t; a t
@@ -235,6 +243,9 @@ def cmd_regular(args) -> int:
 
 
 def cmd_gens(args) -> int:
+    if args.verify:
+        # verify_generates reads the product table: refuse before the orbits.
+        check_capacity(args.n, MAX_TABLE_DEGREE, "product table construction")
     gens = sorted(minimal_generating_set(args.n))
     r3, r2 = rank_counts(args.n)
     verified = ""

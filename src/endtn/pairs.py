@@ -72,11 +72,6 @@ def is_in_U(t: Transformation) -> bool:
     return compose(t2, t) == t and any(x == i for i, x in enumerate(t.word))
 
 
-def _require_U(t: Transformation) -> None:
-    if not is_in_U(t):
-        raise ValueError("t admits no permissible partner (t is not in U_n)")
-
-
 def _fixed_and_low(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """J, the fixed points, and I, the low side of each 2-cycle, of the t
     with image word w (0-indexed, ascending)."""
@@ -88,7 +83,8 @@ def _fixed_and_low(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
 
 def count_pairs_for(t: Transformation) -> int:
     """Number of e with (t, e) permissible: sum_r C(|J|, r) r^(|I|+|J|-r)."""
-    _require_U(t)
+    if not is_in_U(t):
+        raise ValueError("t admits no permissible partner (t is not in U_n)")
     J, I = _fixed_and_low(t.word)
     j, i = len(J), len(I)
     return sum(math.comb(j, r) * r ** (i + j - r) for r in range(1, j + 1))
@@ -149,13 +145,6 @@ def _checked_pairs(t_words: np.ndarray) -> Iterator[PermissiblePair]:
     for t, es in zip(ts, partners):
         for e in es:
             yield PermissiblePair._checked(t, e)
-
-
-def enumerate_pairs_for(t: Transformation) -> Iterator[PermissiblePair]:
-    """All e with (t, e) permissible, built from the root table of t (see
-    ``_partner_words``) and checked in one array pass."""
-    _require_U(t)
-    yield from _checked_pairs(np.array([t.word], dtype=np.int8))
 
 
 def u_words(n: int) -> np.ndarray:

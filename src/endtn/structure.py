@@ -6,6 +6,10 @@ characterisation (in terms of the Aut/D/E_3/A/B/E_2/C/E_1 decomposition)
 and once by brute force from the defining property, using the product
 table.  The two answers are compared and a VerificationError is raised
 on any disagreement, so a returned value is always doubly attested.
+
+The closed forms read only the element index (``ElementIndex``, n <= 6),
+never the product table (``Universe``, n <= 5), so they run one degree
+beyond the brute sides.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .endomorphisms import (
     TypeTag,
     apply,
     coset_rep_fixing_4,
-    elements,
     klein_four,
     multiply,
     phi,
@@ -37,7 +40,7 @@ from .transformations import (
     conjugate,
     enumerate_permutations,
 )
-from .universe import Universe, get_universe
+from .universe import ElementIndex, Universe, get_index, get_universe
 
 GREEN_RELATIONS = ("L", "R", "H", "D", "J")
 EXTENDED_RELATIONS = ("R*", "L*", "H*", "D*", "J*", "R~", "L~", "H~", "D~", "J~")
@@ -66,20 +69,20 @@ def component_of(alpha: Endomorphism) -> str:
 
 
 @lru_cache(maxsize=None)
-def _component_labels(uni: Universe) -> np.ndarray:
+def _component_labels(uni: ElementIndex) -> np.ndarray:
     """Each element's component, as its position in ``COMPONENTS``."""
     labels = np.array([COMPONENTS.index(component_of(el)) for el in uni.elements])
     labels.flags.writeable = False
     return labels
 
 
-def _in_components(uni: Universe, names) -> np.ndarray:
+def _in_components(uni: ElementIndex, names) -> np.ndarray:
     """The mask of the elements in the named components."""
     return np.isin(_component_labels(uni), [COMPONENTS.index(name) for name in names])
 
 
 @lru_cache(maxsize=None)
-def _orbit_labels(uni: Universe) -> np.ndarray:
+def _orbit_labels(uni: ElementIndex) -> np.ndarray:
     """For each singular element the index of its orbit's representative
     under Aut(T_n); -1 for the units and the rank-7 maps."""
     rep = get_cosets(uni.n).representative
@@ -91,12 +94,12 @@ def _orbit_labels(uni: Universe) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _orbit_bits(uni: Universe, rep: int) -> np.ndarray:
+def _orbit_bits(uni: ElementIndex, rep: int) -> np.ndarray:
     """The orbit of the representative with index rep, as a packed mask."""
     return uni.pack(np.flatnonzero(_orbit_labels(uni) == rep))
 
 
-def _orbit_bits_of(uni: Universe, alpha: Endomorphism) -> np.ndarray:
+def _orbit_bits_of(uni: ElementIndex, alpha: Endomorphism) -> np.ndarray:
     return _orbit_bits(uni, int(_orbit_labels(uni)[uni.of(alpha)]))
 
 
@@ -104,7 +107,7 @@ def _orbit_bits_of(uni: Universe, alpha: Endomorphism) -> np.ndarray:
 #
 # Inside this module a partition of the elements is one int array over the
 # element indices: each element's label is the index of the least member of
-# its class.  ``Universe.elements`` is sorted, so that numbering is also the
+# its class.  ``ElementIndex.elements`` is sorted, so that numbering is also the
 # output order, and two partitions are equal exactly when their arrays are.
 
 
@@ -235,46 +238,35 @@ class IdempotentPartition:
 _IDEMPOTENT_RANKS = {"E_7": 7, "E_3": 3, "E_2": 2, "E_1": 1}
 
 
-def _idempotent_group(el: Endomorphism, klein: set) -> str | None:
-    """The closed form's idempotent group of el, or None if el is not an
-    idempotent."""
-    if el.is_aut:
-        return "epsilon" if el.g.is_identity else None
-    if el.is_sigma4:
-        return "E_7" if el.g in klein else None
-    if el.type_tag == TypeTag.ODD:
-        return "E_3"
-    if el.t.is_identity and not el.e.is_identity:
-        return "E_2"
-    if el.t == el.e or el.type_tag == TypeTag.TRIVIAL:
-        return "E_1"
-    return None
-
-
 def idempotent_partition(n: int) -> IdempotentPartition:
     """Idempotents grouped by rank, cross-checked against {a : a^2 = a} and
     against each member's rank.
 
-    Works one degree beyond the product-table guard because both sides
-    only need a single pass over ``elements(n)``, so a mismatch names the
-    first disagreeing element in that order.
+    The closed form reads the component labels: the identity among the
+    units, sigma^g for g in the Klein four-group, and the E_3, E_2 and E_1
+    components whole.  Neither side reads the product table, so this runs
+    on the element index at every degree (n <= 6), and a mismatch names
+    the first disagreeing element of ``elements(n)``.
     """
-    members = elements(n)
+    index = get_index(n)
+    members, comp = index.elements, _component_labels(index)
     klein = set(klein_four())
-    groups = {name: set() for name in ("epsilon", *_IDEMPOTENT_RANKS)}
-    grouped, square, ranked, of_rank = [], [], [], []
-    for el in members:
-        name = _idempotent_group(el, klein)
-        if name is not None:
-            groups[name].add(el)
+    groups = {
+        name: np.flatnonzero(comp == COMPONENTS.index(name)).tolist()
+        for name in ("Aut", "D", "E_3", "E_2", "E_1")
+    }
+    groups["epsilon"] = [i for i in groups.pop("Aut") if members[i].g.is_identity]
+    groups["E_7"] = [i for i in groups.pop("D") if members[i].g in klein]
+    grouped, ranked, of_rank = (np.zeros(index.size, dtype=bool) for _ in range(3))
+    for name, found in groups.items():
         rank = _IDEMPOTENT_RANKS.get(name)
-        grouped.append(name is not None)
-        square.append(multiply(el, el) is el)
-        ranked.append(rank is not None)
-        of_rank.append(rank is not None and el.rank == rank)
+        grouped[found] = True
+        ranked[found] = rank is not None
+        of_rank[found] = [members[i].rank == rank for i in found]
+    square = [multiply(el, el) is el for el in members]
     _attest("idempotents", members, np.packbits(grouped), np.packbits(square))
     _attest("idempotent ranks", members, np.packbits(ranked), np.packbits(of_rank))
-    return IdempotentPartition(**{k: frozenset(v) for k, v in groups.items()})
+    return IdempotentPartition(**{k: index.element_set(v) for k, v in groups.items()})
 
 
 # -- regularity -------------------------------------------------------------
@@ -283,34 +275,24 @@ def idempotent_partition(n: int) -> IdempotentPartition:
 def regular_elements(n: int) -> frozenset[Endomorphism]:
     """All regular elements, found by brute force over the product table.
 
-    Cross-checked against the closed form: everything for n <= 2, all but
-    the rank-2 non-idempotents for n = 3, and Aut together with the
-    idempotents of ``_idempotent_group`` for n >= 5 (with the whole rank-7
-    block also regular at n = 4).
+    Cross-checked against the closed form: every element outside the A, B
+    and C components.  A and B are empty below n = 4 and C below n = 3, so
+    this is everything for n <= 2 and all but the rank-2 non-idempotents
+    at n = 3.
     """
     uni = get_universe(n)
     table = uni.table
     # alpha beta alpha over all beta in one vectorised sweep per alpha
     regular = np.array([np.any(table[table[i], i] == i) for i in range(uni.size)])
-    if n <= 2:
-        expected = np.ones(uni.size, dtype=bool)
-    elif n == 3:
-        expected = ~_in_components(uni, ("C",))
-    else:
-        klein = set(klein_four())
-        expected = _in_components(uni, ("Aut", "D")) | [
-            _idempotent_group(el, klein) is not None for el in uni.elements
-        ]
-    _attest(
-        "regular elements", uni.elements, np.packbits(expected), np.packbits(regular)
-    )
+    expected = np.packbits(~_in_components(uni, ("A", "B", "C")))
+    _attest("regular elements", uni.elements, expected, np.packbits(regular))
     return uni.element_set(np.flatnonzero(regular))
 
 
 # -- Green's relations ------------------------------------------------------
 
 
-def _left_keys(uni: Universe) -> list:
+def _left_keys(uni: ElementIndex) -> list:
     """Keys of the closed form's L-classes: the units share one, the rank-7
     maps sigma^g share one per image of 4 under g, and every other element
     is keyed by its own index."""
@@ -322,7 +304,7 @@ def _left_keys(uni: Universe) -> list:
     return keys
 
 
-def _formula_green_labels(uni: Universe, relation: str) -> np.ndarray:
+def _formula_green_labels(uni: ElementIndex, relation: str) -> np.ndarray:
     if relation in ("L", "H"):
         return _labels_by_key(_left_keys(uni))
     # R, D and J share the same classes: whole components, except that A, B
@@ -374,7 +356,7 @@ class PrincipalIdeals:
     two_sided: frozenset[Endomorphism]
 
 
-def _formula_left_ideal(uni: Universe, alpha: Endomorphism) -> np.ndarray:
+def _formula_left_ideal(uni: ElementIndex, alpha: Endomorphism) -> np.ndarray:
     if alpha.is_aut:
         return _right_ideal_bits(uni)["Aut"]  # the whole monoid
     if alpha.is_phi:
@@ -407,7 +389,7 @@ _RIGHT_IDEAL_COMPONENTS = {
 
 
 @lru_cache(maxsize=None)
-def _right_ideal_bits(uni: Universe) -> dict[str, np.ndarray]:
+def _right_ideal_bits(uni: ElementIndex) -> dict[str, np.ndarray]:
     """Per component, the packed mask of the components its principal
     right ideals hold whole; read-only, as every caller shares it."""
     masks = {}
@@ -417,7 +399,9 @@ def _right_ideal_bits(uni: Universe) -> dict[str, np.ndarray]:
     return masks
 
 
-def _formula_right_ideal(uni: Universe, alpha: Endomorphism, name: str) -> np.ndarray:
+def _formula_right_ideal(
+    uni: ElementIndex, alpha: Endomorphism, name: str
+) -> np.ndarray:
     bits = _right_ideal_bits(uni)[name]
     if name in ("A", "B", "C"):
         bits = bits | _orbit_bits_of(uni, alpha)
@@ -425,7 +409,7 @@ def _formula_right_ideal(uni: Universe, alpha: Endomorphism, name: str) -> np.nd
 
 
 def _formula_two_sided_ideal(
-    uni: Universe, alpha: Endomorphism, name: str
+    uni: ElementIndex, alpha: Endomorphism, name: str
 ) -> np.ndarray:
     bits = _formula_right_ideal(uni, alpha, name)
     if name == "B":
@@ -762,7 +746,7 @@ _COMPONENT_GROUPS = {
 }
 
 
-def _formula_extended_labels(uni: Universe, relation: str) -> np.ndarray:
+def _formula_extended_labels(uni: ElementIndex, relation: str) -> np.ndarray:
     n = uni.n
     if relation in ("R*", "R~"):
         # same-rank classes in every degree

@@ -1,8 +1,12 @@
-"""Interned element universe of End(T_n) with its full product table.
+"""The element index of End(T_n), and the universe: the index with its
+full product table.
 
-The table holds one ``uint16`` element index per cell, 20.8 MB at n = 5,
-so a universe can hold at most 65,536 elements; a larger one is refused
-with ``CapacityError`` before the table is allocated.  The table and the
+``ElementIndex`` (n <= 6) numbers ``elements(n)`` and packs sets of those
+numbers into bitsets.  It reads nothing of the product, so the closed
+forms of ``structure`` run on it alone.  ``Universe`` (n <= 5) adds the
+table, one ``uint16`` element index per cell, 20.8 MB at n = 5, so a
+universe can hold at most 65,536 elements; a larger one is refused with
+``CapacityError`` before the table is allocated.  The table and the
 bitsets read off it are read-only once built.
 
 The table is the substrate for every brute-force computation (ideals,
@@ -54,11 +58,10 @@ MAX_TABLE_SIZE = int(np.iinfo(_CELL).max) + 1
 _SCATTER_ROWS = 256
 
 
-class Universe:
-    """End(T_n) as an indexed list plus an N x N product table."""
+class ElementIndex:
+    """End(T_n) as an indexed list, with packed bitsets over its indices."""
 
     def __init__(self, n: int):
-        check_capacity(n, MAX_TABLE_DEGREE, "product table construction")
         self.n = n
         self.elements: tuple[Endomorphism, ...] = elements(n)
         self.index: dict[Endomorphism, int] = {
@@ -69,9 +72,45 @@ class Universe:
             np.flatnonzero([getattr(el, kind) for el in self.elements])
             for kind in ("is_aut", "is_phi", "is_sigma4")
         )
+        self._element_sets: dict[bytes, frozenset[Endomorphism]] = {}
+
+    def of(self, alpha: Endomorphism) -> int:
+        return self.index[alpha]
+
+    def element_set(self, indices) -> frozenset[Endomorphism]:
+        return frozenset(self.elements[int(i)] for i in indices)
+
+    def bits_element_set(self, bits: np.ndarray) -> frozenset[Endomorphism]:
+        """The elements in a packed bitset, built once per distinct set."""
+        key = bits.tobytes()
+        cached = self._element_sets.get(key)
+        if cached is None:
+            cached = self.element_set(self.members(bits))
+            self._element_sets[key] = cached
+        return cached
+
+    def pack(self, indices) -> np.ndarray:
+        """The packed bitset of a set of indices: an index array or list is
+        used as it is, any other iterable is read into one."""
+        if not isinstance(indices, (np.ndarray, list)):
+            indices = np.fromiter(indices, dtype=np.int64)
+        mask = np.zeros(self.size, dtype=bool)
+        mask[indices] = True
+        return np.packbits(mask)
+
+    def members(self, bits: np.ndarray) -> np.ndarray:
+        """The sorted indices in a packed bitset."""
+        return np.flatnonzero(np.unpackbits(bits, count=self.size))
+
+
+class Universe(ElementIndex):
+    """The element index of End(T_n) plus its N x N product table."""
+
+    def __init__(self, n: int):
+        check_capacity(n, MAX_TABLE_DEGREE, "product table construction")
+        super().__init__(n)
         self.table = self._build_table()
         self.table.flags.writeable = False
-        self._element_sets: dict[bytes, frozenset[Endomorphism]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -138,23 +177,6 @@ class Universe:
             block[:, col] = self.phi_indices[pos]
         return block
 
-    # -- indexing helpers --------------------------------------------------
-
-    def of(self, alpha: Endomorphism) -> int:
-        return self.index[alpha]
-
-    def element_set(self, indices) -> frozenset[Endomorphism]:
-        return frozenset(self.elements[int(i)] for i in indices)
-
-    def bits_element_set(self, bits: np.ndarray) -> frozenset[Endomorphism]:
-        """The elements in a packed bitset, built once per distinct set."""
-        key = bits.tobytes()
-        cached = self._element_sets.get(key)
-        if cached is None:
-            cached = self.element_set(self.members(bits))
-            self._element_sets[key] = cached
-        return cached
-
     # -- structural subsets (from the defining parameter conditions) -------
 
     @property
@@ -187,19 +209,6 @@ class Universe:
             out[start : start + len(block)] = np.packbits(hit, axis=1)
         out.flags.writeable = False
         return out
-
-    def pack(self, indices) -> np.ndarray:
-        """The packed bitset of a set of indices: an index array or list is
-        used as it is, any other iterable is read into one."""
-        if not isinstance(indices, (np.ndarray, list)):
-            indices = np.fromiter(indices, dtype=np.int64)
-        mask = np.zeros(self.size, dtype=bool)
-        mask[indices] = True
-        return np.packbits(mask)
-
-    def members(self, bits: np.ndarray) -> np.ndarray:
-        """The sorted indices in a packed bitset."""
-        return np.flatnonzero(np.unpackbits(bits, count=self.size))
 
     # -- ideals ------------------------------------------------------------
 
@@ -266,8 +275,13 @@ class Universe:
 
 
 @lru_cache(maxsize=None)
+def get_index(n: int) -> ElementIndex:
+    return ElementIndex(n)
+
+
+@lru_cache(maxsize=None)
 def get_universe(n: int) -> Universe:
     return Universe(n)
 
 
-__all__ = ["Universe", "get_universe"]
+__all__ = ["ElementIndex", "Universe", "get_index", "get_universe"]

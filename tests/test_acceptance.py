@@ -23,8 +23,8 @@ from endtn.endomorphisms import (
 )
 from endtn.pairs import (
     PermissiblePair,
+    _checked_pairs,
     count_pairs_for,
-    enumerate_pairs_for,
     is_in_U,
 )
 from endtn.presentation import (
@@ -61,16 +61,25 @@ def test_criterion_01_symbolic_product_matches_composition_oracle():
     # Every cell of the n = 5 table against composition on the generators
     # of T_5: with the homomorphism check of ``tests/test_action.py``,
     # this proves that the table is the composition table.
-    assert product_mismatches(get_universe(5).table, 5).size == 0
+    uni = get_universe(5)
+    assert product_mismatches(uni.table, 5).size == 0
     for n in (2, 3, 4):
         for a, b in itertools.product(enumerate_End(n), repeat=2):
             assert multiply(a, b) is oracle_multiply(a, b)
+    # The sampled n = 5 pairs: the symbolic product against the certified
+    # table, and the first 5,000 of them against the oracle as well.
     els = sorted(enumerate_End(5))
+    assert list(uni.elements) == els
     rng = random.Random(0)
-    for _ in range(1_000_000):
-        a = els[rng.randrange(len(els))]
-        b = els[rng.randrange(len(els))]
-        assert multiply(a, b) is oracle_multiply(a, b)
+    rows, cols = np.array(
+        [(rng.randrange(len(els)), rng.randrange(len(els))) for _ in range(1_000_000)]
+    ).T
+    cells = uni.table[rows, cols].tolist()
+    for k, (i, j, cell) in enumerate(zip(rows.tolist(), cols.tolist(), cells)):
+        a, b = els[i], els[j]
+        assert multiply(a, b) is els[cell]
+        if k < 5_000:
+            assert multiply(a, b) is oracle_multiply(a, b)
 
 
 def _brute_partner_counts(n):
@@ -97,7 +106,8 @@ def test_criterion_02_pair_counting_formula(n):
     assert brute  # U_n is never empty (identity at least)
     for t, brute_count in brute.items():
         assert count_pairs_for(t) == brute_count
-        assert sum(1 for _ in enumerate_pairs_for(t)) == brute_count
+        constructive = _checked_pairs(np.array([t.word], dtype=np.int8))
+        assert sum(1 for _ in constructive) == brute_count
 
 
 def test_criterion_03_cardinality_identities():

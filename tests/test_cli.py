@@ -327,6 +327,37 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == "" and err.startswith("capacity: ")
 
+    @pytest.mark.parametrize(
+        "argv, unreached, message",
+        [
+            (
+                ("counts", "--n", "7", "--verify"),
+                "_checked_pairs",
+                "brute-force partner scan is guarded at n <= 6, got n = 7",
+            ),
+            (
+                ("gens", "--n", "6", "--verify"),
+                "minimal_generating_set",
+                "product table construction is guarded at n <= 5, got n = 6",
+            ),
+        ],
+        ids=["counts-verify-7", "gens-verify-6"],
+    )
+    def test_capacity_is_refused_before_any_work(
+        self, capsys, monkeypatch, argv, unreached, message
+    ):
+        """The guard of the check that ``--verify`` adds runs before the
+        verb's own work, with the message that check gives."""
+        import endtn.cli as cli
+
+        def forbidden(*args):
+            raise AssertionError(f"{unreached} ran before the refusal")
+
+        monkeypatch.delenv("ENDTN_CAPACITY_OVERRIDE", raising=False)
+        monkeypatch.setattr(cli, unreached, forbidden)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"capacity: {message}\n")
+
     def test_usage_bad_relation(self, capsys):
         for verb in ("green", "extended"):
             with pytest.raises(SystemExit) as excinfo:

@@ -371,7 +371,8 @@ class TestEnumeration:
                 yield bad_e
 
         monkeypatch.setattr(pairs, "_partner_words", corrupted)
-        batches = pairs.enumerate_P(4), pairs.enumerate_pairs_for(Transformation(bad_t))
+        one_row = np.array([bad_t], dtype=np.int8)
+        batches = pairs.enumerate_P(4), pairs._checked_pairs(one_row)
         for batch in batches:
             with pytest.raises(VerificationError) as raised:
                 next(batch)

@@ -239,6 +239,50 @@ def test_probe_check_reads_no_kernel_keys():
     )
 
 
+# The closed forms of ``structure``, which run on the element index at
+# every degree it serves, and what only the product table provides.
+FORMULA_SIDES = (
+    "_component_labels",
+    "_in_components",
+    "_orbit_labels",
+    "_orbit_bits",
+    "_orbit_bits_of",
+    "_left_keys",
+    "_right_ideal_bits",
+    "_formula_green_labels",
+    "_formula_left_ideal",
+    "_formula_right_ideal",
+    "_formula_two_sided_ideal",
+    "_formula_extended_labels",
+    "idempotent_partition",
+)
+TABLE_READS = {
+    "table",
+    "right_bits",
+    "left_bits",
+    "two_sided_ideals",
+    "two_sided_bits",
+    "idempotent_indices",
+    "_class_reach",
+    "get_universe",
+}
+
+
+def test_formula_sides_read_no_table():
+    """No function a formula side names, directly or through another,
+    reads the product table or a set built from it, so the closed forms
+    run at n = 6, where the table is refused."""
+    found = set()
+    for start in FORMULA_SIDES:
+        functions, reached = _names_reached("structure.py", start)
+        for name in reached:
+            for node in ast.walk(functions[name]):
+                word = getattr(node, "id", getattr(node, "attr", None))
+                if word in TABLE_READS:
+                    found.add(f"{start} -> {name}: {word}")
+    assert found == set()
+
+
 COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "set_threshold", "collect"}
 
 

@@ -45,7 +45,7 @@ from endtn.structure import (
     regular_elements,
 )
 from endtn.transformations import Transformation
-from endtn.universe import get_universe
+from endtn.universe import get_index, get_universe
 from test_universe import (
     reference_is_two_sided_closed,
     reference_left_ideal,
@@ -132,6 +132,23 @@ class TestComponents:
         assert component_of(phi(c, c)) == "E_1"
 
 
+def relabel(monkeypatch, moves):
+    """Move each element of ``moves`` to the named component in the labels
+    that the idempotent and regular closed forms read."""
+    import endtn.structure as structure
+
+    real = structure._component_labels
+
+    def corrupted(index):
+        labels = real(index).copy()
+        for el, name in moves.items():
+            if el in index.index:
+                labels[index.of(el)] = COMPONENTS.index(name)
+        return labels
+
+    monkeypatch.setattr(structure, "_component_labels", corrupted)
+
+
 class TestIdempotents:
     def test_sizes_at_four(self):
         part = idempotent_partition(4)
@@ -149,35 +166,22 @@ class TestIdempotents:
     def test_mismatch_names_first_element_in_enumeration_order(self, monkeypatch):
         """The counterexample is the first wrong element in the order of
         ``elements(4)``, the one element order."""
-        import endtn.structure as structure
-
         elements = list(endomorphisms.elements(4))
-        real = structure._idempotent_group
         # Two idempotents dropped and two non-idempotents added, spread out.
         idempotents = [el for el in elements if multiply(el, el) is el]
         others = [el for el in elements if multiply(el, el) is not el]
-        wrong = {idempotents[-1], idempotents[40], others[-1], others[7]}
-
-        def corrupted(el, klein):
-            if el in wrong:
-                return None if real(el, klein) else "E_1"
-            return real(el, klein)
-
-        monkeypatch.setattr(structure, "_idempotent_group", corrupted)
+        dropped, added = {idempotents[-1], idempotents[40]}, {others[-1], others[7]}
+        relabel(monkeypatch, dict.fromkeys(dropped, "C") | dict.fromkeys(added, "E_1"))
         with pytest.raises(VerificationError, match="idempotents disagree") as err:
             idempotent_partition(4)
+        wrong = dropped | added
         assert err.value.counterexample is next(el for el in elements if el in wrong)
+        assert err.value.counterexample.key() == "aut:g=2,3,1,4"
 
     def test_ranks_are_attested(self, monkeypatch):
-        import endtn.structure as structure
-
-        real = structure._idempotent_group
-        victim = next(el for el in enumerate_End(3) if real(el, set()) == "E_1")
-        monkeypatch.setattr(
-            structure,
-            "_idempotent_group",
-            lambda el, klein: "E_2" if el is victim else real(el, klein),
-        )
+        victim = next(el for el in enumerate_End(3) if component_of(el) == "E_1")
+        assert victim.key() == "phi:t=1,1,1;e=1,1,1"
+        relabel(monkeypatch, {victim: "E_2"})
         with pytest.raises(VerificationError, match="idempotent ranks") as err:
             idempotent_partition(3)
         assert err.value.counterexample is victim
@@ -202,17 +206,13 @@ class TestRegularity:
         assert len(regular_elements(4)) == 153
 
     def test_formula_side_reads_the_closed_form_idempotents(self, monkeypatch):
-        # The table's diagonal is the brute side; dropping one E_2
-        # idempotent from the closed form must be caught.
-        import endtn.structure as structure
-
-        real = structure._idempotent_group
-        victim = next(el for el in get_universe(5).elements if real(el, set()) == "E_2")
-        monkeypatch.setattr(
-            structure,
-            "_idempotent_group",
-            lambda el, klein: None if el is victim else real(el, klein),
-        )
+        # The alpha beta alpha sweep of the table is the brute side; moving
+        # one E_2 idempotent into C drops it from the closed form, which
+        # must be caught.
+        elements = get_universe(5).elements
+        victim = next(el for el in elements if component_of(el) == "E_2")
+        assert victim.key() == "phi:t=1,2,3,4,5;e=1,1,1,1,1"
+        relabel(monkeypatch, {victim: "C"})
         with pytest.raises(VerificationError, match="regular elements") as err:
             regular_elements(5)
         assert err.value.counterexample is victim
@@ -269,6 +269,38 @@ class TestGreens:
                 assert part.class_of(el) is scanned
         with pytest.raises(KeyError, match="lies in no class of J"):
             part.class_of(epsilon(3))
+
+
+class TestFormulaSidesAtSix:
+    """The closed forms run on the n = 6 element index, past the product
+    table's bound."""
+
+    def test_partitions_without_a_table(self, monkeypatch):
+        import endtn.structure as structure
+        import endtn.universe as universe
+
+        def refused(*args):
+            raise AssertionError("a product table was built")
+
+        monkeypatch.setattr(universe.Universe, "__init__", refused)
+        monkeypatch.setattr(structure, "get_universe", refused)
+        index = get_index(6)
+        assert index.size == 38_503 and not isinstance(index, universe.Universe)
+        # The class counts of the Cayley graphs of End(T_6) over its 86
+        # generators, found without the closed form.
+        counts = {
+            rel: len(np.unique(_formula_green_labels(index, rel)))
+            for rel in GREEN_RELATIONS
+        }
+        assert counts == {"L": 37_784, "R": 106, "H": 37_784, "D": 106, "J": 106}
+        least = np.arange(index.size)
+        for rel in EXTENDED_RELATIONS:
+            label = _formula_extended_labels(index, rel)
+            assert len(label) == index.size
+            assert (label <= least).all() and (label[label] == label).all()
+        part = idempotent_partition(6)
+        sizes = [len(getattr(part, k)) for k in ("epsilon", "E_7", "E_3", "E_2", "E_1")]
+        assert sizes == [1, 0, 1_380, 1_056, 1_057]
 
 
 class TestPrincipalIdeals:

@@ -7,7 +7,7 @@ import pytest
 from endtn.endomorphisms import TypeTag, elements, epsilon, multiply
 from endtn.errors import CapacityError
 from endtn.structure import enumerate_ideals
-from endtn.universe import MAX_TABLE_SIZE, Universe, get_universe
+from endtn.universe import MAX_TABLE_SIZE, Universe, get_index, get_universe
 
 
 # sha256 of ``get_universe(n).table.astype(np.int32).tobytes()``, recorded
@@ -146,6 +146,18 @@ class TestTable:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             Universe(6)
+
+    def test_the_index_serves_one_degree_past_the_table(self, monkeypatch):
+        monkeypatch.delenv("ENDTN_CAPACITY_OVERRIDE", raising=False)
+        with pytest.raises(CapacityError, match="product table construction"):
+            get_universe(6)
+        index = get_index(6)
+        assert index is get_index(6) and index.elements is elements(6)
+        assert index.aut_indices.tolist() == list(range(720))
+        bits = index.pack(index.phi_indices)
+        assert index.members(bits).tolist() == list(range(720, 38_503))
+        with pytest.raises(CapacityError):
+            get_index(7)
 
 
 class TestDerivedSets:
