@@ -94,10 +94,17 @@ class TestCounting:
             assert brute_force_partners(t) == [e for e in maps if is_permissible(t, e)]
 
     def test_formula_not_in_U_rejected(self):
-        # t^3 != t; and t^3 = t, but (1 2) fixes no point.
-        for images in ([2, 3, 1], [2, 1]):
-            with pytest.raises(ValueError, match="not in U_n"):
-                count_pairs_for(Transformation.from_images(images))
+        with pytest.raises(ValueError):
+            count_pairs_for(Transformation.from_images([2, 3, 1]))
+
+    # t^3 != t; and t^3 = t, but (1 2) fixes no point.  Neither has a
+    # partner, and the counting entry point refuses both.
+    @pytest.mark.parametrize("images", [[2, 3, 1], [2, 1]])
+    def test_enumeration_rejects_t_outside_U(self, images):
+        t = Transformation.from_images(images)
+        assert brute_force_partners(t) == []
+        with pytest.raises(ValueError, match="not in U_n"):
+            count_pairs_for(t)
 
     def test_identity_t_counts_idempotents(self):
         # e ranges over the idempotents of T_n when t is the identity.
