@@ -25,8 +25,8 @@ from .endomorphisms import (
     TypeTag,
     apply,
     coset_rep_fixing_4,
+    elements,
     klein_four,
-    multiply,
     phi,
     sigma4,
 )
@@ -39,6 +39,7 @@ from .transformations import (
     compose,
     conjugate,
     enumerate_permutations,
+    generators,
 )
 from .universe import ElementIndex, Universe, get_index, get_universe
 
@@ -69,23 +70,23 @@ def component_of(alpha: Endomorphism) -> str:
 
 
 @lru_cache(maxsize=None)
-def _component_labels(uni: ElementIndex) -> np.ndarray:
+def _component_labels(n: int) -> np.ndarray:
     """Each element's component, as its position in ``COMPONENTS``."""
-    labels = np.array([COMPONENTS.index(component_of(el)) for el in uni.elements])
+    labels = np.array([COMPONENTS.index(component_of(el)) for el in elements(n)])
     labels.flags.writeable = False
     return labels
 
 
 def _in_components(uni: ElementIndex, names) -> np.ndarray:
     """The mask of the elements in the named components."""
-    return np.isin(_component_labels(uni), [COMPONENTS.index(name) for name in names])
+    return np.isin(_component_labels(uni.n), [COMPONENTS.index(c) for c in names])
 
 
 @lru_cache(maxsize=None)
-def _orbit_labels(uni: ElementIndex) -> np.ndarray:
+def _orbit_labels(n: int) -> np.ndarray:
     """For each singular element the index of its orbit's representative
     under Aut(T_n); -1 for the units and the rank-7 maps."""
-    rep = get_cosets(uni.n).representative
+    rep, uni = get_cosets(n).representative, get_index(n)
     labels = np.full(uni.size, -1, dtype=np.int64)
     for i in uni.phi_indices.tolist():
         labels[i] = uni.of(rep(uni.elements[i]))
@@ -94,13 +95,13 @@ def _orbit_labels(uni: ElementIndex) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _orbit_bits(uni: ElementIndex, rep: int) -> np.ndarray:
+def _orbit_bits(n: int, rep: int) -> np.ndarray:
     """The orbit of the representative with index rep, as a packed mask."""
-    return uni.pack(np.flatnonzero(_orbit_labels(uni) == rep))
+    return get_index(n).pack(np.flatnonzero(_orbit_labels(n) == rep))
 
 
 def _orbit_bits_of(uni: ElementIndex, alpha: Endomorphism) -> np.ndarray:
-    return _orbit_bits(uni, int(_orbit_labels(uni)[uni.of(alpha)]))
+    return _orbit_bits(uni.n, int(_orbit_labels(uni.n)[uni.of(alpha)]))
 
 
 # -- partitions -------------------------------------------------------------
@@ -239,17 +240,17 @@ _IDEMPOTENT_RANKS = {"E_7": 7, "E_3": 3, "E_2": 2, "E_1": 1}
 
 
 def idempotent_partition(n: int) -> IdempotentPartition:
-    """Idempotents grouped by rank, cross-checked against {a : a^2 = a} and
-    against each member's rank.
+    """Idempotents grouped by rank, cross-checked against {a : a^2 = a}, read
+    as a(a(g)) = a(g) on the generators g of T_n, and each member's rank.
 
     The closed form reads the component labels: the identity among the
     units, sigma^g for g in the Klein four-group, and the E_3, E_2 and E_1
-    components whole.  Neither side reads the product table, so this runs
-    on the element index at every degree (n <= 6), and a mismatch names
-    the first disagreeing element of ``elements(n)``.
+    components whole.  Neither side reads the product, so this runs on
+    the element index at every degree (n <= 6), and a mismatch names the
+    first disagreeing element of ``elements(n)``.
     """
     index = get_index(n)
-    members, comp = index.elements, _component_labels(index)
+    members, comp = index.elements, _component_labels(n)
     klein = set(klein_four())
     groups = {
         name: np.flatnonzero(comp == COMPONENTS.index(name)).tolist()
@@ -263,7 +264,8 @@ def idempotent_partition(n: int) -> IdempotentPartition:
         grouped[found] = True
         ranked[found] = rank is not None
         of_rank[found] = [members[i].rank == rank for i in found]
-    square = [multiply(el, el) is el for el in members]
+    gens = generators(n)
+    square = [all(apply(a, apply(a, g)) is apply(a, g) for g in gens) for a in members]
     _attest("idempotents", members, np.packbits(grouped), np.packbits(square))
     _attest("idempotent ranks", members, np.packbits(ranked), np.packbits(of_rank))
     return IdempotentPartition(**{k: index.element_set(v) for k, v in groups.items()})
@@ -311,8 +313,8 @@ def _formula_green_labels(uni: ElementIndex, relation: str) -> np.ndarray:
     # and C split into their orbits.
     keys = np.where(
         _in_components(uni, ("A", "B", "C")),
-        _orbit_labels(uni),
-        -1 - _component_labels(uni),
+        _orbit_labels(uni.n),
+        -1 - _component_labels(uni.n),
     )
     return _labels_by_key(keys.tolist())
 
@@ -358,7 +360,7 @@ class PrincipalIdeals:
 
 def _formula_left_ideal(uni: ElementIndex, alpha: Endomorphism) -> np.ndarray:
     if alpha.is_aut:
-        return _right_ideal_bits(uni)["Aut"]  # the whole monoid
+        return _right_ideal_bits(uni.n)["Aut"]  # the whole monoid
     if alpha.is_phi:
         t, e, t2 = alpha.t, alpha.e, alpha.t2
         return uni.pack(
@@ -389,10 +391,10 @@ _RIGHT_IDEAL_COMPONENTS = {
 
 
 @lru_cache(maxsize=None)
-def _right_ideal_bits(uni: ElementIndex) -> dict[str, np.ndarray]:
+def _right_ideal_bits(n: int) -> dict[str, np.ndarray]:
     """Per component, the packed mask of the components its principal
     right ideals hold whole; read-only, as every caller shares it."""
-    masks = {}
+    masks, uni = {}, get_index(n)
     for name, held in _RIGHT_IDEAL_COMPONENTS.items():
         masks[name] = uni.pack(np.flatnonzero(_in_components(uni, held)))
         masks[name].flags.writeable = False
@@ -402,7 +404,7 @@ def _right_ideal_bits(uni: ElementIndex) -> dict[str, np.ndarray]:
 def _formula_right_ideal(
     uni: ElementIndex, alpha: Endomorphism, name: str
 ) -> np.ndarray:
-    bits = _right_ideal_bits(uni)[name]
+    bits = _right_ideal_bits(uni.n)[name]
     if name in ("A", "B", "C"):
         bits = bits | _orbit_bits_of(uni, alpha)
     return bits
@@ -424,7 +426,7 @@ def _two_sided_ideal(uni: Universe, i: int) -> np.ndarray:
     """Element i's principal two-sided ideal as a packed mask: the closed
     form attested against ``Universe.two_sided_bits``."""
     brute = uni.two_sided_bits(i)
-    name = COMPONENTS[_component_labels(uni)[i]]
+    name = COMPONENTS[_component_labels(uni.n)[i]]
     formula = _formula_two_sided_ideal(uni, uni.elements[i], name)
     _attest("two-sided principal ideals", uni.elements, formula, brute)
     return brute
@@ -445,7 +447,7 @@ def principal_ideals(alpha: Endomorphism) -> PrincipalIdeals:
     uni = get_universe(alpha.n)
     elements, i = uni.elements, uni.of(alpha)
     left, right = uni.left_bits[i], uni.right_bits[i]
-    name = COMPONENTS[_component_labels(uni)[i]]
+    name = COMPONENTS[_component_labels(uni.n)[i]]
     formula_right = _formula_right_ideal(uni, alpha, name)
     _attest("left principal ideals", elements, _formula_left_ideal(uni, alpha), left)
     _attest("right principal ideals", elements, formula_right, right)
@@ -530,7 +532,7 @@ def _downsets(below: list[frozenset[int]]) -> list[frozenset[int]]:
 
 
 def _describe_ideal(uni: Universe, indices: frozenset[int]) -> IdealDescription:
-    comp = _component_labels(uni)
+    comp = _component_labels(uni.n)
     inside = np.zeros(uni.size, dtype=bool)
     inside[np.fromiter(indices, dtype=np.int64)] = True
     present = {COMPONENTS[k] for k in np.unique(comp[inside]).tolist()}
@@ -545,7 +547,7 @@ def _describe_ideal(uni: Universe, indices: frozenset[int]) -> IdealDescription:
 
     def orbit_keys(name: str) -> frozenset[str]:
         hit = inside & (comp == COMPONENTS.index(name))
-        reps = np.unique(_orbit_labels(uni)[hit]).tolist()
+        reps = np.unique(_orbit_labels(uni.n)[hit]).tolist()
         return frozenset(uni.elements[r].key() for r in reps)
 
     return IdealDescription(
@@ -602,7 +604,7 @@ def _j_order(uni: Universe, reps: list[int]) -> np.ndarray:
 
 def _ideal_index_sets(uni: Universe) -> list[frozenset[int]]:
     label = _green_labels(uni, "J")
-    comp = _component_labels(uni)
+    comp = _component_labels(uni.n)
     reps = sorted(
         np.unique(label).tolist(),
         key=lambda r: (_J_CLASS_ORDER.index(COMPONENTS[comp[r]]), r),
@@ -761,7 +763,7 @@ def _formula_extended_labels(uni: ElementIndex, relation: str) -> np.ndarray:
                 key = -1 - np.arange(len(COMPONENTS))
                 for g, names in enumerate(groups):
                     key[[COMPONENTS.index(name) for name in names]] = g
-                return _labels_by_key(key[_component_labels(uni)].tolist())
+                return _labels_by_key(key[_component_labels(uni.n)].tolist())
         return _formula_extended_labels(uni, "R" + relation[1])
     # L* and L~ refine the L-classes of the closed form on A, B and C, the
     # non-regular elements.

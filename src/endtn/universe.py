@@ -10,13 +10,12 @@ universe can hold at most 65,536 elements; a larger one is refused with
 bitsets read off it are read-only once built.
 
 The table is the substrate for every brute-force computation (ideals,
-Green's relations, kernels of left/right translations).  It is filled by
-one rule per block of the symbolic multiplication, which is itself
-verified against the function-composition oracle elsewhere: the unit and
-rank-7 cells by ``multiply``, phi columns by absorption or by the row's
-type tag (beta, beta+, beta- or beta0), and phi x Aut by conjugating
-every (t, e) with gathers.  It reads nothing of ``cosets``, whose orbits
-it is the reference for, so the two sides stay separate.
+Green's relations, kernels of left/right translations).  It is the
+composition table of ``action``: each cell is read off the action of its
+row and column element on the generators of T_n, never off the symbolic
+product, which ``multiply`` alone computes and the table is compared
+with.  It reads nothing of ``cosets``, whose orbits it is the reference
+for, so the two sides stay separate.
 
 The value sets of the table's rows and columns (the principal right and
 left ideals) and the principal two-sided ideals are kept as packed
@@ -31,23 +30,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .endomorphisms import (
-    Endomorphism,
-    TypeTag,
-    elements,
-    multiply,
-    singular_words,
-    star_map,
-)
-from .errors import CapacityError, VerificationError
-from .transformations import (
-    MAX_TABLE_DEGREE,
-    check_capacity,
-    conjugate_words,
-    pair_codes,
-)
+from .action import composition_table
+from .endomorphisms import Endomorphism, elements
+from .errors import CapacityError
+from .transformations import MAX_TABLE_DEGREE, check_capacity
 
-# The cells are element indices in ``uint16``.  The bound is one of the
+# ``composition_table`` fills ``uint16`` cells.  The bound is one of the
 # representation, not a cost, so ENDTN_CAPACITY_OVERRIDE does not lift it;
 # n = 6, with 38,503 elements, fits.
 _CELL = np.uint16
@@ -109,73 +97,13 @@ class Universe(ElementIndex):
     def __init__(self, n: int):
         check_capacity(n, MAX_TABLE_DEGREE, "product table construction")
         super().__init__(n)
-        self.table = self._build_table()
-        self.table.flags.writeable = False
-
-    # -- construction ------------------------------------------------------
-
-    def _build_table(self) -> np.ndarray:
         if self.size > MAX_TABLE_SIZE:
             raise CapacityError(
                 f"the product table holds at most {MAX_TABLE_SIZE} elements "
                 f"in {np.dtype(_CELL).name} cells, got {self.size}"
             )
-        els, idx = self.elements, self.index
-        auts, phis, sigmas = self.aut_indices, self.phi_indices, self.sigma_indices
-        units_and_sigmas = np.concatenate([auts, sigmas])
-        table = np.empty((self.size, self.size), dtype=_CELL)
-
-        def by_multiply(rows, cols):
-            table[np.ix_(rows, cols)] = [
-                [idx[multiply(els[i], els[j])] for j in cols] for i in rows
-            ]
-
-        by_multiply(units_and_sigmas, auts)
-        # The sigma columns, only at n = 4, take every row by multiply.
-        by_multiply(np.arange(self.size), sigmas)
-        if len(phis):
-            table[np.ix_(phis, auts)] = self._phi_aut_block()
-            # Units and the rank-7 maps absorb into phi.
-            table[np.ix_(units_and_sigmas, phis)] = phis
-            # A phi row is beta, beta+, beta- or beta0 across the phi
-            # columns, by its own type tag.
-            for tag, star in (
-                (TypeTag.ODD, None),
-                (TypeTag.EVEN, "+"),
-                (TypeTag.NON_PERMUTATION, "-"),
-                (TypeTag.TRIVIAL, "0"),
-            ):
-                rows = phis[[els[i].type_tag is tag for i in phis]]
-                table[np.ix_(rows, phis)] = [
-                    j if star is None else idx[star_map(els[j], star)] for j in phis
-                ]
-        return table
-
-    def _phi_aut_block(self) -> np.ndarray:
-        """table[phis, auts]: phi(t, e) aut(g) = phi(t^g, e^g), by gathers.
-
-        Each (t, e) is keyed by its base-n word code, ascending because the
-        phi slice of the elements is in sort_key order, and the conjugated
-        codes are mapped back to element indices by binary search.
-        """
-        t_words, e_words = singular_words(self.n)
-        codes = pair_codes(t_words, e_words)
-        block = np.empty((len(codes), len(self.aut_indices)), dtype=_CELL)
-        for col, i in enumerate(self.aut_indices):
-            g = self.elements[i].g
-            key = pair_codes(conjugate_words(t_words, g), conjugate_words(e_words, g))
-            pos = np.minimum(np.searchsorted(codes, key), len(codes) - 1)
-            missing = np.flatnonzero(codes[pos] != key)
-            if len(missing):
-                raise VerificationError(
-                    "a conjugated permissible pair is not an element",
-                    counterexample=(
-                        self.elements[self.phi_indices[missing[0]]],
-                        self.elements[i],
-                    ),
-                )
-            block[:, col] = self.phi_indices[pos]
-        return block
+        self.table = composition_table(n)
+        self.table.flags.writeable = False
 
     # -- structural subsets (from the defining parameter conditions) -------
 

@@ -8,11 +8,12 @@ from endtn import action
 from endtn.action import (
     action_matrix,
     check_homomorphisms,
+    composition_table,
     product_mismatches,
 )
 from endtn.endomorphisms import apply, elements
 from endtn.errors import CapacityError, VerificationError
-from endtn.transformations import compose, enumerate_all, generators
+from endtn.transformations import all_words, compose, enumerate_all, generators
 from endtn.universe import get_universe
 
 
@@ -85,3 +86,54 @@ def test_dense_matrix_is_guarded(monkeypatch):
         action_matrix(6)
     with pytest.raises(CapacityError):
         check_homomorphisms(6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_composition_table_is_the_universe_table(n):
+    table = composition_table(n)
+    assert table.dtype == np.uint16
+    assert np.array_equal(table, get_universe(n).table)
+    assert product_mismatches(table, n).shape == (0, 2)
+
+
+def _corrupt_call(monkeypatch, which, corrupt):
+    """Patch ``act`` so that its call number ``which`` (0: the generators,
+    1: the codes that signatures use) returns ``corrupt`` of its result."""
+    real, calls = action.act, []
+
+    def patched(words):
+        out = real(words)
+        calls.append(words)
+        return corrupt(out) if len(calls) - 1 == which else out
+
+    monkeypatch.setattr(action, "act", patched)
+
+
+def test_a_shared_signature_is_refused(monkeypatch):
+    els = elements(3)
+
+    def shared(out):
+        out[11] = out[10]
+        return out
+
+    _corrupt_call(monkeypatch, 0, shared)
+    with pytest.raises(VerificationError, match="one signature") as err:
+        composition_table(3)
+    assert set(err.value.counterexample) == {els[10].key(), els[11].key()}
+
+
+def test_an_unlisted_product_is_refused(monkeypatch):
+    els = elements(3)
+    assert els[0].g.is_identity and els[1].is_aut
+    signatures = action.act(all_words(3)[action._codes(generators(3))])
+    unused = min(set(range(27)) - set(signatures.ravel().tolist()))
+
+    def unlisted(out):
+        # aut row 1 sends every code that signatures use to one they don't.
+        out[1] = unused
+        return out
+
+    _corrupt_call(monkeypatch, 1, unlisted)
+    with pytest.raises(VerificationError, match="not a listed element") as err:
+        composition_table(3)
+    assert err.value.counterexample == (els[0].key(), els[1].key())

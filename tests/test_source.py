@@ -70,9 +70,17 @@ def _imported(module: str) -> set[str]:
 
 def test_universe_reads_no_formula_side():
     """The product table is the brute side that ``cosets``, ``structure``
-    and ``presentation`` are checked against, so it imports none of them."""
+    and ``presentation`` are checked against, so it imports none of them,
+    nor the symbolic product that the table is compared with."""
     imported = _imported("universe.py")
-    assert imported and not imported & {"cosets", "structure", "presentation"}
+    assert "composition_table" in imported
+    assert not imported & {
+        "cosets",
+        "structure",
+        "presentation",
+        "multiply",
+        "star_map",
+    }
 
 
 def test_action_reads_no_product():
@@ -91,16 +99,57 @@ def test_action_reads_no_product():
     }
 
 
-def test_cli_does_not_import_action():
-    """The dense action matrix (20 MB at n = 5) is built only by the
-    checks that read it, never on a verb's path: neither ``cli`` nor a
-    module it can reach imports ``action``."""
-    importers = [
-        path.name
-        for path in sorted(SOURCE.glob("*.py"))
-        if path.name != "action.py" and "action" in _imported(path.name)
-    ]
-    assert importers == []
+# The checks of ``action`` that build the dense action matrix (20 MB at
+# n = 5) or the composition of all of T_n.
+DENSE_CHECKS = {
+    "action_matrix",
+    "check_homomorphisms",
+    "product_mismatches",
+    "_composition",
+}
+
+
+def _dense_check_references(source: Path) -> set[str]:
+    """Where a module under ``source`` other than ``action`` names one of
+    ``DENSE_CHECKS``: as a name, an attribute, an import or a string."""
+    found = set()
+    for path in sorted(source.glob("*.py")):
+        if path.name == "action.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            word = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, ast.alias):
+                word = node.name
+            elif isinstance(node, ast.Constant):
+                word = node.value
+            if word in DENSE_CHECKS:
+                found.add(f"{path.name}: {word}")
+    return found
+
+
+def test_only_action_names_the_dense_checks():
+    """``universe`` builds its table with ``action.composition_table``,
+    which acts on the codes that signatures use only; the dense matrix
+    and the checks that read it run only in the tests, never on a verb's
+    path, because no other module names them."""
+    assert _dense_check_references(SOURCE) == set()
+
+
+@pytest.mark.parametrize(
+    "reference",
+    [
+        "from .action import action_matrix\n",
+        "from . import action\n\n\ndef f(n):\n    return action.product_mismatches\n",
+        "CHECK = getattr(__import__('endtn.action'), 'check_homomorphisms')\n",
+    ],
+    ids=["import", "attribute", "string"],
+)
+def test_dense_check_scan_sees_a_reference_elsewhere(tmp_path, reference):
+    for path in SOURCE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "cli.py", "a") as handle:
+        handle.write("\n" + reference)
+    assert _dense_check_references(tmp_path)
 
 
 def test_benchmark_hooks_resolve():

@@ -139,8 +139,8 @@ def relabel(monkeypatch, moves):
 
     real = structure._component_labels
 
-    def corrupted(index):
-        labels = real(index).copy()
+    def corrupted(n):
+        labels, index = real(n).copy(), get_index(n)
         for el, name in moves.items():
             if el in index.index:
                 labels[index.of(el)] = COMPONENTS.index(name)
@@ -190,6 +190,32 @@ class TestIdempotents:
         part = idempotent_partition(3)
         for el in part.all:
             assert multiply(el, el) is el
+
+    def test_brute_side_reads_no_symbolic_product(self, monkeypatch):
+        """a^2 = a is decided by the action on the generators, so the
+        check runs with ``multiply`` refusing every call."""
+        import endtn.structure as structure
+
+        def refused(*args):
+            raise AssertionError("multiply was called")
+
+        monkeypatch.setattr(endomorphisms, "multiply", refused)
+        assert not hasattr(structure, "multiply")
+        sizes = [len(idempotent_partition(n).all) for n in range(1, 7)]
+        assert sizes == [1, 6, 23, 110, 572, 3_494]
+
+    def test_formula_labels_are_built_once_per_degree(self):
+        """The index and the universe of one degree share the component
+        labels, so the idempotents (on the index) and a Green's relation
+        (on the universe) compute them once."""
+        import endtn.structure as structure
+
+        structure._component_labels.cache_clear()
+        idempotent_partition(4)
+        green_partition(4, "R")
+        info = structure._component_labels.cache_info()
+        assert get_index(4) is not get_universe(4)
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 class TestRegularity:
@@ -337,7 +363,7 @@ class TestPrincipalIdeals:
         uni = get_universe(4)
         alpha = next(el for el in uni.elements if component_of(el) == "E_1")
         principal_ideals(alpha)  # fills the mask and element-set caches
-        masks = _right_ideal_bits(uni)  # E_1's right ideal is E_1 itself
+        masks = _right_ideal_bits(uni.n)  # E_1's right ideal is E_1 itself
         members = set(uni.members(masks["E_1"]).tolist())
         wrong = uni.pack(members | {uni.of(epsilon(4))})
         monkeypatch.setitem(masks, "E_1", wrong)
@@ -349,7 +375,7 @@ class TestPrincipalIdeals:
         for el in uni.elements:
             principal_ideals(el)
             j_leq(el, el)
-        for name, mask in _right_ideal_bits(uni).items():
+        for name, mask in _right_ideal_bits(uni.n).items():
             assert mask.tobytes() == uni.pack(
                 i for i, el in enumerate(uni.elements)
                 if component_of(el) in _RIGHT_IDEAL_COMPONENTS[name]

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from endtn import universe
 from endtn.endomorphisms import TypeTag, elements, epsilon, multiply
 from endtn.errors import CapacityError
 from endtn.structure import enumerate_ideals
@@ -13,6 +14,8 @@ from endtn.universe import MAX_TABLE_SIZE, Universe, get_index, get_universe
 # sha256 of ``get_universe(n).table.astype(np.int32).tobytes()``, recorded
 # from the table built by the symbolic product block by block when its
 # cells were int32; the uint16 table is hashed over the same int32 bytes.
+# The table is now the composition table of ``action``, which must
+# reproduce these digests without them being recorded again.
 TABLE_SHA256 = {
     1: "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
     2: "838af80083cb678e2167d6cb1baf87d804d8e7ed0a0032f5db0b595ad5d2637a",
@@ -94,6 +97,8 @@ class TestTable:
             assert uni4.table[i].tolist() == expected
 
     def test_phi_aut_block_matches_symbolic_product(self):
+        """The formula's phi x Aut block, phi(t, e) aut(g) = phi(t^g, e^g),
+        against the composition table."""
         uni = get_universe(5)
         els = uni.elements
         auts = [els[j] for j in uni.aut_indices]
@@ -125,13 +130,20 @@ class TestTable:
     @pytest.mark.parametrize("override", ["", "1"])
     def test_cell_bound_is_checked_before_the_table(self, monkeypatch, override):
         """A universe past 65,536 elements would wrap in uint16 cells: it is
-        refused, override or not, before any block is built."""
+        refused, override or not, before the table is built."""
         monkeypatch.setenv("ENDTN_CAPACITY_OVERRIDE", override)
-        uni = Universe.__new__(Universe)
-        uni.size = MAX_TABLE_SIZE + 1
+
+        def too_many(self, n):
+            self.n, self.size = n, MAX_TABLE_SIZE + 1
+
+        def build(n):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(universe.ElementIndex, "__init__", too_many)
+        monkeypatch.setattr(universe, "composition_table", build)
         assert MAX_TABLE_SIZE == 65_536
         with pytest.raises(CapacityError, match="65536"):
-            uni._build_table()
+            Universe(3)
 
     def test_shared_arrays_are_read_only(self, uni4):
         for array in (uni4.table, uni4.right_bits, uni4.left_bits):
