@@ -11,7 +11,6 @@ stderr and the status is 4.
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import io
 import json
@@ -23,7 +22,7 @@ from .endomorphisms import elements, multiply, oracle_multiply
 from .errors import CapacityError, UsageError, VerificationError
 from .pairs import (
     PermissiblePair,
-    _checked_pairs,
+    _checked_pair_words,
     brute_force_partners,
     count_pairs_for,
     u_words,
@@ -114,12 +113,11 @@ def cmd_counts(args) -> int:
     rows = []
     words = u_words(args.n)
     # Every pair of U_n built and checked in one batch, counted per t; a t
-    # whose enumeration yields nothing still gets its row, with 0.
-    constructive_of = collections.Counter(pair.t for pair in _checked_pairs(words))
-    for word in words.tolist():
+    # whose construction gives nothing still gets its row, with 0.
+    sizes = _checked_pair_words(words)[0]
+    for word, constructive in zip(words.tolist(), sizes.tolist()):
         t = Transformation(tuple(word))
         formula = count_pairs_for(t)
-        constructive = constructive_of[t]
         row = [t.to_text(), formula, constructive]
         if args.verify:
             brute = len(brute_force_partners(t))

@@ -8,7 +8,9 @@ An endomorphism is one of three variants:
 * ``sigma4(g)``   -- the twenty-four rank-7 maps that exist only at n = 4.
 
 Values are interned, so equality checks are cheap and the symbolic product
-of two interned elements is again interned.
+of two interned elements is again interned.  ``elements(n)`` lists End(T_n)
+once per degree; its singular block is read off the checked arrays of
+permissible pairs, ``singular_words(n)``, with no pair object per element.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NotAnEndomorphismError
-from .pairs import PermissiblePair, enumerate_P
+from .pairs import PermissiblePair, _checked_pair_words, u_members, u_words
 from .transformations import (
     MAX_END_DEGREE,
     Transformation,
@@ -30,6 +32,7 @@ from .transformations import (
     enumerate_permutations,
     generators,
     permutation_parity,
+    word_codes,
 )
 
 
@@ -129,16 +132,16 @@ class Endomorphism:
         return self.sort_key() < other.sort_key()
 
 
-def _make(kind: int, key: tuple, **fields) -> Endomorphism:
+def _make(kind: int, key: tuple, g, t, e, t2, type_tag: TypeTag) -> Endomorphism:
     self = object.__new__(Endomorphism)
     self.kind = kind
-    self.g = fields.get("g")
-    self.t = fields.get("t")
+    self.g = g
+    self.t = t
     # The degree is read on every product, so it is stored, not derived.
-    self.n = self.g.n if self.g is not None else self.t.n
-    self.e = fields.get("e")
-    self.t2 = fields.get("t2")
-    self.type_tag = fields["type_tag"]
+    self.n = g.n if g is not None else t.n
+    self.e = e
+    self.t2 = t2
+    self.type_tag = type_tag
     # ``_star`` is left unset until ``star_map`` first reads it.
     _intern[key] = self
     return self
@@ -152,7 +155,7 @@ def aut(g: Transformation) -> Endomorphism:
         return cached
     if not g.is_permutation:
         raise ValueError("aut requires a permutation")
-    return _make(_AUT, key, g=g, type_tag=TypeTag.GROUP)
+    return _make(_AUT, key, g, None, None, None, TypeTag.GROUP)
 
 
 def phi(t: Transformation, e: Transformation) -> Endomorphism:
@@ -174,15 +177,19 @@ def phi_of(pair: PermissiblePair) -> Endomorphism:
     cached = _intern.get(key)
     if cached is not None:
         return cached
-    if not t.is_permutation:
-        tag = TypeTag.NON_PERMUTATION
-    elif permutation_parity(t) == "odd":
-        tag = TypeTag.ODD
-    elif t.is_identity and e.is_identity:
+    tag = _tag_of(t)
+    if tag is TypeTag.EVEN and t.is_identity and e.is_identity:
         tag = TypeTag.TRIVIAL
-    else:
-        tag = TypeTag.EVEN
-    return _make(_PHI, key, t=t, e=e, t2=t.square(), type_tag=tag)
+    return _make(_PHI, key, None, t, e, t.square(), tag)
+
+
+def _tag_of(t: Transformation) -> TypeTag:
+    """The type of every phi(t, e) but phi(id, id), which is trivial."""
+    if not t.is_permutation:
+        return TypeTag.NON_PERMUTATION
+    if permutation_parity(t) == "odd":
+        return TypeTag.ODD
+    return TypeTag.EVEN
 
 
 def sigma4(g: Transformation) -> Endomorphism:
@@ -195,7 +202,7 @@ def sigma4(g: Transformation) -> Endomorphism:
         raise ValueError("sigma4 exists only at degree 4")
     if not g.is_permutation:
         raise ValueError("sigma4 requires a permutation")
-    return _make(_SIGMA4, key, g=g, type_tag=TypeTag.EXCEPTIONAL)
+    return _make(_SIGMA4, key, g, None, None, None, TypeTag.EXCEPTIONAL)
 
 
 @lru_cache(maxsize=None)
@@ -374,14 +381,25 @@ def oracle_multiply(alpha: Endomorphism, beta: Endomorphism) -> Endomorphism:
 
 
 def enumerate_End(n: int) -> Iterator[Endomorphism]:
-    """All of End(T_n): n! automorphisms, the singular phis, and at n = 4
-    the twenty-four rank-7 maps."""
+    """All of End(T_n) in ``sort_key`` order: the n! automorphisms, the
+    singular phis in the order of ``singular_words``, and at n = 4 the
+    twenty-four rank-7 maps."""
     check_capacity(n, MAX_END_DEGREE, "End(T_n) enumeration")
     for g in enumerate_permutations(n):
         yield aut(g)
-    if n >= 2:
-        for pair in enumerate_P(n):
-            yield phi_of(pair)
+    t_words, e_words = singular_words(n)
+    t = None
+    for t_row, e in zip(u_members(t_words), u_members(e_words)):
+        if t_row is not t:
+            # The rows of one t are adjacent: its square and type once.
+            t, t2, tag = t_row, t_row.square(), _tag_of(t_row)
+            trivial = tag is TypeTag.EVEN and t.is_identity
+        key = (_PHI, t.word, e.word)
+        el = _intern.get(key)
+        if el is None:
+            el_tag = TypeTag.TRIVIAL if trivial and e is t else tag
+            el = _make(_PHI, key, None, t, e, t2, el_tag)
+        yield el
     if n == 4:
         for g in enumerate_permutations(4):
             yield sigma4(g)
@@ -392,16 +410,20 @@ def elements(n: int) -> tuple[Endomorphism, ...]:
     """End(T_n) in ``sort_key`` order, enumerated once per degree: the units,
     then the singular elements by (t, e) word, then at n = 4 the rank-7
     maps.  Every table, partition and listing uses this order."""
-    return tuple(sorted(enumerate_End(n), key=Endomorphism.sort_key))
+    return tuple(enumerate_End(n))
 
 
 @lru_cache(maxsize=None)
 def singular_words(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The t and the e image words of the singular block of ``elements(n)``,
-    one read-only ``int8`` row per element in that order, so that their
-    ``pair_codes`` ascend."""
-    phis = [el for el in elements(n) if el.kind == _PHI]
-    t = np.array([el.t.word for el in phis], dtype=np.int8).reshape(-1, n)
-    e = np.array([el.e.word for el in phis], dtype=np.int8).reshape(-1, n)
+    """The t and the e image words of the singular block of ``elements(n)``:
+    every permissible pair, built and checked by ``_checked_pair_words``,
+    as read-only ``int8`` rows sorted so that their ``pair_codes`` ascend.
+    At n = 1 the one pair gives the identity, a unit, so there are none."""
+    check_capacity(n, MAX_END_DEGREE, "permissible pair enumeration")
+    u = u_words(n)[: 0 if n == 1 else None]
+    sizes, e = _checked_pair_words(u)
+    t = np.repeat(u, sizes, axis=0)
+    order = np.lexsort((word_codes(e), word_codes(t)))
+    t, e = t[order], e[order]
     t.flags.writeable = e.flags.writeable = False
     return t, e

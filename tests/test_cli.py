@@ -101,6 +101,8 @@ class TestVerification:
         "counts --n 4 --verify --format csv": "917188b1ba8a040db92b6ed5539914f6730c374b2d9ba5adcd4e00c0169438dd",
         "counts --n 5 --verify --format csv": "f0efa1d105cc5e8bb8cd3e9d6b125e358e949aa5dc5fdcd2777bd6a1a3a99405",
         "counts --n 6 --format csv": "72f8e57a6ede21f2e37758f0090bee87325d083e1bf2d3085ac5a3e138bdbdc1",
+        # Recorded from the per-t partner generator; 44,144 lines.
+        "counts --n 7 --format csv": "08c63617c96d231d062b28a619c22bc5b74425b0baae18e160109264144fc9f2",
     }
 
     @pytest.mark.parametrize("argv", list(PINNED_COUNTS))
@@ -128,23 +130,15 @@ class TestVerification:
 
         def recording(t_words):
             batches.append(len(t_words))
-            return pairs._checked_pairs(t_words)
+            return pairs._checked_pair_words(t_words)
 
-        monkeypatch.setattr(cli, "_checked_pairs", recording)
+        monkeypatch.setattr(cli, "_checked_pair_words", recording)
         code, _, _ = run(capsys, "counts", "--n", "4", "--format", "csv")
         assert code == 0 and batches == [len(pairs.u_words(4))]
         assert not hasattr(cli, "enumerate_pairs_for")
 
-    def test_counts_exits_1_on_a_bad_constructed_pair(self, capsys, monkeypatch):
-        real = pairs._partner_words
-        bad_t, bad_e = (0, 0, 2), (1, 0, 2)
-
-        def corrupted(w):
-            yield from real(w)
-            if w == bad_t:
-                yield bad_e
-
-        monkeypatch.setattr(pairs, "_partner_words", corrupted)
+    def test_counts_exits_1_on_a_bad_constructed_pair(self, capsys, extra_partner):
+        extra_partner((0, 0, 2), (1, 0, 2))
         code, out, err = run(capsys, "counts", "--n", "3")
         assert code == 1 and out == ""
         assert "(1 1 3, 2 1 3) is not a permissible pair" in err
@@ -332,7 +326,7 @@ class TestExitCodes:
         [
             (
                 ("counts", "--n", "7", "--verify"),
-                "_checked_pairs",
+                "_checked_pair_words",
                 "brute-force partner scan is guarded at n <= 6, got n = 7",
             ),
             (
@@ -469,6 +463,9 @@ class TestMemoryBounds:
             # as its same-type pairs, for 1,000 sampled words or for every
             # element's normal form.
             ("presentation-check --n 6", 65),
+            # 62 MB while U_7 was tested in one pass and every pair of U_7
+            # was made an object, 59-60 MB with neither.
+            ("counts --n 7", 62),
         ],
     )
     def test_peak_rss_is_bounded(self, monkeypatch, argv, bound_mb):

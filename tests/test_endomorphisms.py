@@ -1,10 +1,12 @@
 import collections
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
 
+import endtn.endomorphisms as endomorphisms
 from endtn.endomorphisms import (
     Endomorphism,
     TypeTag,
@@ -356,21 +358,14 @@ class TestEnumeration:
         for el in phis:
             assert el.t2 is el.t.square() is real(el.t, el.t)
 
-    def test_a_bad_pair_in_the_batch_is_named(self, monkeypatch):
+    def test_a_bad_pair_in_the_batch_is_named(self, extra_partner):
         import endtn.pairs as pairs
 
-        real = pairs._partner_words
         # t = [1, 1, 3, 4] gets one partner that is not idempotent, after
         # its good ones: either enumeration checks its whole batch before
         # it yields the first pair.
         bad_t, bad_e = (0, 0, 2, 3), (1, 0, 2, 3)
-
-        def corrupted(w):
-            yield from real(w)
-            if w == bad_t:
-                yield bad_e
-
-        monkeypatch.setattr(pairs, "_partner_words", corrupted)
+        extra_partner(bad_t, bad_e)
         one_row = np.array([bad_t], dtype=np.int8)
         batches = pairs.enumerate_P(4), pairs._checked_pairs(one_row)
         for batch in batches:
@@ -402,3 +397,57 @@ class TestEnumeration:
             PermissiblePair(t, Transformation.constant(3, 2))
         with pytest.raises(ValueError, match="is not a permissible pair"):
             phi(t, Transformation.constant(3, 2))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_singular_element_was_checked(self, monkeypatch, n):
+        import endtn.pairs as pairs
+
+        fresh_element_caches(monkeypatch)
+        checked = set()
+        real = pairs._check_pairs
+
+        def recording(t, e):
+            checked.update(zip(map(tuple, t.tolist()), map(tuple, e.tolist())))
+            return real(t, e)
+
+        monkeypatch.setattr(pairs, "_check_pairs", recording)
+        phis = [(el.t.word, el.e.word) for el in endomorphisms.elements(n) if el.is_phi]
+        assert len(phis) == {4: 297, 5: 3_106}[n] and set(phis) <= checked
+
+    def test_elements_make_no_pair_objects(self, monkeypatch):
+        import endtn.pairs as pairs
+        import endtn.transformations as transformations
+
+        def forbidden(*args):
+            raise AssertionError("a pair object was made")
+
+        cached = {n: [el.key() for el in elements(n)] for n in range(2, 7)}
+        monkeypatch.setattr(transformations, "_intern", {})
+        monkeypatch.setattr(endomorphisms, "_intern", {})
+        monkeypatch.setattr(pairs.PermissiblePair, "_checked", forbidden)
+        monkeypatch.setattr(pairs.PermissiblePair, "__post_init__", forbidden)
+        monkeypatch.setattr(endomorphisms, "phi_of", forbidden)
+        for n in range(2, 7):
+            fresh_element_caches(monkeypatch)
+            assert [el.key() for el in endomorphisms.elements(n)] == cached[n]
+
+    def test_a_partner_outside_U_is_refused(self, monkeypatch):
+        import endtn.pairs as pairs
+
+        # U_3 without c_1, a partner of the identity.
+        u = pairs.u_words(3)
+        short = u[(u != 0).any(axis=1)]
+        monkeypatch.setattr(pairs, "u_words", lambda n: short)
+        identity = np.array([[0, 1, 2]], dtype=np.int8)
+        with pytest.raises(VerificationError, match="^1 1 1 is not in U_n$") as raised:
+            next(pairs._checked_pairs(identity))
+        assert raised.value.counterexample == Transformation.constant(3, 1)
+
+
+def fresh_element_caches(monkeypatch):
+    """Empty caches of ``elements`` and ``singular_words`` for one test, so
+    that the next call builds End(T_n) again; the shared ones come back
+    afterwards."""
+    for name in ("elements", "singular_words"):
+        cached = getattr(endomorphisms, name)
+        monkeypatch.setattr(endomorphisms, name, functools.lru_cache(cached.__wrapped__))

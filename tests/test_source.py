@@ -174,11 +174,17 @@ def test_benchmark_hooks_resolve():
 
 
 def test_each_degree_is_enumerated_in_one_place():
-    """``endomorphisms.elements`` is the one caller of ``enumerate_End``, and
-    ``enumerate_End`` the one caller of ``enumerate_P``, so every module
-    reads End(T_n) from the one cached tuple rather than enumerating the
-    pairs again."""
-    callers = {"enumerate_End": set(), "enumerate_P": set()}
+    """``endomorphisms.elements`` is the one caller of ``enumerate_End``,
+    and the checked-array builder ``_checked_pair_words``, the one caller of
+    the unchecked ``_partner_block``, is called only where the singular
+    words, the checked pairs and the ``counts`` column are made, so every
+    module reads End(T_n) from the one cached tuple rather than building
+    the pairs again."""
+    callers = {
+        "enumerate_End": set(),
+        "_checked_pair_words": set(),
+        "_partner_block": set(),
+    }
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -194,7 +200,12 @@ def test_each_degree_is_enumerated_in_one_place():
         visit(ast.parse(path.read_text(), str(path)), "<module>")
     assert callers == {
         "enumerate_End": {"endomorphisms.elements"},
-        "enumerate_P": {"endomorphisms.enumerate_End"},
+        "_checked_pair_words": {
+            "endomorphisms.singular_words",
+            "pairs._checked_pairs",
+            "cli.cmd_counts",
+        },
+        "_partner_block": {"pairs._checked_pair_words"},
     }
 
 
@@ -222,17 +233,26 @@ def test_pairs_are_enumerated_by_array_passes():
         called = {c for c, _ in calls(functions[name])}
         todo += called & functions.keys() - reached
     forbidden = {"enumerate_all", "is_in_U", "is_permissible", "compose"}
-    assert {"u_words", "_checked_pairs", "_partner_words", "_check_pairs"} <= reached
+    construction = {"_roots", "_partner_table", "_partner_block", "_checked_pair_words"}
+    assert {"u_words", "_checked_pairs", "u_members", "_check_pairs"} | construction <= reached
     assert not {c for name in reached for c, _ in calls(functions[name])} & forbidden
 
+    # The builder checks each block in the loop pass that builds it.
+    builder = functions["_checked_pair_words"]
+    loop = next(node for node in ast.walk(builder) if isinstance(node, ast.For))
+    lines = {c: line for c, line in calls(loop)}
+    names = [c for c, _ in calls(builder)]
+    assert names.count("_partner_block") == names.count("_check_pairs") == 1
+    assert lines["_partner_block"] < lines["_check_pairs"]
+
     # Each function that calls the unchecked constructor: whether every
-    # such call follows its last call of the array check.
+    # such call follows its last call of the checked-array builder.
     after_check = {}
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.FunctionDef):
                 made = [line for c, line in calls(node) if c == "_checked"]
-                checked = [line for c, line in calls(node) if c == "_check_pairs"]
+                checked = [line for c, line in calls(node) if c == "_checked_pair_words"]
                 if made:
                     after_check[f"{path.stem}.{node.name}"] = max(
                         checked, default=float("inf")
@@ -262,7 +282,11 @@ def test_brute_partner_scan_reads_no_construction():
     counts or checks the partners by the root construction."""
     functions, reached = _names_reached("pairs.py", "brute_force_partners")
     construction = {
-        "_partner_words",
+        "_roots",
+        "_partner_table",
+        "_partner_block",
+        "_checked_pair_words",
+        "u_members",
         "_fixed_and_low",
         "count_pairs_for",
         "u_words",
