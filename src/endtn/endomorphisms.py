@@ -78,7 +78,7 @@ def coset_rep_fixing_4(s: Transformation) -> Transformation:
 class Endomorphism:
     """Interned symbolic element of End(T_n)."""
 
-    __slots__ = ("kind", "n", "g", "t", "e", "t2", "type_tag", "_star")
+    __slots__ = ("kind", "n", "g", "t", "e", "t2", "type_tag", "_star", "_key")
 
     def __init__(self):
         raise TypeError("use the aut/phi/sigma4 factory functions")
@@ -113,17 +113,25 @@ class Endomorphism:
         return (2, self.g.word)
 
     def key(self) -> str:
-        """Canonical string key used in CLI output and partitions."""
+        """Canonical string key used in CLI output and partitions, built on
+        first call and kept, so every call returns the same string."""
+        try:
+            return self._key
+        except AttributeError:
+            pass
         if self.kind == _AUT:
-            return "aut:g=" + ",".join(map(str, self.g.images))
-        if self.kind == _PHI:
-            return (
+            key = "aut:g=" + ",".join(map(str, self.g.images))
+        elif self.kind == _PHI:
+            key = (
                 "phi:t="
                 + ",".join(map(str, self.t.images))
                 + ";e="
                 + ",".join(map(str, self.e.images))
             )
-        return "sigma4:g=" + ",".join(map(str, self.g.images))
+        else:
+            key = "sigma4:g=" + ",".join(map(str, self.g.images))
+        self._key = key
+        return key
 
     def __repr__(self) -> str:
         return f"<{self.key()}>"
@@ -142,7 +150,8 @@ def _make(kind: int, key: tuple, g, t, e, t2, type_tag: TypeTag) -> Endomorphism
     self.e = e
     self.t2 = t2
     self.type_tag = type_tag
-    # ``_star`` is left unset until ``star_map`` first reads it.
+    # ``_star`` and ``_key`` are left unset until ``star_map`` and ``key``
+    # first read them.
     _intern[key] = self
     return self
 

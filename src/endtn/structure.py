@@ -422,53 +422,80 @@ def _formula_two_sided_ideal(
     return bits
 
 
+@lru_cache(maxsize=None)
+def _attested_ideals(
+    uni: Universe,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every element's left, right and two-sided principal ideal, the
+    closed form attested against the table in one pass per universe.
+
+    Returns the brute-force bitsets: ``Universe.left_bits``,
+    ``right_bits``, and the rows of ``two_sided_ideals`` with each
+    element's row number.  Before that, the closed form's masks of every
+    element are built ``_BLOCK_ROWS`` at a time and compared byte for byte
+    with the same rows of those bitsets; the first differing row goes
+    through ``_attest``, which names its first differing member.  The
+    formula masks are dropped block by block, so every later query reads
+    the brute rows alone, which equal them byte for byte.
+    """
+    elements, (rows, label) = uni.elements, uni.two_sided_ideals
+    names = [COMPONENTS[k] for k in _component_labels(uni.n).tolist()]
+    formulas = (
+        ("left", lambda a, name: _formula_left_ideal(uni, a)),
+        ("right", lambda a, name: _formula_right_ideal(uni, a, name)),
+        ("two-sided", lambda a, name: _formula_two_sided_ideal(uni, a, name)),
+    )
+    for start in range(0, uni.size, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        brutes = (uni.left_bits[block], uni.right_bits[block], rows[label[block]])
+        for (side, formula), brute in zip(formulas, brutes):
+            masks = np.array(
+                [formula(a, name) for a, name in zip(elements[block], names[block])]
+            )
+            if masks.tobytes() != brute.tobytes():
+                k = int(np.flatnonzero((masks != brute).any(axis=1))[0])
+                _attest(f"{side} principal ideals", elements, masks[k], brute[k])
+    return uni.left_bits, uni.right_bits, rows, label
+
+
 def _two_sided_ideal(uni: Universe, i: int) -> np.ndarray:
-    """Element i's principal two-sided ideal as a packed mask: the closed
-    form attested against ``Universe.two_sided_bits``."""
-    brute = uni.two_sided_bits(i)
-    name = COMPONENTS[_component_labels(uni.n)[i]]
-    formula = _formula_two_sided_ideal(uni, uni.elements[i], name)
-    _attest("two-sided principal ideals", uni.elements, formula, brute)
-    return brute
+    """Element i's principal two-sided ideal as a packed mask: its row of
+    ``Universe.two_sided_ideals``, read once the closed form of every
+    element's ideals has been attested against the table
+    (``_attested_ideals``)."""
+    _, _, rows, label = _attested_ideals(uni)
+    return rows[label[i]]
 
 
 def principal_ideals(alpha: Endomorphism) -> PrincipalIdeals:
     """Left/right/two-sided principal ideals, verified against the table.
 
-    Every call attests, for each of the three ideals, the closed form's
-    packed mask against the brute-force bitset read off the table (a row of
-    ``Universe.left_bits`` or ``right_bits``, or ``two_sided_bits(i)``).
-    Memoised along the way: the formula masks of each component's right
-    ideal (read-only) and of each orbit, the brute two-sided rows (one
-    union per distinct right ideal), and the returned element sets (one per
-    distinct ideal, looked up only once the bytes have matched; the left
-    ideal of a singular element, at most four elements, is built afresh).
+    The first call on a universe attests the closed form's packed masks of
+    all three ideals of every element against the brute-force bitsets read
+    off the table (``_attested_ideals``); every call then reads alpha's
+    rows of those bitsets.  The returned element sets are memoised per
+    distinct ideal (the left ideal of a singular element, at most four
+    elements, is built afresh).
     """
     uni = get_universe(alpha.n)
-    elements, i = uni.elements, uni.of(alpha)
-    left, right = uni.left_bits[i], uni.right_bits[i]
-    name = COMPONENTS[_component_labels(uni.n)[i]]
-    formula_right = _formula_right_ideal(uni, alpha, name)
-    _attest("left principal ideals", elements, _formula_left_ideal(uni, alpha), left)
-    _attest("right principal ideals", elements, formula_right, right)
-    two_sided = _two_sided_ideal(uni, i)
+    i = uni.of(alpha)
+    left, right, rows, label = _attested_ideals(uni)
     if alpha.is_phi:
         # At most four members: cheaper to build than to keep one per element.
-        left_set = uni.element_set(uni.members(left))
+        left_set = uni.element_set(uni.members(left[i]))
     else:
-        left_set = uni.bits_element_set(left)
+        left_set = uni.bits_element_set(left[i])
     return PrincipalIdeals(
-        left_set, uni.bits_element_set(right), uni.bits_element_set(two_sided)
+        left_set, uni.bits_element_set(right[i]), uni.bits_element_set(rows[label[i]])
     )
 
 
 def j_leq(alpha: Endomorphism, beta: Endomorphism) -> bool:
     """Whether beta lies in the two-sided ideal generated by alpha.
 
-    Read off alpha's two-sided ideal, whose closed-form mask every call
-    attests whole against the brute-force bitset
-    (``Universe.two_sided_bits``, one union per distinct right ideal, built
-    once per universe).
+    One bit of alpha's brute-force two-sided ideal, read after the first
+    query on the universe has attested the closed form of every element's
+    principal ideals against the table (``_attested_ideals``).
     """
     if alpha.n != beta.n:
         raise ValueError("degree mismatch")
@@ -573,9 +600,10 @@ def enumerate_ideals(n: int) -> list[IdealDescription]:
     complete lattice is far too large to materialise, so only the ideals
     generated by one or two J-classes are emitted.  The two inputs of the
     enumeration are attested: the closed form's J-classes against the
-    brute-force ones, and each class representative's closed-form
-    two-sided ideal, off which the J-order is read, against the table.
-    Every emitted set is re-verified to be two-sided closed.
+    brute-force ones, and the two-sided ideals the J-order is read off,
+    whose closed form is attested for every element at once
+    (``_attested_ideals``).  Every emitted set is re-verified to be
+    two-sided closed.
     """
     uni = get_universe(n)
     ideals = _ideal_index_sets(uni)
@@ -649,8 +677,8 @@ def fix_set(pair: PermissiblePair) -> FixSet:
 # -- extended Green's relations ---------------------------------------------
 
 
-# Rows per step of ``_kernel_keys`` and ``extended_probe_check``; bounds
-# their temporaries to a few MB at n = 5.
+# Rows per step of ``_attested_ideals``, ``_kernel_keys`` and
+# ``extended_probe_check``; bounds their temporaries to a few MB at n = 5.
 _BLOCK_ROWS = 64
 
 
@@ -750,12 +778,9 @@ _COMPONENT_GROUPS = {
 
 def _formula_extended_labels(uni: ElementIndex, relation: str) -> np.ndarray:
     n = uni.n
-    if relation in ("R*", "R~"):
-        # same-rank classes in every degree
-        return _labels_by_key(el.rank for el in uni.elements)
     if relation in ("H*", "H~"):
         suffix = relation[1]
-        left, right = (_formula_extended_labels(uni, s + suffix) for s in "LR")
+        left, right = (_one_sided_labels(n, s + suffix) for s in "LR")
         return _meet(left, right)
     if relation in _COMPONENT_GROUPS:
         for least, groups in _COMPONENT_GROUPS[relation]:
@@ -764,22 +789,36 @@ def _formula_extended_labels(uni: ElementIndex, relation: str) -> np.ndarray:
                 for g, names in enumerate(groups):
                     key[[COMPONENTS.index(name) for name in names]] = g
                 return _labels_by_key(key[_component_labels(uni.n)].tolist())
-        return _formula_extended_labels(uni, "R" + relation[1])
-    # L* and L~ refine the L-classes of the closed form on A, B and C, the
-    # non-regular elements.
-    keys = _left_keys(uni)
-    nonregular = np.flatnonzero(_in_components(uni, ("A", "B", "C"))).tolist()
-    if relation == "L~":
-        for i in nonregular:
-            keys[i] = -1  # one class with the units
-    elif relation == "L*":
-        stabiliser = get_cosets(n).stabiliser
-        for i in nonregular:
-            el = uni.elements[i]
-            keys[i] = (el.type_tag, stabiliser(el))
+        return _one_sided_labels(n, "R" + relation[1])
+    return _one_sided_labels(n, relation)
+
+
+@lru_cache(maxsize=None)
+def _one_sided_labels(n: int, relation: str) -> np.ndarray:
+    """The closed form's classes of R*, R~, L* or L~, built once per degree
+    and read-only: H*, H~ and the coarser relations read them again."""
+    uni = get_index(n)
+    if relation in ("R*", "R~"):
+        # same-rank classes in every degree
+        label = _labels_by_key(el.rank for el in uni.elements)
+    elif relation in ("L*", "L~"):
+        # L* and L~ refine the L-classes of the closed form on A, B and C,
+        # the non-regular elements.
+        keys = _left_keys(uni)
+        nonregular = np.flatnonzero(_in_components(uni, ("A", "B", "C"))).tolist()
+        if relation == "L~":
+            for i in nonregular:
+                keys[i] = -1  # one class with the units
+        else:
+            stabiliser = get_cosets(n).stabiliser
+            for i in nonregular:
+                el = uni.elements[i]
+                keys[i] = (el.type_tag, stabiliser(el))
+        label = _labels_by_key(keys)
     else:
         raise ValueError(f"unknown extended relation {relation!r}")
-    return _labels_by_key(keys)
+    label.flags.writeable = False
+    return label
 
 
 def extended_partition(n: int, relation: str) -> GreenPartition:

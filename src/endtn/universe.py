@@ -88,7 +88,9 @@ class ElementIndex:
 
     def members(self, bits: np.ndarray) -> np.ndarray:
         """The sorted indices in a packed bitset."""
-        return np.flatnonzero(np.unpackbits(bits, count=self.size))
+        # A bool view: numpy scans bool arrays for nonzeros several times
+        # faster than uint8 ones.
+        return np.flatnonzero(np.unpackbits(bits, count=self.size).view(bool))
 
 
 class Universe(ElementIndex):

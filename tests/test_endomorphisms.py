@@ -176,6 +176,23 @@ class TestMultiplication:
         assert alpha._star == {"+": plus}
         assert star_map(alpha, "+") is plus
 
+    def test_keys_are_stored_on_first_use(self, monkeypatch):
+        # A fresh intern table, so that each element is made here.
+        monkeypatch.setattr(endomorphisms, "_intern", {})
+        g = Transformation.from_images([2, 1, 4, 3])
+        made = {
+            "aut:g=2,1,4,3": aut(g),
+            "phi:t=1,3,2,1;e=1,1,1,1": phi(
+                Transformation.from_images([1, 3, 2, 1]), Transformation.constant(4, 1)
+            ),
+            "sigma4:g=2,1,4,3": sigma4(g),
+        }
+        for expected, alpha in made.items():
+            assert not hasattr(alpha, "_key")
+            key = alpha.key()
+            assert key == expected and alpha._key is key
+            assert alpha.key() is key and repr(alpha) == f"<{expected}>"
+
     def test_left_type_decides_phi_products(self):
         c = Transformation.constant(5, 1)
         odd = phi(Transformation.transposition(5, 2, 3), c)

@@ -80,12 +80,17 @@ class TestDecomposition:
 class TestCounting:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_formula_matches_both_enumerations(self, n):
-        for t in u_elements(n):
+        # Every pair of U_n from one build, grouped by t.
+        constructive = {}
+        for pair in _checked_pairs(u_words(n)):
+            constructive.setdefault(pair.t, []).append(pair.e)
+        ts = u_elements(n)
+        assert set(constructive) == set(ts)
+        for t in ts:
             formula = count_pairs_for(t)
-            constructive = list(_checked_pairs(np.array([t.word], dtype=np.int8)))
             brute = brute_force_partners(t)
-            assert formula == len(constructive) == len(brute)
-            assert {p.e for p in constructive} == set(brute)
+            assert formula == len(constructive[t]) == len(brute)
+            assert set(constructive[t]) == set(brute)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_brute_scan_matches_the_definition(self, n):

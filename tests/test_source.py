@@ -327,6 +327,7 @@ FORMULA_SIDES = (
     "_formula_right_ideal",
     "_formula_two_sided_ideal",
     "_formula_extended_labels",
+    "_one_sided_labels",
     "idempotent_partition",
 )
 TABLE_READS = {

@@ -24,11 +24,13 @@ from endtn.structure import (
     COMPONENTS,
     EXTENDED_RELATIONS,
     GREEN_RELATIONS,
+    _attested_ideals,
     _brute_extended_labels,
     _brute_green_labels,
     _formula_extended_labels,
     _formula_green_labels,
     _kernel_keys,
+    _one_sided_labels,
     _RIGHT_IDEAL_COMPONENTS,
     _right_ideal_bits,
     _saturated_ideal,
@@ -367,6 +369,7 @@ class TestPrincipalIdeals:
         members = set(uni.members(masks["E_1"]).tolist())
         wrong = uni.pack(members | {uni.of(epsilon(4))})
         monkeypatch.setitem(masks, "E_1", wrong)
+        _attested_ideals.cache_clear()  # the next query attests every ideal again
         with pytest.raises(VerificationError, match="right principal ideal"):
             principal_ideals(alpha)
 
@@ -409,9 +412,70 @@ class TestPrincipalIdeals:
 
         assert j_leq(alpha, beta)
         monkeypatch.setattr(structure, "_formula_two_sided_ideal", flipped)
+        _attested_ideals.cache_clear()
         with pytest.raises(VerificationError, match="two-sided principal") as err:
             j_leq(alpha, beta)
         assert err.value.counterexample is epsilon(4)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_first_query_attests_every_ideal_once(self, monkeypatch, n):
+        """The first query of a universe runs the closed form of all three
+        principal ideals of every element; later queries run none."""
+        import endtn.structure as structure
+
+        uni = get_universe(n)
+        seen = {}
+        for side in ("left", "right", "two_sided"):
+            name = f"_formula_{side}_ideal"
+            real = getattr(structure, name)
+
+            def recording(u, alpha, *rest, real=real, side=side):
+                seen.setdefault(side, set()).add(u.of(alpha))
+                return real(u, alpha, *rest)
+
+            monkeypatch.setattr(structure, name, recording)
+        _attested_ideals.cache_clear()
+        alpha = uni.elements[len(uni.elements) // 2]
+        principal_ideals(alpha)
+        assert seen == dict.fromkeys(("left", "right", "two_sided"), set(range(uni.size)))
+        seen.clear()
+        for beta in uni.elements:
+            principal_ideals(beta)
+            j_leq(beta, alpha)
+        assert seen == {}
+
+    @pytest.mark.parametrize(
+        "side, query",
+        [
+            ("left", principal_ideals),
+            ("right", lambda a: j_leq(a, a)),
+            ("two_sided", lambda a: j_leq(a, a)),
+        ],
+        ids=["left", "right", "two_sided"],
+    )
+    def test_first_query_attests_other_elements(self, monkeypatch, side, query):
+        """A wrong closed-form mask of the last element is caught by the
+        first query of the universe, which asks about the first."""
+        import endtn.structure as structure
+
+        uni = get_universe(5)
+        last, flip = uni.elements[-1], uni.of(epsilon(5))
+        name = f"_formula_{side}_ideal"
+        real = getattr(structure, name)
+
+        def flipped(u, alpha, *rest):
+            bits = real(u, alpha, *rest)
+            if alpha is last:
+                bits = bits.copy()
+                bits[flip >> 3] ^= 0x80 >> (flip & 7)
+            return bits
+
+        monkeypatch.setattr(structure, name, flipped)
+        _attested_ideals.cache_clear()
+        what = side.replace("_", "-") + " principal ideals"
+        with pytest.raises(VerificationError, match=what) as err:
+            query(epsilon(5))
+        assert err.value.counterexample is epsilon(5)
 
     def test_j_leq_is_a_preorder(self):
         uni = get_universe(3)
@@ -501,6 +565,7 @@ class TestIdeals:
         extra = uni.of(epsilon(5))
         rows[label[-1], extra >> 3] ^= 0x80 >> (extra & 7)
         monkeypatch.setitem(uni.__dict__, "two_sided_ideals", (rows, label))
+        _attested_ideals.cache_clear()
         with pytest.raises(VerificationError, match="two-sided principal") as err:
             enumerate_ideals(5)
         assert err.value.counterexample is epsilon(5)
@@ -535,6 +600,7 @@ class TestIdeals:
             return bits
 
         monkeypatch.setattr(structure, "_formula_two_sided_ideal", grown)
+        _attested_ideals.cache_clear()
         with pytest.raises(VerificationError, match="two-sided principal") as err:
             enumerate_ideals(4)
         assert err.value.counterexample is uni.elements[min(extra)]
@@ -566,6 +632,29 @@ class TestFixSets:
 
 
 class TestExtended:
+    def test_one_sided_formulas_are_built_once_per_degree(self, monkeypatch):
+        """H*, H~ and the coarser relations read the R*, R~, L* and L~
+        classes the closed form has already built, on the index or the
+        universe of the degree alike."""
+        import endtn.structure as structure
+
+        built, real = [], structure._left_keys
+
+        def counting(uni):
+            built.append(uni.n)
+            return real(uni)
+
+        monkeypatch.setattr(structure, "_left_keys", counting)
+        _one_sided_labels.cache_clear()
+        for uni in (get_index(4), get_universe(4)):
+            for relation in EXTENDED_RELATIONS:
+                _formula_extended_labels(uni, relation)
+        info = _one_sided_labels.cache_info()
+        assert (info.misses, info.currsize) == (4, 4)
+        assert built == [4, 4]  # the L-classes under L* and L~, once each
+        with pytest.raises(ValueError, match="read-only"):
+            _one_sided_labels(4, "L*")[0] = 1
+
     @pytest.mark.parametrize("relation", EXTENDED_RELATIONS)
     def test_formula_agrees_with_brute_force(self, relation):
         for n in (2, 3, 4):
