@@ -3,7 +3,8 @@
 Every verb is a deterministic, machine-readable run: the same flags (and
 seed) produce byte-identical output.  Verification verbs exit with
 status 1 and print the first counterexample; capacity guards exit with
-status 3; flag errors (``UsageError`` or argparse) exit with status 2.
+status 3; flag errors (``UsageError`` or argparse), an unwritable
+``--output`` among them, exit with status 2.
 Any other exception is a fault of the program: its traceback goes to
 stderr and the status is 4.
 """
@@ -24,7 +25,7 @@ from .pairs import (
     PermissiblePair,
     _checked_pair_words,
     brute_force_partners,
-    count_pairs_for,
+    pair_counts,
     u_words,
 )
 from .presentation import (
@@ -90,9 +91,12 @@ def _emit(args, header: list[str], rows: list[list], payload=None) -> None:
         text = "\n".join(lines) + "\n"
     if args.output in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
 # -- verbs ------------------------------------------------------------------
@@ -115,11 +119,11 @@ def cmd_counts(args) -> int:
     # Every pair of U_n built and checked in one batch, counted per t; a t
     # whose construction gives nothing still gets its row, with 0.
     sizes = _checked_pair_words(words)[0]
-    for word, constructive in zip(words.tolist(), sizes.tolist()):
-        t = Transformation(tuple(word))
-        formula = count_pairs_for(t)
-        row = [t.to_text(), formula, constructive]
+    counts = zip(words.tolist(), pair_counts(words).tolist(), sizes.tolist())
+    for word, formula, constructive in counts:
+        row = [" ".join(str(x + 1) for x in word), formula, constructive]
         if args.verify:
+            t = Transformation(tuple(word))
             brute = len(brute_force_partners(t))
             row.append(brute)
             if brute != formula:
@@ -130,7 +134,7 @@ def cmd_counts(args) -> int:
         if constructive != formula:
             raise VerificationError(
                 "pair count disagrees with constructive enumeration",
-                counterexample=(t, formula, constructive),
+                counterexample=(Transformation(tuple(word)), formula, constructive),
             )
         rows.append(row)
     header = ["t", "formula", "constructive"]

@@ -77,22 +77,29 @@ def is_in_U(t: Transformation) -> bool:
     return compose(t2, t) == t and any(x == i for i, x in enumerate(t.word))
 
 
-def _fixed_and_low(w: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """J, the fixed points, and I, the low side of each 2-cycle, of the t
-    with image word w (0-indexed, ascending)."""
-    n = len(w)
-    J = [x for x in range(n) if w[x] == x]
-    I = [x for x in range(n) if x < w[x] and w[w[x]] == x]
-    return J, I
-
-
 def count_pairs_for(t: Transformation) -> int:
-    """Number of e with (t, e) permissible: sum_r C(|J|, r) r^(|I|+|J|-r)."""
+    """Number of e with (t, e) permissible: ``pair_counts`` on t's row."""
     if not is_in_U(t):
         raise ValueError("t admits no permissible partner (t is not in U_n)")
-    J, I = _fixed_and_low(t.word)
-    j, i = len(J), len(I)
-    return sum(math.comb(j, r) * r ** (i + j - r) for r in range(1, j + 1))
+    return int(pair_counts(np.array([t.word]))[0])
+
+
+def pair_counts(t_words: np.ndarray) -> np.ndarray:
+    """sum_r C(|J|, r) r^(|I|+|J|-r) for each row of ``t_words`` (image
+    words of members of U_n): J, the fixed points, and I, the low side of
+    each 2-cycle, are counted apart from ``_roots`` in one array pass, and
+    the sum is taken once per (|J|, |I|), exactly (from n = 23 it outgrows
+    ``int64``)."""
+    n = t_words.shape[1]
+    x, t = np.arange(n), t_words
+    j = np.count_nonzero(t == x, axis=1)
+    i = np.count_nonzero((x < t) & (np.take_along_axis(t, t, axis=1) == x), axis=1)
+    codes, inverse = np.unique(j * (n + 1) + i, return_inverse=True)
+    sums = [
+        sum(math.comb(jj, r) * r ** (ii + jj - r) for r in range(1, jj + 1))
+        for jj, ii in (divmod(code, n + 1) for code in codes.tolist())
+    ]
+    return np.array(sums, dtype=object)[inverse]
 
 
 def _roots(t_words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

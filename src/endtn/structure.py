@@ -14,7 +14,7 @@ beyond the brute sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -211,12 +211,6 @@ def _attest(
     )
 
 
-def _as_partition(relation: str, uni: Universe, label: np.ndarray) -> GreenPartition:
-    return GreenPartition(
-        relation, tuple(uni.element_set(members) for members in _classes(label))
-    )
-
-
 # -- idempotents ------------------------------------------------------------
 
 
@@ -291,7 +285,7 @@ def regular_elements(n: int) -> frozenset[Endomorphism]:
     return uni.element_set(np.flatnonzero(regular))
 
 
-# -- Green's relations ------------------------------------------------------
+# -- Green's and extended Green's relations ---------------------------------
 
 
 def _left_keys(uni: ElementIndex) -> list:
@@ -306,46 +300,189 @@ def _left_keys(uni: ElementIndex) -> list:
     return keys
 
 
-def _formula_green_labels(uni: ElementIndex, relation: str) -> np.ndarray:
-    if relation in ("L", "H"):
-        return _labels_by_key(_left_keys(uni))
-    # R, D and J share the same classes: whole components, except that A, B
-    # and C split into their orbits.
-    keys = np.where(
-        _in_components(uni, ("A", "B", "C")),
-        _orbit_labels(uni.n),
-        -1 - _component_labels(uni.n),
-    )
-    return _labels_by_key(keys.tolist())
-
-
-def _brute_green_labels(uni: Universe, relation: str) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _one_sided_labels(n: int, relation: str) -> np.ndarray:
+    """The closed form's classes of L, R, L*, R*, L~ or R~, built once per
+    degree and read-only: every two-sided relation reads them again."""
+    uni = get_index(n)
+    nonregular = _in_components(uni, ("A", "B", "C"))
     if relation == "R":
-        return _labels_by_row(uni.right_bits)
+        # Whole components, except that A, B and C split into their orbits.
+        keys = np.where(nonregular, _orbit_labels(n), -1 - _component_labels(n))
+        label = _labels_by_key(keys.tolist())
+    elif relation in ("R*", "R~"):
+        # same-rank classes in every degree
+        label = _labels_by_key(el.rank for el in uni.elements)
+    elif relation in ("L", "L*", "L~"):
+        # L* and L~ differ from L only on A, B and C, the non-regular maps.
+        keys = _left_keys(uni)
+        if relation == "L~":
+            for i in np.flatnonzero(nonregular).tolist():
+                keys[i] = -1  # one class with the units
+        elif relation == "L*":
+            stabiliser = get_cosets(n).stabiliser
+            for i in np.flatnonzero(nonregular).tolist():
+                el = uni.elements[i]
+                keys[i] = (el.type_tag, stabiliser(el))
+        label = _labels_by_key(keys)
+    else:
+        raise ValueError(f"unknown one-sided relation {relation!r}")
+    label.flags.writeable = False
+    return label
+
+
+# Relations whose classes are unions of whole components, with the least
+# degree from which each grouping holds: each listed group is one class and
+# every other component is a class of its own.  Below those degrees D* and J*
+# coincide with R*, and D~ and J~ with R~.
+_COMPONENT_GROUPS = {
+    "D*": ((4, (("E_3", "A", "B", "E_2", "C"),)),),
+    "J*": ((4, (("E_3", "A", "B", "E_2", "C"),)),),
+    "D~": (
+        (4, (("Aut", "E_3", "A", "B", "E_2", "C"),)),
+        (3, (("Aut", "E_2", "C"),)),
+    ),
+    "J~": ((3, (("Aut", "D", "E_3", "A", "B", "E_2", "C"),)),),
+}
+
+
+def _formula_labels(index: ElementIndex, relation: str) -> np.ndarray:
+    """The closed form's classes of one of the fifteen relations, read off
+    ``_one_sided_labels``.  H = L and R = D = J stay stated: H reads L's
+    classes, D and J read R's.  H* and H~ are meets of their sides; D*, J*,
+    D~ and J~ come from ``_COMPONENT_GROUPS``, or else from R* or R~."""
+    n = index.n
+    if relation in ("H", "D", "J"):
+        return _one_sided_labels(n, "L" if relation == "H" else "R")
+    kind, suffix = relation[0], relation[1:]
+    if kind == "H":
+        return _meet(*(_one_sided_labels(n, side + suffix) for side in "LR"))
+    if kind in "DJ":
+        for least, groups in _COMPONENT_GROUPS[relation]:
+            if n >= least:
+                key = -1 - np.arange(len(COMPONENTS))
+                for g, names in enumerate(groups):
+                    key[[COMPONENTS.index(name) for name in names]] = g
+                return _labels_by_key(key[_component_labels(n)].tolist())
+        return _one_sided_labels(n, "R" + suffix)
+    return _one_sided_labels(n, relation)
+
+
+# Rows per step of ``_attested_ideals``, ``_kernel_keys`` and
+# ``extended_probe_check``; bounds their temporaries to a few MB at n = 5.
+_BLOCK_ROWS = 64
+
+
+def _kernel_keys(rows: np.ndarray):
+    """Canonical key of the kernel (partition by equal values) of each row
+    of element indices, yielded row by row: at every position, the first
+    position that holds the same value, as ``int32`` bytes.
+
+    Each block of rows gets one ``int32`` slot number per (row, value),
+    at most 64 N, and one ``np.minimum.at`` leaves in every slot the least
+    position that holds the value, whatever order the repeated writes are
+    applied in.  Its operands are passed flat and of one length: numpy
+    2.4.6 filled slots with wrong values, garbage among them, for a 2-D
+    index and a 1-D ``positions`` left to broadcast.
+    """
+    width = rows.shape[1]
+    positions = np.tile(np.arange(width, dtype=np.int32), _BLOCK_ROWS)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start : start + _BLOCK_ROWS]
+        slots = int(block.max(initial=0)) + 1
+        flat = np.arange(len(block), dtype=np.int32)[:, np.newaxis] * slots + block
+        first = np.full(len(block) * slots, width, dtype=np.int32)
+        np.minimum.at(first, flat.ravel(), positions[: flat.size])
+        for key in first[flat]:
+            yield key.tobytes()
+
+
+def _saturated_ideal(uni: Universe, seed: np.ndarray, labels) -> np.ndarray:
+    """Smallest ideal containing the seed indices that is a union of classes
+    of each side relation, given as label arrays (alternating closure to a
+    fixed point), as a packed mask."""
+    current = uni.pack(seed)
+    while True:
+        left = np.bitwise_or.reduce(uni.left_bits[uni.members(current)], axis=0)
+        right = np.bitwise_or.reduce(uni.right_bits[uni.members(left)], axis=0)
+        closed = np.unpackbits(right | left | current, count=uni.size).astype(bool)
+        saturated = closed.copy()
+        for label in labels:
+            hit = np.zeros(uni.size, dtype=bool)
+            hit[label[closed]] = True
+            saturated |= hit[label]
+        saturated = np.packbits(saturated)
+        if np.array_equal(saturated, current):
+            return current
+        current = saturated
+
+
+@lru_cache(maxsize=None)
+def _brute_labels(uni: Universe, relation: str) -> np.ndarray:
+    """The classes of one of the fifteen relations from its definition on
+    the table, memoised per universe and read-only.  In each family H and
+    D are the meet and join of L and R; J* and J~ are read off the
+    saturated ideals of the D*- and D~-classes."""
+    kind, suffix = relation[0], relation[1:]
     if relation == "L":
-        return _labels_by_row(uni.left_bits)
-    if relation in ("H", "D"):
-        left, right = (_brute_green_labels(uni, side) for side in "LR")
-        return _meet(left, right) if relation == "H" else _join(left, right)
-    if relation == "J":
-        _, label = uni.two_sided_ideals
-        return _labels_by_key(label.tolist())
-    raise ValueError(f"unknown Green's relation {relation!r}")
+        label = _labels_by_row(uni.left_bits)
+    elif relation == "R":
+        label = _labels_by_row(uni.right_bits)
+    elif relation == "J":
+        label = _labels_by_key(uni.two_sided_ideals[1].tolist())
+    elif relation in ("L*", "R*"):
+        # the kernel of each row, and of each column on the idempotent rows
+        lines = uni.table if kind == "L" else uni.table[uni.idempotent_indices, :].T
+        label = _labels_by_key(_kernel_keys(lines))
+    elif relation in ("L~", "R~"):
+        # the idempotents that fix each element on the right (on the left)
+        idem = uni.idempotent_indices
+        lines = uni.table[:, idem] if kind == "L" else uni.table[idem, :].T
+        label = _labels_by_row(lines == np.arange(uni.size)[:, np.newaxis])
+    elif kind in "HD" and suffix in ("", "*", "~"):
+        left, right = (_brute_labels(uni, side + suffix) for side in "LR")
+        label = _meet(left, right) if kind == "H" else _join(left, right)
+    elif relation in ("J*", "J~"):
+        sides = [_brute_labels(uni, side + suffix) for side in "LR"]
+        d_label = _brute_labels(uni, "D" + suffix)
+        ideal_of = {
+            int(members[0]): _saturated_ideal(uni, members, sides).tobytes()
+            for members in _classes(d_label)
+        }
+        label = _labels_by_key(ideal_of[d] for d in d_label.tolist())
+    else:
+        raise ValueError(f"unknown relation {relation!r}")
+    label.flags.writeable = False
+    return label
 
 
-def _green_labels(uni: Universe, relation: str) -> np.ndarray:
-    formula = _formula_green_labels(uni, relation)
-    brute = _brute_green_labels(uni, relation)
-    _attest(f"{relation}-classes", uni.elements, formula, brute)
+def _attested_labels(uni: Universe, relation: str) -> np.ndarray:
+    """The closed form's classes of one of the fifteen relations, attested
+    against the table's: the one place where the two sides of a partition
+    meet ``_attest``."""
+    formula = _formula_labels(uni, relation)
+    _attest(f"{relation}-classes", uni.elements, formula, _brute_labels(uni, relation))
     return formula
 
 
-def green_partition(n: int, relation: str) -> GreenPartition:
-    """One of the five Green's relations, doubly computed and verified."""
-    if relation not in GREEN_RELATIONS:
-        raise ValueError(f"relation must be one of {GREEN_RELATIONS}")
+def _partition(n: int, relation: str, relations: tuple[str, ...]) -> GreenPartition:
+    if relation not in relations:
+        raise ValueError(f"relation must be one of {relations}")
     uni = get_universe(n)
-    return _as_partition(relation, uni, _green_labels(uni, relation))
+    label = _attested_labels(uni, relation)
+    return GreenPartition(relation, tuple(map(uni.element_set, _classes(label))))
+
+
+def green_partition(n: int, relation: str) -> GreenPartition:
+    """One of the five Green's relations: its closed form, attested
+    against the table (``_attested_labels``)."""
+    return _partition(n, relation, GREEN_RELATIONS)
+
+
+def extended_partition(n: int, relation: str) -> GreenPartition:
+    """One of the ten extended Green's relations: its closed form,
+    attested against the table (``_attested_labels``)."""
+    return _partition(n, relation, EXTENDED_RELATIONS)
 
 
 # -- principal ideals -------------------------------------------------------
@@ -631,7 +768,7 @@ def _j_order(uni: Universe, reps: list[int]) -> np.ndarray:
 
 
 def _ideal_index_sets(uni: Universe) -> list[frozenset[int]]:
-    label = _green_labels(uni, "J")
+    label = _attested_labels(uni, "J")
     comp = _component_labels(uni.n)
     reps = sorted(
         np.unique(label).tolist(),
@@ -674,162 +811,7 @@ def fix_set(pair: PermissiblePair) -> FixSet:
     return FixSet(pair, members)
 
 
-# -- extended Green's relations ---------------------------------------------
-
-
-# Rows per step of ``_attested_ideals``, ``_kernel_keys`` and
-# ``extended_probe_check``; bounds their temporaries to a few MB at n = 5.
-_BLOCK_ROWS = 64
-
-
-def _kernel_keys(rows: np.ndarray):
-    """Canonical key of the kernel (partition by equal values) of each row
-    of element indices, yielded row by row: at every position, the first
-    position that holds the same value, as ``int32`` bytes.
-
-    Each block of rows gets one ``int32`` slot number per (row, value),
-    at most 64 N, and one ``np.minimum.at`` leaves in every slot the least
-    position that holds the value, whatever order the repeated writes are
-    applied in.  Its operands are passed flat and of one length: numpy
-    2.4.6 filled slots with wrong values, garbage among them, for a 2-D
-    index and a 1-D ``positions`` left to broadcast.
-    """
-    width = rows.shape[1]
-    positions = np.tile(np.arange(width, dtype=np.int32), _BLOCK_ROWS)
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
-        slots = int(block.max(initial=0)) + 1
-        flat = np.arange(len(block), dtype=np.int32)[:, np.newaxis] * slots + block
-        first = np.full(len(block) * slots, width, dtype=np.int32)
-        np.minimum.at(first, flat.ravel(), positions[: flat.size])
-        for key in first[flat]:
-            yield key.tobytes()
-
-
-@lru_cache(maxsize=None)
-def _brute_extended_labels(uni: Universe, relation: str) -> np.ndarray:
-    """Classes of one extended relation from its definition on the table.
-
-    Memoised per universe: H, D and J are built from the L and R classes,
-    and ``abundance_report`` reads the one-sided relations again.
-    """
-    table = uni.table
-    idem = uni.idempotent_indices
-    suffix = relation[1:]
-    if relation == "R*":
-        label = _labels_by_key(_kernel_keys(table[idem, :].T))
-    elif relation == "L*":
-        label = _labels_by_key(_kernel_keys(table))
-    elif relation == "R~":
-        label = _labels_by_row(table[idem, :].T == np.arange(uni.size)[:, np.newaxis])
-    elif relation == "L~":
-        label = _labels_by_row(table[:, idem] == np.arange(uni.size)[:, np.newaxis])
-    elif relation in ("H*", "H~", "D*", "D~"):
-        left, right = (_brute_extended_labels(uni, side + suffix) for side in "LR")
-        label = _meet(left, right) if relation[0] == "H" else _join(left, right)
-    elif relation in ("J*", "J~"):
-        sides = [_brute_extended_labels(uni, side + suffix) for side in "LR"]
-        d_label = _brute_extended_labels(uni, "D" + suffix)
-        ideal_of = {
-            int(members[0]): _saturated_ideal(uni, members, sides).tobytes()
-            for members in _classes(d_label)
-        }
-        label = _labels_by_key(ideal_of[d] for d in d_label.tolist())
-    else:
-        raise ValueError(f"unknown extended relation {relation!r}")
-    label.flags.writeable = False
-    return label
-
-
-def _saturated_ideal(uni: Universe, seed: np.ndarray, labels) -> np.ndarray:
-    """Smallest ideal containing the seed indices that is a union of classes
-    of each side relation, given as label arrays (alternating closure to a
-    fixed point), as a packed mask."""
-    current = uni.pack(seed)
-    while True:
-        left = np.bitwise_or.reduce(uni.left_bits[uni.members(current)], axis=0)
-        right = np.bitwise_or.reduce(uni.right_bits[uni.members(left)], axis=0)
-        closed = np.unpackbits(right | left | current, count=uni.size).astype(bool)
-        saturated = closed.copy()
-        for label in labels:
-            hit = np.zeros(uni.size, dtype=bool)
-            hit[label[closed]] = True
-            saturated |= hit[label]
-        saturated = np.packbits(saturated)
-        if np.array_equal(saturated, current):
-            return current
-        current = saturated
-
-
-# Relations whose classes are unions of whole components, with the least
-# degree from which each grouping holds: each listed group is one class and
-# every other component is a class of its own.  Below those degrees D* and J*
-# coincide with R*, and D~ and J~ with R~.
-_COMPONENT_GROUPS = {
-    "D*": ((4, (("E_3", "A", "B", "E_2", "C"),)),),
-    "J*": ((4, (("E_3", "A", "B", "E_2", "C"),)),),
-    "D~": (
-        (4, (("Aut", "E_3", "A", "B", "E_2", "C"),)),
-        (3, (("Aut", "E_2", "C"),)),
-    ),
-    "J~": ((3, (("Aut", "D", "E_3", "A", "B", "E_2", "C"),)),),
-}
-
-
-def _formula_extended_labels(uni: ElementIndex, relation: str) -> np.ndarray:
-    n = uni.n
-    if relation in ("H*", "H~"):
-        suffix = relation[1]
-        left, right = (_one_sided_labels(n, s + suffix) for s in "LR")
-        return _meet(left, right)
-    if relation in _COMPONENT_GROUPS:
-        for least, groups in _COMPONENT_GROUPS[relation]:
-            if n >= least:
-                key = -1 - np.arange(len(COMPONENTS))
-                for g, names in enumerate(groups):
-                    key[[COMPONENTS.index(name) for name in names]] = g
-                return _labels_by_key(key[_component_labels(uni.n)].tolist())
-        return _one_sided_labels(n, "R" + relation[1])
-    return _one_sided_labels(n, relation)
-
-
-@lru_cache(maxsize=None)
-def _one_sided_labels(n: int, relation: str) -> np.ndarray:
-    """The closed form's classes of R*, R~, L* or L~, built once per degree
-    and read-only: H*, H~ and the coarser relations read them again."""
-    uni = get_index(n)
-    if relation in ("R*", "R~"):
-        # same-rank classes in every degree
-        label = _labels_by_key(el.rank for el in uni.elements)
-    elif relation in ("L*", "L~"):
-        # L* and L~ refine the L-classes of the closed form on A, B and C,
-        # the non-regular elements.
-        keys = _left_keys(uni)
-        nonregular = np.flatnonzero(_in_components(uni, ("A", "B", "C"))).tolist()
-        if relation == "L~":
-            for i in nonregular:
-                keys[i] = -1  # one class with the units
-        else:
-            stabiliser = get_cosets(n).stabiliser
-            for i in nonregular:
-                el = uni.elements[i]
-                keys[i] = (el.type_tag, stabiliser(el))
-        label = _labels_by_key(keys)
-    else:
-        raise ValueError(f"unknown extended relation {relation!r}")
-    label.flags.writeable = False
-    return label
-
-
-def extended_partition(n: int, relation: str) -> GreenPartition:
-    """One of the ten extended Green's relations, doubly computed."""
-    if relation not in EXTENDED_RELATIONS:
-        raise ValueError(f"relation must be one of {EXTENDED_RELATIONS}")
-    uni = get_universe(n)
-    formula = _formula_extended_labels(uni, relation)
-    brute = _brute_extended_labels(uni, relation)
-    _attest(f"{relation}-classes", uni.elements, formula, brute)
-    return _as_partition(relation, uni, formula)
+# -- the R*/L* probe check -------------------------------------------------
 
 
 def extended_probe_check(n: int, relation: str) -> bool:
@@ -841,12 +823,14 @@ def extended_probe_check(n: int, relation: str) -> bool:
     brute side reads.  Every member of every class is compared with the
     class's least member, and distinct classes must have distinct
     kernels, so the check is exhaustive at every degree the table serves.
+    The classes checked are the brute side's (``_brute_labels``), which
+    ``extended_partition`` attests against the closed form.
     """
     if relation not in ("R*", "L*"):
         raise ValueError("probe check applies to R* and L* only")
     uni = get_universe(n)
     lines = uni.table.T if relation == "R*" else uni.table
-    label = _brute_extended_labels(uni, relation)
+    label = _brute_labels(uni, relation)
     for start in range(0, uni.size, _BLOCK_ROWS):
         members = np.arange(start, min(start + _BLOCK_ROWS, uni.size))
         other = _separated(lines[members], lines[label[members]], uni.size)
@@ -904,23 +888,24 @@ class AbundanceReport:
     right_fountain: bool
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "left_abundant": self.left_abundant,
-            "right_abundant": self.right_abundant,
-            "left_fountain": self.left_fountain,
-            "right_fountain": self.right_fountain,
-        }
+        return asdict(self)
 
 
 def abundance_report(n: int) -> AbundanceReport:
-    """Whether every class of the relevant relation holds an idempotent."""
+    """Whether every class of R*, L*, R~ and L~ holds an idempotent: left
+    and right abundance, then the left and right Fountain properties.
+
+    Each relation's labels are attested as ``extended_partition`` attests
+    them (``_attested_labels``), and a class holds an idempotent when its
+    label is the label of one of the table's idempotents
+    (``Universe.idempotent_indices``); no partition is built.
+    """
     uni = get_universe(n)
-    idem = uni.element_set(uni.idempotent_indices)
+    idem = uni.idempotent_indices
 
     def every_class_has_idempotent(relation: str) -> bool:
-        part = extended_partition(n, relation)
-        return all(cls & idem for cls in part.classes)
+        label = _attested_labels(uni, relation)
+        return bool(np.isin(label, label[idem]).all())
 
     return AbundanceReport(
         n=n,

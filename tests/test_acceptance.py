@@ -5,6 +5,7 @@ for each.  These deliberately re-derive expectations from independent
 brute-force oracles rather than trusting the library's own formulas.
 """
 
+import collections
 import itertools
 import random
 
@@ -26,6 +27,7 @@ from endtn.pairs import (
     _checked_pairs,
     count_pairs_for,
     is_in_U,
+    u_words,
 )
 from endtn.presentation import (
     minimal_generating_set,
@@ -104,10 +106,11 @@ def _brute_partner_counts(n):
 def test_criterion_02_pair_counting_formula(n):
     brute = _brute_partner_counts(n)
     assert brute  # U_n is never empty (identity at least)
+    # Every pair of U_n from one build, counted per t.
+    constructive = collections.Counter(pair.t for pair in _checked_pairs(u_words(n)))
+    assert set(constructive) == set(brute)
     for t, brute_count in brute.items():
-        assert count_pairs_for(t) == brute_count
-        constructive = _checked_pairs(np.array([t.word], dtype=np.int8))
-        assert sum(1 for _ in constructive) == brute_count
+        assert count_pairs_for(t) == brute_count == constructive[t]
 
 
 def test_criterion_03_cardinality_identities():

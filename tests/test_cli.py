@@ -424,6 +424,14 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert "Traceback" in err and "ValueError: internal fault" in err
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, where):
+        target = tmp_path / "absent" / "out.txt" if where == "missing-dir" else tmp_path
+        code, out, err = run(capsys, "enumerate", "--n", "2", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_usage_fix_degree_mismatch(self, capsys):
         code, out, err = run(
             capsys, "fix", "--n", "9", "--t", "1 2 3", "--e", "1 1 1"

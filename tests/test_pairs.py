@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from endtn.pairs import (
     PermissiblePair,
     _check_pairs,
     _checked_pairs,
-    _fixed_and_low,
+    _roots,
     brute_force_partners,
     count_pairs_for,
     enumerate_P,
     is_in_U,
     is_permissible,
+    pair_counts,
     u_words,
 )
 from endtn.transformations import Transformation, compose, enumerate_all
@@ -59,17 +61,23 @@ class TestPermissibility:
             )
 
 
+def fixed_and_low(t):
+    """J and I of t, as the construction's base pattern labels them."""
+    pattern = _roots(np.array([t.word], dtype=np.int8))[0][0]
+    return np.flatnonzero(pattern == 1).tolist(), np.flatnonzero(pattern == 2).tolist()
+
+
 class TestDecomposition:
     def test_fixed_points_are_J(self):
         t = Transformation.from_images([1, 3, 2, 1, 5])
-        J, I = _fixed_and_low(t.word)
+        J, I = fixed_and_low(t)
         assert J == [0, 4]
         # 2 <-> 3 is the one 2-cycle; 4 maps straight into J.
         assert I == [1]
 
     def test_two_cycles_split_between_I_and_It(self):
         for t in u_elements(5):
-            J, I = _fixed_and_low(t.word)
+            J, I = fixed_and_low(t)
             assert J == [x for x in range(5) if t.word[x] == x]
             cycled = {x for x in range(5) if t.word[x] != x == t.word[t.word[x]]}
             high = {t.word[x] for x in I}
@@ -91,6 +99,21 @@ class TestCounting:
             brute = brute_force_partners(t)
             assert formula == len(constructive[t]) == len(brute)
             assert set(constructive[t]) == set(brute)
+
+    def test_pair_counts_tell_J_from_I(self):
+        """|J| = 2 and |I| = 1 give 2 + 2 = 4 partners; with the two
+        swapped the formula gives 1."""
+        t = Transformation.from_images([1, 3, 2, 1, 5])
+        assert len(brute_force_partners(t)) == count_pairs_for(t) == 4
+        words = u_words(5)
+        expected = [len(brute_force_partners(Transformation(tuple(w)))) for w in words]
+        assert pair_counts(words).tolist() == expected
+
+    def test_pair_counts_are_exact_past_int64(self):
+        # The identity of T_23: every idempotent of T_23 is a partner.
+        count = pair_counts(np.arange(23, dtype=np.int8)[np.newaxis])[0]
+        assert count == sum(math.comb(23, r) * r ** (23 - r) for r in range(1, 24))
+        assert count > np.iinfo(np.int64).max
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_brute_scan_matches_the_definition(self, n):

@@ -287,7 +287,7 @@ def test_brute_partner_scan_reads_no_construction():
         "_partner_block",
         "_checked_pair_words",
         "u_members",
-        "_fixed_and_low",
+        "pair_counts",
         "count_pairs_for",
         "u_words",
         "_check_pairs",
@@ -300,9 +300,9 @@ def test_brute_partner_scan_reads_no_construction():
 def test_probe_check_reads_no_kernel_keys():
     """``extended_probe_check`` compares the R*/L* classes with the
     definition without ``_kernel_keys``, the fast key it checks.  Only
-    the labels under check, ``_brute_extended_labels``, may use it."""
+    the labels under check, ``_brute_labels``, may use it."""
     functions, reached = _names_reached(
-        "structure.py", "extended_probe_check", skip={"_brute_extended_labels"}
+        "structure.py", "extended_probe_check", skip={"_brute_labels"}
     )
     assert "_separated" in reached
     assert not any(
@@ -322,11 +322,10 @@ FORMULA_SIDES = (
     "_orbit_bits_of",
     "_left_keys",
     "_right_ideal_bits",
-    "_formula_green_labels",
+    "_formula_labels",
     "_formula_left_ideal",
     "_formula_right_ideal",
     "_formula_two_sided_ideal",
-    "_formula_extended_labels",
     "_one_sided_labels",
     "idempotent_partition",
 )
@@ -355,6 +354,42 @@ def test_formula_sides_read_no_table():
                 if word in TABLE_READS:
                     found.add(f"{start} -> {name}: {word}")
     assert found == set()
+
+
+def _namers(name: str) -> set[str]:
+    """The top-level functions of the library that name ``name``, as
+    ``module.function``; a name at module level counts as ``module``."""
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            scope = path.stem
+            if isinstance(node, ast.FunctionDef):
+                scope = f"{path.stem}.{node.name}"
+            if any(
+                getattr(n, "id", getattr(n, "attr", None)) == name
+                for n in ast.walk(node)
+            ):
+                found.add(scope)
+    return found
+
+
+def test_one_attest_site_for_partitions():
+    """The closed form of a relation's classes is read only where it is
+    attested, and the brute side only there, by the probe check, which
+    checks it against the definition, and by itself, for H, D, J* and J~."""
+    assert _namers("_formula_labels") == {"structure._attested_labels"}
+    assert _namers("_brute_labels") == {
+        "structure._attested_labels",
+        "structure.extended_probe_check",
+        "structure._brute_labels",
+    }
+    # Each attest site: sets of elements, principal ideals, then partitions.
+    assert _namers("_attest") == {
+        "structure.idempotent_partition",
+        "structure.regular_elements",
+        "structure._attested_ideals",
+        "structure._attested_labels",
+    }
 
 
 COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "set_threshold", "collect"}

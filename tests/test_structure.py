@@ -25,10 +25,8 @@ from endtn.structure import (
     EXTENDED_RELATIONS,
     GREEN_RELATIONS,
     _attested_ideals,
-    _brute_extended_labels,
-    _brute_green_labels,
-    _formula_extended_labels,
-    _formula_green_labels,
+    _brute_labels,
+    _formula_labels,
     _kernel_keys,
     _one_sided_labels,
     _RIGHT_IDEAL_COMPONENTS,
@@ -284,7 +282,7 @@ class TestGreens:
             uni = get_universe(n)
             reference = reference_green_classes(uni.table, relation)
             assert np.array_equal(
-                _brute_green_labels(uni, relation),
+                _brute_labels(uni, relation),
                 least_member_labels(reference, uni.size),
             )
 
@@ -317,13 +315,13 @@ class TestFormulaSidesAtSix:
         # The class counts of the Cayley graphs of End(T_6) over its 86
         # generators, found without the closed form.
         counts = {
-            rel: len(np.unique(_formula_green_labels(index, rel)))
+            rel: len(np.unique(_formula_labels(index, rel)))
             for rel in GREEN_RELATIONS
         }
         assert counts == {"L": 37_784, "R": 106, "H": 37_784, "D": 106, "J": 106}
         least = np.arange(index.size)
         for rel in EXTENDED_RELATIONS:
-            label = _formula_extended_labels(index, rel)
+            label = _formula_labels(index, rel)
             assert len(label) == index.size
             assert (label <= least).all() and (label[label] == label).all()
         part = idempotent_partition(6)
@@ -546,7 +544,7 @@ class TestIdeals:
     def test_brute_cross_check_runs_at_five(self, monkeypatch):
         import endtn.structure as structure
 
-        real = structure._brute_green_labels
+        real = structure._brute_labels
 
         def skewed(uni, relation):
             label = real(uni, relation).copy()
@@ -554,7 +552,7 @@ class TestIdeals:
             label[label == classes[-1]] = classes[-2]  # two classes merged
             return label
 
-        monkeypatch.setattr(structure, "_brute_green_labels", skewed)
+        monkeypatch.setattr(structure, "_brute_labels", skewed)
         with pytest.raises(VerificationError, match="J-classes disagree"):
             enumerate_ideals(5)
 
@@ -574,11 +572,11 @@ class TestIdeals:
         import endtn.structure as structure
 
         uni = get_universe(4)
-        brute = _brute_green_labels(uni, "J")
-        label = _formula_green_labels(uni, "J").copy()
+        brute = _brute_labels(uni, "J")
+        label = _formula_labels(uni, "J").copy()
         members = np.flatnonzero(label == label[-1])
         label[members[-2:]] = members[-2]  # the last two members split off
-        monkeypatch.setattr(structure, "_formula_green_labels", lambda u, r: label)
+        monkeypatch.setattr(structure, "_formula_labels", lambda u, r: label)
         with pytest.raises(VerificationError, match="J-classes disagree") as err:
             enumerate_ideals(4)
         x, y = map(uni.of, err.value.counterexample)
@@ -633,9 +631,9 @@ class TestFixSets:
 
 class TestExtended:
     def test_one_sided_formulas_are_built_once_per_degree(self, monkeypatch):
-        """H*, H~ and the coarser relations read the R*, R~, L* and L~
-        classes the closed form has already built, on the index or the
-        universe of the degree alike."""
+        """Every two-sided relation, Green's or extended, reads the L, R,
+        L*, R*, L~ and R~ classes the closed form has already built, on the
+        index or the universe of the degree alike."""
         import endtn.structure as structure
 
         built, real = [], structure._left_keys
@@ -647,13 +645,14 @@ class TestExtended:
         monkeypatch.setattr(structure, "_left_keys", counting)
         _one_sided_labels.cache_clear()
         for uni in (get_index(4), get_universe(4)):
-            for relation in EXTENDED_RELATIONS:
-                _formula_extended_labels(uni, relation)
+            for relation in GREEN_RELATIONS + EXTENDED_RELATIONS:
+                _formula_labels(uni, relation)
         info = _one_sided_labels.cache_info()
-        assert (info.misses, info.currsize) == (4, 4)
-        assert built == [4, 4]  # the L-classes under L* and L~, once each
-        with pytest.raises(ValueError, match="read-only"):
-            _one_sided_labels(4, "L*")[0] = 1
+        assert (info.misses, info.currsize) == (6, 6)
+        assert built == [4, 4, 4]  # the L-classes under L, L* and L~, once each
+        for relation in ("L", "L*"):
+            with pytest.raises(ValueError, match="read-only"):
+                _one_sided_labels(4, relation)[0] = 1
 
     @pytest.mark.parametrize("relation", EXTENDED_RELATIONS)
     def test_formula_agrees_with_brute_force(self, relation):
@@ -681,7 +680,7 @@ class TestExtended:
         a, b = sorted((uni.of(epsilon(4)), uni.of(phi_trivial(4))))
         labels = np.arange(uni.size)
         labels[b] = a
-        monkeypatch.setattr(structure, "_brute_extended_labels", lambda u, r: labels)
+        monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
         for relation in ("R*", "L*"):
             with pytest.raises(VerificationError):
                 extended_probe_check(4, relation)
@@ -693,14 +692,14 @@ class TestExtended:
         import endtn.structure as structure
 
         uni = get_universe(4)
-        labels = _brute_extended_labels(uni, relation).copy()
+        labels = _brute_labels(uni, relation).copy()
         members = max(structure._classes(labels), key=len)
         assert len(members) >= 5
         intruder = next(
             i for i in range(members[3] + 1, uni.size) if labels[i] != members[0]
         )
         labels[intruder] = members[0]
-        monkeypatch.setattr(structure, "_brute_extended_labels", lambda u, r: labels)
+        monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
         with pytest.raises(VerificationError, match="probe separated") as err:
             extended_probe_check(4, relation)
         assert err.value.counterexample == (
@@ -714,10 +713,10 @@ class TestExtended:
         import endtn.structure as structure
 
         uni = get_universe(4)
-        labels = _brute_extended_labels(uni, relation).copy()
+        labels = _brute_labels(uni, relation).copy()
         members = max(structure._classes(labels), key=len)
         labels[members[-1]] = members[-1]  # the last member split off
-        monkeypatch.setattr(structure, "_brute_extended_labels", lambda u, r: labels)
+        monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
         with pytest.raises(VerificationError, match="one kernel on two classes"):
             extended_probe_check(4, relation)
 
@@ -725,13 +724,13 @@ class TestExtended:
         for n in (2, 3, 4):
             uni = get_universe(n)
             for suffix in "*~":
-                labels = [_brute_extended_labels(uni, side + suffix) for side in "LR"]
+                labels = [_brute_labels(uni, side + suffix) for side in "LR"]
                 class_of = {i: [] for i in range(uni.size)}
                 for label in labels:
                     for cls in partition_of(label.tolist()):
                         for i in cls:
                             class_of[i].append(cls)
-                d_label = _brute_extended_labels(uni, "D" + suffix)
+                d_label = _brute_labels(uni, "D" + suffix)
                 for cls in partition_of(d_label.tolist()):
                     seed = np.array(sorted(cls))
                     saturated = uni.members(_saturated_ideal(uni, seed, labels))
@@ -779,14 +778,9 @@ class TestExtended:
         import endtn.structure as structure
 
         uni = get_universe(4)
-        if relation in GREEN_RELATIONS:
-            name, check = "_formula_green_labels", green_partition
-            brute = _brute_green_labels(uni, relation)
-            label = _formula_green_labels(uni, relation).copy()
-        else:
-            name, check = "_formula_extended_labels", extended_partition
-            brute = _brute_extended_labels(uni, relation)
-            label = _formula_extended_labels(uni, relation).copy()
+        check = green_partition if relation in GREEN_RELATIONS else extended_partition
+        brute = _brute_labels(uni, relation)
+        label = _formula_labels(uni, relation).copy()
         classes = np.unique(label)
         if corruption == "merge":
             label[label == classes[-1]] = classes[-2]
@@ -794,7 +788,7 @@ class TestExtended:
             big = next(c for c in classes if np.count_nonzero(label == c) > 1)
             last = np.flatnonzero(label == big)[-1]
             label[last] = last
-        monkeypatch.setattr(structure, name, lambda u, r: label)
+        monkeypatch.setattr(structure, "_formula_labels", lambda u, r: label)
         message = re.escape(f"{relation}-classes disagree")
         with pytest.raises(VerificationError, match=message) as err:
             check(4, relation)
@@ -811,3 +805,40 @@ class TestExtended:
         report = abundance_report(3)
         assert report.left_abundant and not report.right_abundant
         assert report.left_fountain and report.right_fountain
+
+    @pytest.mark.parametrize(
+        "n, expected", [(1, [True, True, True, True]), (4, [True, False, True, True])]
+    )
+    def test_abundance_pinned(self, n, expected):
+        """Left and right abundance, then the left and right Fountain
+        properties, in the order ``to_json`` and the CLI give them."""
+        fields = ["left_abundant", "right_abundant", "left_fountain", "right_fountain"]
+        assert abundance_report(n).to_json() == {"n": n, **dict(zip(fields, expected))}
+        assert list(abundance_report(n).to_json()) == ["n", *fields]
+
+    def test_abundance_attests_its_relations(self, monkeypatch):
+        """Two R*-classes merged on the formula side still each hold an
+        idempotent, so only the attestation catches them."""
+        import endtn.structure as structure
+
+        real = structure._formula_labels
+
+        def merged(uni, relation):
+            label = real(uni, relation)
+            if relation == "R*":
+                label, classes = label.copy(), np.unique(label)
+                label[label == classes[-1]] = classes[-2]
+            return label
+
+        monkeypatch.setattr(structure, "_formula_labels", merged)
+        with pytest.raises(VerificationError, match=re.escape("R*-classes disagree")):
+            abundance_report(4)
+
+    def test_abundance_builds_no_partition(self, monkeypatch):
+        import endtn.structure as structure
+
+        def refused(*args):
+            raise AssertionError("a partition was built")
+
+        monkeypatch.setattr(structure, "_partition", refused)
+        assert abundance_report(3).left_abundant
