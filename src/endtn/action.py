@@ -27,6 +27,7 @@ import numpy as np
 from .endomorphisms import apply, elements, singular_words
 from .errors import VerificationError
 from .transformations import (
+    BLOCK_ROWS,
     MAX_TABLE_DEGREE,
     Transformation,
     all_words,
@@ -36,10 +37,6 @@ from .transformations import (
     permutation_parity,
     word_codes,
 )
-
-# Rows or columns per step of each array pass: bounds the temporaries to
-# a few MB at n = 5.
-_BLOCK = 64
 
 
 def _codes(maps) -> np.ndarray:
@@ -89,10 +86,10 @@ def _composition(n: int) -> np.ndarray:
     words = all_words(n).astype(np.intp)
     powers = n ** np.arange(n - 1, -1, -1)
     table = np.empty((len(words), len(words)), dtype=np.min_scalar_type(n**n - 1))
-    for start in range(0, len(words), _BLOCK):
-        block = words[start:start + _BLOCK]
+    for start in range(0, len(words), BLOCK_ROWS):
+        block = words[start:start + BLOCK_ROWS]
         # words[v, block[u, k]] is v applied after u at the point k.
-        table[start:start + _BLOCK] = (words[:, block] @ powers).T
+        table[start:start + BLOCK_ROWS] = (words[:, block] @ powers).T
     return table
 
 
@@ -109,8 +106,8 @@ def check_homomorphisms(n: int) -> int:
     els = elements(n)
     for g, code in zip(generators(n), _codes(generators(n))):
         times_g = product[:, code]
-        for start in range(0, len(els), _BLOCK):
-            rows = matrix[start:start + _BLOCK]
+        for start in range(0, len(els), BLOCK_ROWS):
+            rows = matrix[start:start + BLOCK_ROWS]
             bad = rows[:, times_g] != product[rows, rows[:, [code]]]
             if bad.any():
                 i, x = np.argwhere(bad)[0]
@@ -133,8 +130,8 @@ def product_mismatches(table: np.ndarray, n: int) -> np.ndarray:
     matrix = action_matrix(n)
     signatures = matrix[:, _codes(generators(n))]
     found = []
-    for start in range(0, table.shape[1], _BLOCK):
-        columns = np.arange(start, min(start + _BLOCK, table.shape[1]))
+    for start in range(0, table.shape[1], BLOCK_ROWS):
+        columns = np.arange(start, min(start + BLOCK_ROWS, table.shape[1]))
         cell = signatures[table[:, columns]]
         composed = matrix[columns[None, :, None], signatures[:, None, :]]
         rows, cols = np.nonzero((cell != composed).any(axis=2))
@@ -198,8 +195,8 @@ def composition_table(n: int) -> np.ndarray:
     _, first, pattern = np.unique(key, return_index=True, return_inverse=True)
     by_pattern = products(first, phis)
     table = np.empty((len(els), len(els)), dtype=np.uint16)
-    for start in range(0, len(els), _BLOCK):
-        stop = min(start + _BLOCK, len(els))
+    for start in range(0, len(els), BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, len(els))
         table[start:stop, others] = products(np.arange(start, stop), others)
         table[start:stop, phis] = by_pattern[pattern[start:stop]]
     return table

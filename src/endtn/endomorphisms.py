@@ -168,24 +168,16 @@ def aut(g: Transformation) -> Endomorphism:
 
 
 def phi(t: Transformation, e: Transformation) -> Endomorphism:
-    """The singular endomorphism determined by the permissible pair (t, e)."""
-    cached = _intern.get((_PHI, t.word, e.word))
-    if cached is not None:
-        return cached
-    return phi_of(PermissiblePair(t, e))
-
-
-def phi_of(pair: PermissiblePair) -> Endomorphism:
-    """``phi(pair.t, pair.e)``; constructing the pair has already checked
-    that it is permissible."""
-    t, e = pair.t, pair.e
-    if t.n == 1:
-        # At degree 1 the only permissible pair gives the identity map itself.
-        return epsilon(1)
+    """The singular endomorphism determined by the permissible pair (t, e);
+    constructing the pair raises ``ValueError`` unless it is permissible."""
     key = (_PHI, t.word, e.word)
     cached = _intern.get(key)
     if cached is not None:
         return cached
+    PermissiblePair(t, e)
+    if t.n == 1:
+        # At degree 1 the only permissible pair gives the identity map itself.
+        return epsilon(1)
     tag = _tag_of(t)
     if tag is TypeTag.EVEN and t.is_identity and e.is_identity:
         tag = TypeTag.TRIVIAL

@@ -33,6 +33,7 @@ from .endomorphisms import (
 from .errors import VerificationError
 from .pairs import PermissiblePair
 from .transformations import (
+    BLOCK_ROWS,
     MAX_END_DEGREE,
     Transformation,
     check_capacity,
@@ -123,16 +124,6 @@ class GreenPartition:
     relation: str
     classes: tuple[frozenset[Endomorphism], ...]
 
-    @cached_property
-    def _class_by_element(self) -> dict[Endomorphism, frozenset[Endomorphism]]:
-        return {el: cls for cls in self.classes for el in cls}
-
-    def class_of(self, alpha: Endomorphism) -> frozenset[Endomorphism]:
-        try:
-            return self._class_by_element[alpha]
-        except KeyError:
-            raise KeyError(f"{alpha!r} lies in no class of {self.relation}") from None
-
     def to_json(self) -> dict:
         return {
             "relation": self.relation,
@@ -214,6 +205,19 @@ def _attest(
 # -- idempotents ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _idempotents(n: int) -> np.ndarray:
+    """The indices of the idempotents of ``elements(n)`` by brute force:
+    the a with a^2 = a, read as a(a(g)) = a(g) on the generators g of T_n
+    through ``apply``.  Built once per degree and read-only; it reads no
+    product, so it serves every degree of the element index (n <= 6)."""
+    gens, members = generators(n), elements(n)
+    square = [all(apply(a, apply(a, g)) is apply(a, g) for g in gens) for a in members]
+    idempotents = np.flatnonzero(square)
+    idempotents.flags.writeable = False
+    return idempotents
+
+
 @dataclass(frozen=True)
 class IdempotentPartition:
     """The idempotents of End(T_n), grouped by rank."""
@@ -234,8 +238,8 @@ _IDEMPOTENT_RANKS = {"E_7": 7, "E_3": 3, "E_2": 2, "E_1": 1}
 
 
 def idempotent_partition(n: int) -> IdempotentPartition:
-    """Idempotents grouped by rank, cross-checked against {a : a^2 = a}, read
-    as a(a(g)) = a(g) on the generators g of T_n, and each member's rank.
+    """Idempotents grouped by rank, cross-checked against {a : a^2 = a}
+    (``_idempotents``) and each member's rank.
 
     The closed form reads the component labels: the identity among the
     units, sigma^g for g in the Klein four-group, and the E_3, E_2 and E_1
@@ -258,9 +262,7 @@ def idempotent_partition(n: int) -> IdempotentPartition:
         grouped[found] = True
         ranked[found] = rank is not None
         of_rank[found] = [members[i].rank == rank for i in found]
-    gens = generators(n)
-    square = [all(apply(a, apply(a, g)) is apply(a, g) for g in gens) for a in members]
-    _attest("idempotents", members, np.packbits(grouped), np.packbits(square))
+    _attest("idempotents", members, np.packbits(grouped), index.pack(_idempotents(n)))
     _attest("idempotent ranks", members, np.packbits(ranked), np.packbits(of_rank))
     return IdempotentPartition(**{k: index.element_set(v) for k, v in groups.items()})
 
@@ -368,11 +370,6 @@ def _formula_labels(index: ElementIndex, relation: str) -> np.ndarray:
     return _one_sided_labels(n, relation)
 
 
-# Rows per step of ``_attested_ideals``, ``_kernel_keys`` and
-# ``extended_probe_check``; bounds their temporaries to a few MB at n = 5.
-_BLOCK_ROWS = 64
-
-
 def _kernel_keys(rows: np.ndarray):
     """Canonical key of the kernel (partition by equal values) of each row
     of element indices, yielded row by row: at every position, the first
@@ -386,9 +383,9 @@ def _kernel_keys(rows: np.ndarray):
     index and a 1-D ``positions`` left to broadcast.
     """
     width = rows.shape[1]
-    positions = np.tile(np.arange(width, dtype=np.int32), _BLOCK_ROWS)
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start : start + _BLOCK_ROWS]
+    positions = np.tile(np.arange(width, dtype=np.int32), BLOCK_ROWS)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
         slots = int(block.max(initial=0)) + 1
         flat = np.arange(len(block), dtype=np.int32)[:, np.newaxis] * slots + block
         first = np.full(len(block) * slots, width, dtype=np.int32)
@@ -432,11 +429,11 @@ def _brute_labels(uni: Universe, relation: str) -> np.ndarray:
         label = _labels_by_key(uni.two_sided_ideals[1].tolist())
     elif relation in ("L*", "R*"):
         # the kernel of each row, and of each column on the idempotent rows
-        lines = uni.table if kind == "L" else uni.table[uni.idempotent_indices, :].T
+        lines = uni.table if kind == "L" else uni.table[_idempotents(uni.n), :].T
         label = _labels_by_key(_kernel_keys(lines))
     elif relation in ("L~", "R~"):
         # the idempotents that fix each element on the right (on the left)
-        idem = uni.idempotent_indices
+        idem = _idempotents(uni.n)
         lines = uni.table[:, idem] if kind == "L" else uni.table[idem, :].T
         label = _labels_by_row(lines == np.arange(uni.size)[:, np.newaxis])
     elif kind in "HD" and suffix in ("", "*", "~"):
@@ -569,7 +566,7 @@ def _attested_ideals(
     Returns the brute-force bitsets: ``Universe.left_bits``,
     ``right_bits``, and the rows of ``two_sided_ideals`` with each
     element's row number.  Before that, the closed form's masks of every
-    element are built ``_BLOCK_ROWS`` at a time and compared byte for byte
+    element are built ``BLOCK_ROWS`` at a time and compared byte for byte
     with the same rows of those bitsets; the first differing row goes
     through ``_attest``, which names its first differing member.  The
     formula masks are dropped block by block, so every later query reads
@@ -582,8 +579,8 @@ def _attested_ideals(
         ("right", lambda a, name: _formula_right_ideal(uni, a, name)),
         ("two-sided", lambda a, name: _formula_two_sided_ideal(uni, a, name)),
     )
-    for start in range(0, uni.size, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
+    for start in range(0, uni.size, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
         brutes = (uni.left_bits[block], uni.right_bits[block], rows[label[block]])
         for (side, formula), brute in zip(formulas, brutes):
             masks = np.array(
@@ -799,16 +796,21 @@ class FixSet:
 
 
 def fix_set(pair: PermissiblePair) -> FixSet:
-    """By definition, scanning S_n; ``Cosets.stabiliser`` gives the same
-    set by lookup."""
-    check_capacity(pair.t.n, MAX_END_DEGREE, "fixed-point subgroup computation")
+    """The g with t^g = t and e^g = e, by definition, scanning S_n, and
+    attested against ``Cosets.stabiliser`` of phi(t, e), a lookup in its
+    orbit's transversal: both as packed masks over S_n in lexicographic
+    order.  At n = 1 phi(id, id) is the identity, which lies in no orbit,
+    so the scan stands alone."""
+    n = pair.t.n
+    check_capacity(n, MAX_END_DEGREE, "fixed-point subgroup computation")
     t, e = pair.t, pair.e
-    members = frozenset(
-        g
-        for g in enumerate_permutations(t.n)
-        if conjugate(t, g) == t and conjugate(e, g) == e
-    )
-    return FixSet(pair, members)
+    perms = list(enumerate_permutations(n))
+    fixes = [conjugate(t, g) == t and conjugate(e, g) == e for g in perms]
+    if n > 1:
+        stabiliser = get_cosets(n).stabiliser(phi(t, e))
+        lookup = [g in stabiliser for g in perms]
+        _attest("fixers", perms, np.packbits(lookup), np.packbits(fixes))
+    return FixSet(pair, frozenset(g for g, fixed in zip(perms, fixes) if fixed))
 
 
 # -- the R*/L* probe check -------------------------------------------------
@@ -831,8 +833,8 @@ def extended_probe_check(n: int, relation: str) -> bool:
     uni = get_universe(n)
     lines = uni.table.T if relation == "R*" else uni.table
     label = _brute_labels(uni, relation)
-    for start in range(0, uni.size, _BLOCK_ROWS):
-        members = np.arange(start, min(start + _BLOCK_ROWS, uni.size))
+    for start in range(0, uni.size, BLOCK_ROWS):
+        members = np.arange(start, min(start + BLOCK_ROWS, uni.size))
         other = _separated(lines[members], lines[label[members]], uni.size)
         if other is not None:
             i = members[other]
@@ -897,11 +899,12 @@ def abundance_report(n: int) -> AbundanceReport:
 
     Each relation's labels are attested as ``extended_partition`` attests
     them (``_attested_labels``), and a class holds an idempotent when its
-    label is the label of one of the table's idempotents
-    (``Universe.idempotent_indices``); no partition is built.
+    label is the label of one of the idempotents found by definition
+    (``_idempotents``), which the brute sides of R*, R~ and L~ read too;
+    no partition is built.
     """
     uni = get_universe(n)
-    idem = uni.idempotent_indices
+    idem = _idempotents(n)
 
     def every_class_has_idempotent(relation: str) -> bool:
         label = _attested_labels(uni, relation)

@@ -31,6 +31,11 @@ MAX_END_DEGREE = 6
 # Its uint16 cells also cap N at 65,536, in ``universe``, override or not.
 MAX_TABLE_DEGREE = 5
 
+# Rows (or columns) per step of every blocked array pass over the elements
+# or over T_n, in ``action``, ``universe`` and ``structure``: bounds each
+# pass's temporaries to a few MB at n = 5.
+BLOCK_ROWS = 64
+
 _intern: dict[tuple[int, ...], "Transformation"] = {}
 
 
@@ -94,7 +99,13 @@ class Transformation:
 
     @classmethod
     def from_images(cls, images) -> "Transformation":
-        """Build from a 1-indexed image sequence."""
+        """Build from a 1-indexed image sequence; a point outside 1..n is
+        refused as given."""
+        images = tuple(images)
+        n = len(images)
+        for x in images:
+            if not 1 <= x <= n:
+                raise ValueError(f"image point {x} out of range for degree {n}")
         return cls(tuple(x - 1 for x in images))
 
     @classmethod
@@ -143,10 +154,6 @@ class Transformation:
     @property
     def is_identity(self) -> bool:
         return all(x == i for i, x in enumerate(self.word))
-
-    @property
-    def is_constant(self) -> bool:
-        return self.rank == 1
 
     def inverse(self) -> "Transformation":
         inverse = self._inverse
@@ -266,13 +273,6 @@ def all_words(n: int) -> np.ndarray:
     which is the order of their ``word_codes``."""
     check_capacity(n, MAX_ENUM_DEGREE, "full transformation enumeration")
     return np.indices((n,) * n, dtype=np.int8).reshape(n, -1).T
-
-
-def enumerate_all(n: int) -> Iterator[Transformation]:
-    """All n^n transformations, in lexicographic order of image words."""
-    check_capacity(n, MAX_ENUM_DEGREE, "full transformation enumeration")
-    for word in itertools.product(range(n), repeat=n):
-        yield Transformation(word)
 
 
 def enumerate_permutations(n: int) -> Iterator[Transformation]:

@@ -9,10 +9,11 @@ universe can hold at most 65,536 elements; a larger one is refused with
 ``CapacityError`` before the table is allocated.  The table and the
 bitsets read off it are read-only once built.
 
-The table is the substrate for every brute-force computation (ideals,
-Green's relations, kernels of left/right translations).  It is the
-composition table of ``action``: each cell is read off the action of its
-row and column element on the generators of T_n, never off the symbolic
+The table is the substrate of the brute-force ideals, Green's relations
+and kernels of left/right translations; the idempotents those read are
+found without it, by ``structure._idempotents``.  It is the composition
+table of ``action``: each cell is read off the action of its row and
+column element on the generators of T_n, never off the symbolic
 product, which ``multiply`` alone computes and the table is compared
 with.  It reads nothing of ``cosets``, whose orbits it is the reference
 for, so the two sides stay separate.
@@ -33,17 +34,13 @@ import numpy as np
 from .action import composition_table
 from .endomorphisms import Endomorphism, elements
 from .errors import CapacityError
-from .transformations import MAX_TABLE_DEGREE, check_capacity
+from .transformations import BLOCK_ROWS, MAX_TABLE_DEGREE, check_capacity
 
 # ``composition_table`` fills ``uint16`` cells.  The bound is one of the
 # representation, not a cost, so ENDTN_CAPACITY_OVERRIDE does not lift it;
 # n = 6, with 38,503 elements, fits.
 _CELL = np.uint16
 MAX_TABLE_SIZE = int(np.iinfo(_CELL).max) + 1
-
-# Rows per step when scattering the table into bitsets; bounds the index
-# temporaries to a few MB at n = 5.
-_SCATTER_ROWS = 256
 
 
 class ElementIndex:
@@ -107,14 +104,6 @@ class Universe(ElementIndex):
         self.table = composition_table(n)
         self.table.flags.writeable = False
 
-    # -- structural subsets (from the defining parameter conditions) -------
-
-    @property
-    def idempotent_indices(self) -> np.ndarray:
-        """Brute-force idempotents: fixed points of the diagonal."""
-        diag = self.table[np.arange(self.size), np.arange(self.size)]
-        return np.nonzero(diag == np.arange(self.size))[0]
-
     # -- value sets of rows and columns ------------------------------------
 
     @cached_property
@@ -132,8 +121,8 @@ class Universe(ElementIndex):
         values."""
         N = self.size
         out = np.empty((N, (N + 7) // 8), dtype=np.uint8)
-        for start in range(0, N, _SCATTER_ROWS):
-            block = rows[start : start + _SCATTER_ROWS]
+        for start in range(0, N, BLOCK_ROWS):
+            block = rows[start : start + BLOCK_ROWS]
             hit = np.zeros((len(block), N), dtype=bool)
             np.put_along_axis(hit, block, True, axis=1)
             out[start : start + len(block)] = np.packbits(hit, axis=1)
@@ -165,14 +154,10 @@ class Universe(ElementIndex):
         packed = np.frombuffer(b"".join(rows), dtype=np.uint8)
         return packed.reshape(len(rows), -1), label
 
-    def two_sided_bits(self, i: int) -> np.ndarray:
-        """End a End as packed bits, where a is element i."""
-        rows, label = self.two_sided_ideals
-        return rows[label[i]]
-
     def two_sided_ideal(self, i: int) -> frozenset[int]:
-        """The members of ``two_sided_bits(i)``."""
-        return frozenset(self.members(self.two_sided_bits(i)).tolist())
+        """The members of End a End, where a is element i."""
+        rows, label = self.two_sided_ideals
+        return frozenset(self.members(rows[label[i]]).tolist())
 
     @cached_property
     def _class_reach(self) -> np.ndarray:

@@ -53,10 +53,10 @@ from endtn.structure import (
 from endtn.transformations import (
     Transformation,
     compose,
-    enumerate_all,
     enumerate_permutations,
 )
 from endtn.universe import get_universe
+from test_transformations import all_maps
 
 
 def test_criterion_01_symbolic_product_matches_composition_oracle():
@@ -92,7 +92,7 @@ def _brute_partner_counts(n):
     )
     E = E[(np.take_along_axis(E, E.astype(np.int64), axis=1) == E).all(axis=1)]
     counts = {}
-    for t in enumerate_all(n):
+    for t in all_maps(n):
         if not is_in_U(t):
             continue
         tw = np.array(t.word, dtype=np.int16)
@@ -126,7 +126,7 @@ def test_criterion_03_cardinality_identities():
     for n in (2, 3, 4, 5, 6):
         part = idempotent_partition(n)
         idempotents_of_Tn = sum(
-            1 for e in enumerate_all(n) if compose(e, e) == e
+            1 for e in all_maps(n) if compose(e, e) == e
         )
         assert len(part.E_1) == len(part.E_2) + 1 == idempotents_of_Tn
     rank7 = [el for el in enumerate_End(4) if el.rank == 7]

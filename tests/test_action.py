@@ -13,20 +13,21 @@ from endtn.action import (
 )
 from endtn.endomorphisms import apply, elements
 from endtn.errors import CapacityError, VerificationError
-from endtn.transformations import all_words, compose, enumerate_all, generators
+from endtn.transformations import all_words, compose, generators
 from endtn.universe import get_universe
+from test_transformations import all_maps
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_matrix_is_the_action(n):
-    maps = list(enumerate_all(n))
+    maps = all_maps(n)
     code = {s: i for i, s in enumerate(maps)}
     expected = [[code[apply(el, s)] for s in maps] for el in elements(n)]
     assert action_matrix(n).tolist() == expected
 
 
 def test_matrix_is_the_action_sampled_at_five():
-    maps = list(enumerate_all(5))
+    maps = all_maps(5)
     code = {s: i for i, s in enumerate(maps)}
     els = elements(5)
     matrix = action_matrix(5)
@@ -39,7 +40,7 @@ def test_matrix_is_the_action_sampled_at_five():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_composition_codes(n):
-    maps = list(enumerate_all(n))
+    maps = all_maps(n)
     code = {s: i for i, s in enumerate(maps)}
     expected = [[code[compose(s, u)] for u in maps] for s in maps]
     assert action._composition(n).tolist() == expected

@@ -286,6 +286,24 @@ class TestStructureVerbs:
         assert code == 0
         assert out.strip().splitlines()[1:] == ["1 2 3 4 5", "1 3 2 4 5"]
 
+    def test_fix_is_attested_against_the_stabiliser(self, capsys, monkeypatch):
+        """A stabiliser lookup that drops one permutation disagrees with
+        the scan of S_5, and the mismatch names that permutation."""
+        from endtn.cosets import Cosets
+        from endtn.transformations import Transformation
+
+        real = Cosets.stabiliser
+        dropped = Transformation.from_text("1 3 2 4 5")
+        monkeypatch.setattr(
+            Cosets, "stabiliser", lambda self, alpha: real(self, alpha) - {dropped}
+        )
+        code, out, err = run(
+            capsys, "fix", "--n", "5", "--t", "1 3 2 1 5", "--e", "1 1 1 1 1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("verification failed: fixers disagree")
+        assert err.endswith("counterexample: Transformation[1 3 2 4 5]\n")
+
 
 class TestExitCodes:
     def test_capacity(self, capsys):
@@ -431,6 +449,18 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "t, point, n",
+        [("0 1 1", 0, 3), ("1 3 2 1 9", 9, 5)],
+        ids=["zero", "past-n"],
+    )
+    def test_usage_fix_point_out_of_range(self, capsys, t, point, n):
+        """The point is named as the user gave it, 1-indexed."""
+        e = " ".join(["1"] * n)
+        code, out, err = run(capsys, "fix", "--n", str(n), "--t", t, "--e", e)
+        assert (code, out) == (2, "")
+        assert err == f"error: image point {point} out of range for degree {n}\n"
 
     def test_usage_fix_degree_mismatch(self, capsys):
         code, out, err = run(

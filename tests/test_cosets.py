@@ -3,7 +3,7 @@ import random
 import pytest
 
 from endtn.cosets import get_cosets
-from endtn.endomorphisms import aut, multiply, phi_of
+from endtn.endomorphisms import aut, multiply, phi
 from endtn.pairs import PermissiblePair, enumerate_P
 from endtn.structure import fix_set
 from endtn.transformations import enumerate_permutations
@@ -38,6 +38,22 @@ def test_least_conjugator_matches_scan():
         assert cosets.least_conjugator(alpha, beta) is least
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_least_conjugator_of_every_member(n):
+    """From each representative r, a scan of S_n in lexicographic order by
+    the symbolic product, independent of the word gathers of ``Cosets``,
+    reaches every member of r's orbit, and first at its least conjugator."""
+    cosets = get_cosets(n)
+    perms = list(enumerate_permutations(n))
+    for rep in cosets.representatives:
+        first = {}
+        for g in perms:
+            first.setdefault(multiply(rep, aut(g)), g)
+        assert first.keys() == cosets.orbit(rep)
+        for beta, g in first.items():
+            assert cosets.least_conjugator(rep, beta) is g
+
+
 def test_least_conjugator_rejects_other_orbits():
     cosets = get_cosets(4)
     first, second = cosets.representatives[:2]
@@ -59,7 +75,7 @@ def test_stabiliser_matches_fix_set(n):
 
 @pytest.fixture(scope="module")
 def six():
-    singular = sorted(phi_of(p) for p in enumerate_P(6))
+    singular = sorted(phi(p.t, p.e) for p in enumerate_P(6))
     return get_cosets(6), singular, list(enumerate_permutations(6))
 
 

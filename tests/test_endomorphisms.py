@@ -30,10 +30,10 @@ from endtn.errors import CapacityError, NotAnEndomorphismError, VerificationErro
 from endtn.transformations import (
     Transformation,
     compose,
-    enumerate_all,
     enumerate_permutations,
     generators,
 )
+from test_transformations import all_maps
 
 
 def sample_elements(n, k, seed=0):
@@ -89,7 +89,7 @@ class TestApply:
     @pytest.mark.parametrize("n", [2, 3])
     def test_every_element_acts_as_homomorphism(self, n):
         els = list(enumerate_End(n))
-        maps = list(enumerate_all(n))
+        maps = all_maps(n)
         for alpha in els:
             for s, u in itertools.product(maps, repeat=2):
                 assert apply(alpha, compose(s, u)) == compose(
@@ -119,7 +119,7 @@ class TestApply:
 
     def test_sigma4_identity_has_seven_images(self):
         alpha = sigma4(Transformation.identity(4))
-        images = {apply(alpha, s) for s in enumerate_all(4)}
+        images = {apply(alpha, s) for s in all_maps(4)}
         assert len(images) == 7
 
 
@@ -443,7 +443,7 @@ class TestEnumeration:
         monkeypatch.setattr(endomorphisms, "_intern", {})
         monkeypatch.setattr(pairs.PermissiblePair, "_checked", forbidden)
         monkeypatch.setattr(pairs.PermissiblePair, "__post_init__", forbidden)
-        monkeypatch.setattr(endomorphisms, "phi_of", forbidden)
+        monkeypatch.setattr(endomorphisms, "phi", forbidden)
         for n in range(2, 7):
             fresh_element_caches(monkeypatch)
             assert [el.key() for el in endomorphisms.elements(n)] == cached[n]

@@ -18,11 +18,12 @@ from endtn.pairs import (
     pair_counts,
     u_words,
 )
-from endtn.transformations import Transformation, compose, enumerate_all
+from endtn.transformations import Transformation, compose
+from test_transformations import all_maps
 
 
 def u_elements(n):
-    return [t for t in enumerate_all(n) if is_in_U(t)]
+    return [t for t in all_maps(n) if is_in_U(t)]
 
 
 class TestPermissibility:
@@ -41,7 +42,7 @@ class TestPermissibility:
         assert not is_permissible(t, Transformation.constant(3, 2))
 
     def test_array_check_agrees_with_the_scalar_one(self):
-        maps = list(enumerate_all(3))
+        maps = all_maps(3)
         for t in maps:
             for e in maps:
                 words = np.array([t.word]), np.array([e.word])
@@ -117,7 +118,7 @@ class TestCounting:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_brute_scan_matches_the_definition(self, n):
-        maps = list(enumerate_all(n))
+        maps = all_maps(n)
         for t in maps:
             assert brute_force_partners(t) == [e for e in maps if is_permissible(t, e)]
 
@@ -139,7 +140,7 @@ class TestCounting:
         for n in (2, 3, 4, 5):
             t = Transformation.identity(n)
             idempotents = sum(
-                1 for e in enumerate_all(n) if compose(e, e) == e
+                1 for e in all_maps(n) if compose(e, e) == e
             )
             assert count_pairs_for(t) == idempotents
 

@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -152,17 +153,23 @@ def test_dense_check_scan_sees_a_reference_elsewhere(tmp_path, reference):
     assert _dense_check_references(tmp_path)
 
 
-def test_benchmark_hooks_resolve():
-    """Every name the benchmark's tracer wraps still exists, so a renamed
-    or deleted function cannot silently break a traced run."""
-    import endtn.cli  # noqa: F401  (loads every module the tracer patches)
-
+def _benchmark_hooks() -> list[tuple[str, str]]:
+    """The (module, attribute or Class.method) of every function that the
+    benchmark's tracer wraps."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
     )
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    hooks = [row[:2] for row in tracing.COARSE + tracing.HOT + tracing.GENERATORS]
+    return [row[:2] for row in tracing.COARSE + tracing.HOT + tracing.GENERATORS]
+
+
+def test_benchmark_hooks_resolve():
+    """Every name the benchmark's tracer wraps still exists, so a renamed
+    or deleted function cannot silently break a traced run."""
+    import endtn.cli  # noqa: F401  (loads every module the tracer patches)
+
+    hooks = _benchmark_hooks()
     missing = []
     for module, attr in hooks:
         obj = sys.modules.get(module)
@@ -171,6 +178,84 @@ def test_benchmark_hooks_resolve():
         if not callable(obj):
             missing.append(f"{module}:{attr}")
     assert len(hooks) == 24 and missing == []
+
+
+def _words(tree: ast.AST) -> Counter:
+    """How often each name, attribute and imported name occurs in ``tree``."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            found[node.name.rpartition(".")[2]] += 1
+        else:
+            word = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(word, str):
+                found[word] += 1
+    return found
+
+
+def _unnamed_definitions(source: Path) -> set[str]:
+    """The top-level functions and classes of the modules under ``source``,
+    and the methods of those classes other than dunders, that no code
+    under ``source`` names outside their own definition, as
+    ``module.name`` or ``module.Class.method``."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    trees = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in source.glob("*.py")
+    }
+    total = sum(map(_words, trees.values()), Counter())
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, kinds):
+                continue
+            definitions = [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    (f"{module}.{node.name}.{method.name}", method)
+                    for method in node.body
+                    if isinstance(method, kinds[:2])
+                    and not re.fullmatch(r"__\w+__", method.name)
+                ]
+            for qualified, definition in definitions:
+                if total[definition.name] == _words(definition)[definition.name]:
+                    found.add(qualified)
+    return found
+
+
+def test_every_definition_is_named():
+    """Every function, class and method of the library is named by other
+    library code (an export in ``__init__`` counts), wrapped by the
+    benchmark's tracer, or one of the test-only ``DENSE_CHECKS``: code
+    that nothing needs is deleted rather than kept."""
+    hooks = {
+        f"{module.rpartition('.')[2]}.{attr}" for module, attr in _benchmark_hooks()
+    }
+    dense = {f"action.{name}" for name in DENSE_CHECKS}
+    assert _unnamed_definitions(SOURCE) - hooks - dense == set()
+
+
+@pytest.mark.parametrize(
+    "definition, flagged",
+    [
+        ("def unused(n):\n    return n\n", "cli.unused"),
+        (
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n",
+            "cli.recursive",
+        ),
+        (
+            "class Unused:\n    def method(self):\n        return 1\n",
+            "cli.Unused.method",
+        ),
+    ],
+    ids=["function", "names-only-itself", "method"],
+)
+def test_definition_scan_sees_an_unused_one(tmp_path, definition, flagged):
+    for path in SOURCE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "cli.py", "a") as handle:
+        handle.write("\n\n" + definition)
+    assert flagged in _unnamed_definitions(tmp_path) - _unnamed_definitions(SOURCE)
 
 
 def test_each_degree_is_enumerated_in_one_place():
@@ -334,8 +419,6 @@ TABLE_READS = {
     "right_bits",
     "left_bits",
     "two_sided_ideals",
-    "two_sided_bits",
-    "idempotent_indices",
     "_class_reach",
     "get_universe",
 }
@@ -383,12 +466,14 @@ def test_one_attest_site_for_partitions():
         "structure.extended_probe_check",
         "structure._brute_labels",
     }
-    # Each attest site: sets of elements, principal ideals, then partitions.
+    # Each attest site: sets of elements, principal ideals, partitions, then
+    # the S_n fixers of a pair.
     assert _namers("_attest") == {
         "structure.idempotent_partition",
         "structure.regular_elements",
         "structure._attested_ideals",
         "structure._attested_labels",
+        "structure.fix_set",
     }
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -27,6 +28,7 @@ from endtn.structure import (
     _attested_ideals,
     _brute_labels,
     _formula_labels,
+    _idempotents,
     _kernel_keys,
     _one_sided_labels,
     _RIGHT_IDEAL_COMPONENTS,
@@ -186,6 +188,16 @@ class TestIdempotents:
             idempotent_partition(3)
         assert err.value.counterexample is victim
 
+    def test_brute_set_is_the_table_diagonal(self):
+        """``_idempotents`` reads a^2 = a off the action; the diagonal of
+        the table, the same identity cell by cell, is its reference."""
+        for n, size in zip(range(1, 6), (1, 6, 23, 1 + 4 + 24 + 40 + 41, 572)):
+            uni = get_universe(n)
+            diagonal = uni.table[np.arange(uni.size), np.arange(uni.size)]
+            expected = np.flatnonzero(diagonal == np.arange(uni.size))
+            assert _idempotents(n).tolist() == expected.tolist()
+            assert len(expected) == size and not _idempotents(n).flags.writeable
+
     def test_all_are_idempotent(self):
         part = idempotent_partition(3)
         for el in part.all:
@@ -201,7 +213,11 @@ class TestIdempotents:
 
         monkeypatch.setattr(endomorphisms, "multiply", refused)
         assert not hasattr(structure, "multiply")
+        # A fresh cache, so that the scan runs under the refusal.
+        fresh = functools.lru_cache(structure._idempotents.__wrapped__)
+        monkeypatch.setattr(structure, "_idempotents", fresh)
         sizes = [len(idempotent_partition(n).all) for n in range(1, 7)]
+        assert fresh.cache_info().misses == 6
         assert sizes == [1, 6, 23, 110, 572, 3_494]
 
     def test_formula_labels_are_built_once_per_degree(self):
@@ -274,7 +290,7 @@ class TestGreens:
     def test_related(self):
         part = green_partition(3, "R")
         g = aut(Transformation.transposition(3, 1, 2))
-        assert g in part.class_of(epsilon(3))
+        assert any(g in cls and epsilon(3) in cls for cls in part.classes)
 
     @pytest.mark.parametrize("relation", ["R", "L", "H"])
     def test_brute_classes_match_per_element_reference(self, relation):
@@ -286,15 +302,14 @@ class TestGreens:
                 least_member_labels(reference, uni.size),
             )
 
-    def test_class_of_matches_scan(self):
+    def test_each_element_lies_in_one_class(self):
         elements = get_universe(4).elements
         for relation in GREEN_RELATIONS:
             part = green_partition(4, relation)
             for el in elements:
-                scanned = next(cls for cls in part.classes if el in cls)
-                assert part.class_of(el) is scanned
-        with pytest.raises(KeyError, match="lies in no class of J"):
-            part.class_of(epsilon(3))
+                assert sum(el in cls for cls in part.classes) == 1
+            assert sum(map(len, part.classes)) == len(elements)
+            assert not any(epsilon(3) in cls for cls in part.classes)
 
 
 class TestFormulaSidesAtSix:
@@ -762,7 +777,7 @@ class TestExtended:
         inputs the brute side passes and on non-contiguous views."""
         uni = get_universe(5)
         table = uni.table
-        idem = uni.idempotent_indices
+        idem = _idempotents(5)
         for rows in (table, table[idem, :].T, table.T, table[:, ::-1], table[::2]):
             pairs = zip(_kernel_keys(rows), unique_kernel_keys(rows), strict=True)
             for key, expected in pairs:

@@ -1,18 +1,28 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from endtn.errors import CapacityError
 from endtn.transformations import (
+    MAX_ENUM_DEGREE,
     Transformation,
+    all_words,
+    check_capacity,
     compose,
     conjugate,
-    enumerate_all,
     enumerate_permutations,
     generators,
     permutation_parity,
 )
+
+
+def all_maps(n):
+    """Every map of T_n, one scalar ``Transformation`` per image word in
+    lexicographic order: the reference that ``all_words`` is checked
+    against, made with no array."""
+    return [Transformation(word) for word in itertools.product(range(n), repeat=n)]
 
 
 def words(n):
@@ -34,8 +44,10 @@ class TestConstruction:
         )
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Transformation.from_images([1, 4, 2])
+        # The point is named as given, 1-indexed.
+        for images, point in (([1, 4, 2], 4), ([0, 1, 1], 0)):
+            with pytest.raises(ValueError, match=f"^image point {point} out of"):
+                Transformation.from_images(images)
         with pytest.raises(ValueError):
             Transformation(())
 
@@ -120,7 +132,7 @@ class TestGenerators:
             frontier = {compose(s, g) for s in frontier for g in generators(n)}
             frontier -= reached
             reached = reached | frontier
-        assert reached == set(enumerate_all(n))
+        assert reached == set(all_maps(n))
 
 
 class TestClassify:
@@ -168,7 +180,7 @@ def _check_invariants(t):
 class TestCachedInvariants:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_word(self, n):
-        for t in enumerate_all(n):
+        for t in all_maps(n):
             _check_invariants(t)
 
     @pytest.mark.parametrize("n", [5, 6])
@@ -194,19 +206,29 @@ class TestCachedInvariants:
 
 class TestEnumeration:
     def test_counts(self):
-        assert sum(1 for _ in enumerate_all(3)) == 27
+        assert len(all_words(3)) == 27
         assert sum(1 for _ in enumerate_permutations(4)) == 24
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_all_words_match_the_scalar_reference(self, n):
+        words = all_words(n)
+        assert words.dtype == np.int8
+        assert words.tolist() == [list(t.word) for t in all_maps(n)]
 
     def test_permutations_are_sorted_and_distinct(self):
         perms = list(enumerate_permutations(4))
         assert perms == sorted(perms)
         assert len(set(perms)) == 24
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
+        monkeypatch.delenv("ENDTN_CAPACITY_OVERRIDE", raising=False)
         with pytest.raises(CapacityError):
-            list(enumerate_all(8))
+            all_words(8)
 
     def test_capacity_override(self, monkeypatch):
+        # all_words(8) itself would allocate 8^8 rows, about 134 MB.
         monkeypatch.setenv("ENDTN_CAPACITY_OVERRIDE", "1")
-        it = enumerate_all(8)
-        assert next(it).is_constant
+        check_capacity(8, MAX_ENUM_DEGREE, "full transformation enumeration")
+        monkeypatch.setenv("ENDTN_CAPACITY_OVERRIDE", "0")
+        with pytest.raises(CapacityError):
+            check_capacity(8, MAX_ENUM_DEGREE, "full transformation enumeration")

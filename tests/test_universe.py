@@ -173,12 +173,6 @@ class TestTable:
 
 
 class TestDerivedSets:
-    def test_idempotents(self, uni4):
-        idem = set(uni4.idempotent_indices.tolist())
-        for i in range(uni4.size):
-            assert (int(uni4.table[i, i]) == i) == (i in idem)
-        assert len(idem) == 1 + 4 + 24 + 40 + 41
-
     def test_principal_ideals_contain_generator_products(self, uni4):
         rng = random.Random(5)
         for _ in range(30):
