@@ -219,7 +219,7 @@ def cmd_ideals(args) -> int:
         _emit(args, [], [], payload=[d.to_json() for d in ideals])
         return EXIT_OK
     rows = [
-        [d.form, len(d.indices), ";".join(sorted(d.X)), ";".join(sorted(d.Y)),
+        [d.form, d.size, ";".join(sorted(d.X)), ";".join(sorted(d.Y)),
          ";".join(sorted(d.Z))]
         for d in ideals
     ]

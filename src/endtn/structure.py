@@ -135,10 +135,12 @@ class GreenPartition:
 
 def _labels_by_key(keys) -> np.ndarray:
     """The partition into classes of equal keys, from one hashable key per
-    element in index order.  Only the distinct keys are kept."""
+    element in index order.  Only the distinct keys are kept.  Labels are
+    ``int32``, on the formula and the brute side alike, so ``_attest``
+    compares arrays of one dtype."""
     first: dict = {}
     return np.fromiter(
-        (first.setdefault(key, i) for i, key in enumerate(keys)), dtype=np.int64
+        (first.setdefault(key, i) for i, key in enumerate(keys)), dtype=np.int32
     )
 
 
@@ -157,7 +159,7 @@ def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     while True:
         before = label
         for side in (a, b):
-            least = np.full(len(label), len(label))
+            least = np.full(len(label), len(label), dtype=label.dtype)
             np.minimum.at(least, side, label)
             label = least[side]
         if np.array_equal(label, before):
@@ -227,10 +229,6 @@ class IdempotentPartition:
     E_3: frozenset[Endomorphism]
     E_2: frozenset[Endomorphism]
     E_1: frozenset[Endomorphism]
-
-    @property
-    def all(self) -> frozenset[Endomorphism]:
-        return self.epsilon | self.E_7 | self.E_3 | self.E_2 | self.E_1
 
 
 # The rank of each idempotent group below the identity.
@@ -370,27 +368,57 @@ def _formula_labels(index: ElementIndex, relation: str) -> np.ndarray:
     return _one_sided_labels(n, relation)
 
 
-def _kernel_keys(rows: np.ndarray):
-    """Canonical key of the kernel (partition by equal values) of each row
-    of element indices, yielded row by row: at every position, the first
-    position that holds the same value, as ``int32`` bytes.
+def _unsigned(limit: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every value below limit."""
+    return np.min_scalar_type(max(limit - 1, 0))
 
-    Each block of rows gets one ``int32`` slot number per (row, value),
-    at most 64 N, and one ``np.minimum.at`` leaves in every slot the least
-    position that holds the value, whatever order the repeated writes are
-    applied in.  Its operands are passed flat and of one length: numpy
-    2.4.6 filled slots with wrong values, garbage among them, for a 2-D
-    index and a 1-D ``positions`` left to broadcast.
+
+def _line_blocks(lines: np.ndarray, columns=None):
+    """The rows of ``lines``, restricted to ``columns`` when given, in
+    blocks, each with the number of its first row.  A block holds at most
+    ``BLOCK_ROWS`` rows and ``BLOCK_ROWS`` * 1,024 cells (20 rows of an
+    n = 5 table), so only one block of a column subset is ever copied."""
+    width = lines.shape[1] if columns is None else len(columns)
+    step = max(1, min(BLOCK_ROWS, (BLOCK_ROWS << 10) // max(width, 1)))
+    for start in range(0, len(lines), step):
+        block = lines[start : start + step]
+        yield start, block if columns is None else block[:, columns]
+
+
+def _kernel_keys(lines: np.ndarray, columns=None):
+    """Canonical key of the kernel (partition by equal values) of each row
+    of element indices, restricted to ``columns`` when given, yielded row
+    by row: at every position, the first position that holds the same
+    value, as bytes of the smallest unsigned dtype that holds a position
+    (``uint16`` at n <= 5).
+
+    Each block of rows (``_line_blocks``) gets one ``int32`` slot number
+    per (row, value), and one ``np.minimum.at`` leaves in every slot the
+    least position that holds the value, whatever order the repeated
+    writes are applied in.  Slots start at the dtype's maximum, which no
+    position exceeds (the last position at N = 65,536).  Its operands are passed flat and of one length:
+    numpy 2.4.6 filled slots with wrong values, garbage among them, for a
+    2-D index and a 1-D ``positions`` left to broadcast.
     """
-    width = rows.shape[1]
-    positions = np.tile(np.arange(width, dtype=np.int32), BLOCK_ROWS)
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS]
+    width = lines.shape[1] if columns is None else len(columns)
+    dtype = _unsigned(width)
+    for _, block in _line_blocks(lines, columns):
         slots = int(block.max(initial=0)) + 1
         flat = np.arange(len(block), dtype=np.int32)[:, np.newaxis] * slots + block
-        first = np.full(len(block) * slots, width, dtype=np.int32)
-        np.minimum.at(first, flat.ravel(), positions[: flat.size])
+        first = np.full(len(block) * slots, np.iinfo(dtype).max, dtype=dtype)
+        positions = np.tile(np.arange(width, dtype=dtype), len(block))
+        np.minimum.at(first, flat.ravel(), positions)
         for key in first[flat]:
+            yield key.tobytes()
+
+
+def _fixer_keys(lines: np.ndarray, columns: np.ndarray):
+    """For each row i of ``lines``, which of its positions in ``columns``
+    hold i, as the bytes of a boolean row: a block at a time
+    (``_line_blocks``)."""
+    for start, block in _line_blocks(lines, columns):
+        fixed = block == np.arange(start, start + len(block))[:, np.newaxis]
+        for key in fixed:
             yield key.tobytes()
 
 
@@ -427,15 +455,16 @@ def _brute_labels(uni: Universe, relation: str) -> np.ndarray:
         label = _labels_by_row(uni.right_bits)
     elif relation == "J":
         label = _labels_by_key(uni.two_sided_ideals[1].tolist())
-    elif relation in ("L*", "R*"):
-        # the kernel of each row, and of each column on the idempotent rows
-        lines = uni.table if kind == "L" else uni.table[_idempotents(uni.n), :].T
-        label = _labels_by_key(_kernel_keys(lines))
+    elif relation == "L*":
+        # the kernel of each row
+        label = _labels_by_key(_kernel_keys(uni.table))
+    elif relation == "R*":
+        # the kernel of each column on the idempotent rows
+        label = _labels_by_key(_kernel_keys(uni.table.T, _idempotents(uni.n)))
     elif relation in ("L~", "R~"):
         # the idempotents that fix each element on the right (on the left)
-        idem = _idempotents(uni.n)
-        lines = uni.table[:, idem] if kind == "L" else uni.table[idem, :].T
-        label = _labels_by_row(lines == np.arange(uni.size)[:, np.newaxis])
+        lines = uni.table if kind == "L" else uni.table.T
+        label = _labels_by_key(_fixer_keys(lines, _idempotents(uni.n)))
     elif kind in "HD" and suffix in ("", "*", "~"):
         left, right = (_brute_labels(uni, side + suffix) for side in "LR")
         label = _meet(left, right) if kind == "H" else _join(left, right)
@@ -650,20 +679,27 @@ class IdealDescription:
     odd-type elements) or "nonperm-closed" (only trivial or
     non-permutation types).  X, Y, Z identify the orbits contributed by
     A, B and C respectively, by each orbit's minimal element key.  The
-    members are kept as the element indices of ``universe``; ``elements``
-    builds them as endomorphisms on first read.
+    members are kept as a packed mask over the element indices of
+    ``universe`` (404 bytes at n = 5), with their number; ``indices`` and
+    ``elements`` build them as indices and as endomorphisms on first
+    read, which the ``ideals`` verb never does.
     """
 
     form: str
     X: frozenset[str]
     Y: frozenset[str]
     Z: frozenset[str]
-    indices: frozenset[int] = field(compare=False, repr=False)
+    mask: np.ndarray = field(compare=False, repr=False)
+    size: int = field(compare=False, repr=False)
     universe: Universe = field(compare=False, repr=False)
 
     @cached_property
+    def indices(self) -> frozenset[int]:
+        return frozenset(self.universe.members(self.mask).tolist())
+
+    @cached_property
     def elements(self) -> frozenset[Endomorphism]:
-        return self.universe.element_set(self.indices)
+        return self.universe.element_set(self.universe.members(self.mask))
 
     def to_json(self) -> dict:
         return {
@@ -671,7 +707,7 @@ class IdealDescription:
             "X": sorted(self.X),
             "Y": sorted(self.Y),
             "Z": sorted(self.Z),
-            "size": len(self.indices),
+            "size": self.size,
         }
 
 
@@ -692,10 +728,9 @@ def _downsets(below: list[frozenset[int]]) -> list[frozenset[int]]:
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def _describe_ideal(uni: Universe, indices: frozenset[int]) -> IdealDescription:
+def _describe_ideal(uni: Universe, mask: np.ndarray) -> IdealDescription:
     comp = _component_labels(uni.n)
-    inside = np.zeros(uni.size, dtype=bool)
-    inside[np.fromiter(indices, dtype=np.int64)] = True
+    inside = np.unpackbits(mask, count=uni.size).view(bool)
     present = {COMPONENTS[k] for k in np.unique(comp[inside]).tolist()}
     if "Aut" in present:
         form = "whole"
@@ -716,7 +751,8 @@ def _describe_ideal(uni: Universe, indices: frozenset[int]) -> IdealDescription:
         X=orbit_keys("A"),
         Y=orbit_keys("B"),
         Z=orbit_keys("C"),
-        indices=indices,
+        mask=mask,
+        size=int(np.count_nonzero(inside)),
         universe=uni,
     )
 
@@ -740,31 +776,50 @@ def enumerate_ideals(n: int) -> list[IdealDescription]:
     two-sided closed.
     """
     uni = get_universe(n)
-    ideals = _ideal_index_sets(uni)
-    for indices in ideals:
-        if not uni.is_two_sided_closed(indices):
+    masks = _ideal_masks(uni)
+    for mask in masks:
+        if not uni.is_two_sided_closed(mask):
             raise VerificationError(
                 "emitted ideal is not two-sided closed",
-                counterexample=uni.element_set(indices),
+                counterexample=uni.element_set(uni.members(mask)),
             )
-    return [_describe_ideal(uni, indices) for indices in ideals]
+    return [_describe_ideal(uni, mask) for mask in masks]
 
 
-# The closed form's J-classes in the order it states them.  enumerate_ideals
-# sorts the ideals by (size, least member) and leaves ties in the iteration
-# order of a set of frozensets, which follows the order the ideals are built
-# in, so numbering these classes by least member would reorder its output.
+# The closed form's J-classes in the order it states them.  The down-sets
+# are built and sorted by their class numbers in this order, and that order
+# decides the ties of the ideal list (``_ideal_masks``), so numbering these
+# classes by least member would reorder its output.
 _J_CLASS_ORDER = ("Aut", "D", "E_3", "E_2", "E_1", "A", "B", "C")
 
 
-def _j_order(uni: Universe, reps: list[int]) -> np.ndarray:
-    """order[i, j]: whether the class of reps[j] lies at or below that of
-    reps[i], read off the attested two-sided ideals of the reps."""
-    ideals = np.array([_two_sided_ideal(uni, r) for r in reps])
-    return np.unpackbits(ideals, axis=1, count=uni.size)[:, reps].astype(bool)
+class _Union:
+    """One distinct union of J-classes: its packed mask, its (size, least
+    member) sort key, and the hash of the frozenset of its members, which
+    is built only to take that hash."""
+
+    __slots__ = ("mask", "order", "hash")
+
+    def __init__(self, mask: np.ndarray, members: np.ndarray):
+        self.mask, self.order = mask, (len(members), int(members[0]))
+        self.hash = hash(frozenset(members.tolist()))
+
+    def __hash__(self) -> int:
+        return self.hash
 
 
-def _ideal_index_sets(uni: Universe) -> list[frozenset[int]]:
+def _ideal_masks(uni: Universe) -> list[np.ndarray]:
+    """The ideals as packed masks, ordered by (size, least member).
+
+    Ties keep the order in which a set of the ideals' frozensets of
+    element indices, filled in down-set order, iterates them: 1, 15 and
+    23 tie groups at n = 3, 4 and 5, which no explicit order reproduces.
+    A set's layout depends only on the hashes, the equality results and
+    the insertion order of its entries, and adding an equal entry again
+    leaves it unchanged.  So the distinct unions go into a set in the
+    order they first occur, each carrying its frozenset's hash, and as
+    distinct unions are unequal, identity serves as equality.
+    """
     label = _attested_labels(uni, "J")
     comp = _component_labels(uni.n)
     reps = sorted(
@@ -772,16 +827,23 @@ def _ideal_index_sets(uni: Universe) -> list[frozenset[int]]:
         key=lambda r: (_J_CLASS_ORDER.index(COMPONENTS[comp[r]]), r),
     )
     k = len(reps)
-    below = [frozenset(np.flatnonzero(row).tolist()) for row in _j_order(uni, reps)]
+    # Each rep's two-sided ideal is the union of the classes at or below
+    # its own, so a down-set's union is the union of its classes' ideals.
+    ideals = np.array([_two_sided_ideal(uni, r) for r in reps])
+    order = np.unpackbits(ideals, axis=1, count=uni.size)[:, reps]
+    below = [frozenset(np.flatnonzero(row).tolist()) for row in order]
     if k <= FULL_IDEAL_ENUM_CLASS_LIMIT:
         downsets = _downsets(below)
     else:
         downsets = {below[i] | below[j] for i in range(k) for j in range(i + 1)}
         downsets = sorted(downsets, key=lambda s: (len(s), sorted(s)))
-    # Unions of one set per class share the int objects of those sets.
-    classes = [frozenset(np.flatnonzero(label == r).tolist()) for r in reps]
-    out = [frozenset().union(*(classes[c] for c in downset)) for downset in downsets]
-    return sorted(set(out), key=lambda s: (len(s), min(s)))
+    unions: dict[bytes, _Union] = {}
+    for downset in downsets:
+        mask = np.bitwise_or.reduce(ideals[list(downset)], axis=0)
+        key = mask.tobytes()
+        if key not in unions:
+            unions[key] = _Union(mask, uni.members(mask))
+    return [u.mask for u in sorted(set(unions.values()), key=lambda u: u.order)]
 
 
 # -- fixed-point subgroups --------------------------------------------------
@@ -843,13 +905,15 @@ def extended_probe_check(n: int, relation: str) -> bool:
                 counterexample=(uni.elements[label[i]], uni.elements[i]),
             )
     # Distinct classes, distinct kernels: each kernel keyed by the first
-    # position of each value, read off a sort of the base's line.
+    # position of each value, read off a sort of the base's line, in the
+    # smallest unsigned dtype that holds a position.
     seen: dict[bytes, int] = {}
+    dtype = _unsigned(lines.shape[1])
     for base in np.unique(label).tolist():
         _, first, inverse = np.unique(
             lines[base], return_index=True, return_inverse=True
         )
-        other = seen.setdefault(first[inverse].tobytes(), base)
+        other = seen.setdefault(first[inverse].astype(dtype).tobytes(), base)
         if other != base:
             raise VerificationError(
                 f"{relation} probe found one kernel on two classes",

@@ -170,9 +170,9 @@ class Universe(ElementIndex):
         reach |= np.bitwise_or.reduceat(self.left_bits[order], starts, axis=0)
         return reach
 
-    def is_two_sided_closed(self, indices: frozenset[int]) -> bool:
-        """Whether every row and column of every member has its values in
-        the set.
+    def is_two_sided_closed(self, bits: np.ndarray) -> bool:
+        """Whether every row and column of every member of the packed set
+        ``bits`` has its values in the set.
 
         Tested per J-class, which gives the same answer for every subset:
         the set is closed exactly when it holds the reach (``_class_reach``)
@@ -183,10 +183,9 @@ class Universe(ElementIndex):
         reaches.  Conversely the reach of b's class holds b's own row and
         column.
         """
-        idx = np.fromiter(indices, dtype=np.int64)
         _, label = self.two_sided_ideals
-        touched = self._class_reach[np.unique(label[idx])]
-        return not (np.bitwise_or.reduce(touched, axis=0) & ~self.pack(idx)).any()
+        touched = self._class_reach[np.unique(label[self.members(bits)])]
+        return not (np.bitwise_or.reduce(touched, axis=0) & ~bits).any()
 
 
 @lru_cache(maxsize=None)

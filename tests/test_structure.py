@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,11 +70,12 @@ def reference_kernel_keys(rows):
     return out
 
 
-def unique_kernel_keys(rows):
-    """The sort-based kernel keys: per row, one ``np.unique``."""
+def unique_kernel_keys(rows, dtype):
+    """The sort-based kernel keys: per row, one ``np.unique``, as bytes
+    of ``dtype``."""
     for row in rows:
         _, first, inverse = np.unique(row, return_index=True, return_inverse=True)
-        yield first[inverse].astype(np.int32).tobytes()
+        yield first[inverse].astype(dtype).tobytes()
 
 
 def reference_green_classes(table, relation):
@@ -104,6 +106,11 @@ def partition_of(keys):
     for i, key in enumerate(keys):
         by_key.setdefault(key, set()).add(i)
     return {frozenset(c) for c in by_key.values()}
+
+
+def grouped(part):
+    """Every idempotent an ``IdempotentPartition`` groups."""
+    return part.epsilon | part.E_7 | part.E_3 | part.E_2 | part.E_1
 
 
 def least_member_labels(classes, size):
@@ -200,7 +207,7 @@ class TestIdempotents:
 
     def test_all_are_idempotent(self):
         part = idempotent_partition(3)
-        for el in part.all:
+        for el in grouped(part):
             assert multiply(el, el) is el
 
     def test_brute_side_reads_no_symbolic_product(self, monkeypatch):
@@ -216,7 +223,7 @@ class TestIdempotents:
         # A fresh cache, so that the scan runs under the refusal.
         fresh = functools.lru_cache(structure._idempotents.__wrapped__)
         monkeypatch.setattr(structure, "_idempotents", fresh)
-        sizes = [len(idempotent_partition(n).all) for n in range(1, 7)]
+        sizes = [len(grouped(idempotent_partition(n))) for n in range(1, 7)]
         assert fresh.cache_info().misses == 6
         assert sizes == [1, 6, 23, 110, 572, 3_494]
 
@@ -286,6 +293,17 @@ class TestGreens:
     def test_rejects_unknown_relation(self):
         with pytest.raises(ValueError):
             green_partition(3, "Q")
+
+    def test_labels_are_int32_on_both_sides(self):
+        """Every label array ``_attest`` compares is ``int32``: the closed
+        form's, its one-sided memo's and the table's, in all fifteen
+        relations."""
+        uni = get_universe(4)
+        for relation in GREEN_RELATIONS + EXTENDED_RELATIONS:
+            assert _formula_labels(uni, relation).dtype == np.int32, relation
+            assert _brute_labels(uni, relation).dtype == np.int32, relation
+        for relation in ("L", "R", "L*", "R*", "L~", "R~"):
+            assert _one_sided_labels(4, relation).dtype == np.int32, relation
 
     def test_related(self):
         part = green_partition(3, "R")
@@ -514,23 +532,27 @@ class TestIdeals:
     def test_every_ideal_is_closed(self):
         uni = get_universe(3)
         for desc in enumerate_ideals(3):
-            assert uni.is_two_sided_closed(frozenset(map(uni.of, desc.elements)))
+            assert uni.is_two_sided_closed(uni.pack(map(uni.of, desc.elements)))
 
     def test_emitted_ideals_are_checked_closed(self, monkeypatch):
         import endtn.structure as structure
 
         uni = get_universe(4)
-        ideals = list(structure._ideal_index_sets(uni))
-        k, ideal = next((k, s) for k, s in enumerate(ideals) if len(s) > 1)
-        ideals[k] = ideal - {max(ideal)}
-        assert not reference_is_two_sided_closed(uni.table, ideals[k])
-        monkeypatch.setattr(structure, "_ideal_index_sets", lambda u: ideals)
+        ideals = list(structure._ideal_masks(uni))
+        k, members = next(
+            (k, m) for k, m in enumerate(map(uni.members, ideals)) if len(m) > 1
+        )
+        ideals[k] = uni.pack(members[:-1])  # the greatest member dropped
+        assert not reference_is_two_sided_closed(uni.table, members[:-1])
+        monkeypatch.setattr(structure, "_ideal_masks", lambda u: ideals)
         with pytest.raises(VerificationError, match="not two-sided closed"):
             enumerate_ideals(4)
 
-    def test_ideals_are_kept_as_indices_until_read(self, monkeypatch):
-        """Listing the ideals and rendering them builds no element set;
-        ``elements`` builds the members once, on first read."""
+    def test_ideals_are_kept_as_masks_until_read(self, monkeypatch):
+        """Listing the ideals and rendering them builds no element set
+        and no index set: each ideal is a packed mask with its size.
+        ``indices`` and ``elements`` build the members once, on first
+        read."""
         from endtn.universe import Universe
 
         uni = get_universe(4)
@@ -546,6 +568,8 @@ class TestIdeals:
         sizes = [d.to_json()["size"] for d in descs]
         assert len(descs) == 583 and calls == []
         for desc, size in zip(descs, sizes):
+            assert desc.mask.dtype == np.uint8 and len(desc.mask) == 44
+            assert desc.size == size and "indices" not in vars(desc)
             members = frozenset(uni.elements[i] for i in desc.indices)
             assert desc.elements == members and len(members) == size
             assert desc.elements is desc.elements
@@ -765,24 +789,45 @@ class TestExtended:
     def test_kernel_keys_match_reference(self, rows, relabel):
         keys = list(_kernel_keys(rows))
         reference = reference_kernel_keys(rows)
-        # Same partition of the rows, and each key has its row's kernel.
+        # Same partition of the rows, and each key has its row's kernel,
+        # one uint8 per position (at most 12).
         assert partition_of(keys) == partition_of(reference)
-        decoded = np.array([np.frombuffer(k, dtype=np.int32) for k in keys])
+        decoded = np.array([np.frombuffer(k, dtype=np.uint8) for k in keys])
+        assert decoded.shape == rows.shape
         assert reference_kernel_keys(decoded) == reference
         # The key depends on the kernel only, not on the values.
         assert list(_kernel_keys(np.array(relabel, dtype=np.int32)[rows])) == keys
+        # A column subset keys as the copy of those columns does.
+        columns = np.arange(0, rows.shape[1], 2)[::-1]
+        assert list(_kernel_keys(rows, columns)) == list(_kernel_keys(rows[:, columns]))
 
     def test_kernel_keys_pinned_at_five(self):
-        """Byte for byte the keys of one ``np.unique`` per row, on the
-        inputs the brute side passes and on non-contiguous views."""
+        """Byte for byte the keys of one ``np.unique`` per row, as
+        ``uint16``, on the inputs the brute side passes (the rows, and the
+        columns on the idempotent rows), on a copy of those columns and on
+        non-contiguous views."""
         uni = get_universe(5)
         table = uni.table
         idem = _idempotents(5)
-        for rows in (table, table[idem, :].T, table.T, table[:, ::-1], table[::2]):
-            pairs = zip(_kernel_keys(rows), unique_kernel_keys(rows), strict=True)
+        cases = [(table, None), (table.T, idem), (table[idem, :].T, None)]
+        cases += [(table.T, None), (table[:, ::-1], None), (table[::2], None)]
+        for lines, columns in cases:
+            rows = lines if columns is None else lines[:, columns]
+            keys = _kernel_keys(lines, columns)
+            pairs = zip(keys, unique_kernel_keys(rows, np.uint16), strict=True)
             for key, expected in pairs:
                 assert key == expected
         assert list(_kernel_keys(np.empty((0, 7), dtype=np.int32))) == []
+
+    def test_kernel_keys_at_the_widest_table(self):
+        """Lines as wide as the largest table (65,536 cells, the ``uint16``
+        limit) key their positions in ``uint16``, whose maximum is the
+        last position."""
+        width = 65_536
+        rows = np.stack([np.arange(width) % 7, np.arange(width)[::-1], np.zeros(width)])
+        rows = rows.astype(np.uint16)
+        rows[2, -1] = 1  # only the last position holds this value
+        assert list(_kernel_keys(rows)) == list(unique_kernel_keys(rows, np.uint16))
 
     @pytest.mark.parametrize("corruption", ["merge", "split"])
     @pytest.mark.parametrize("relation", ["R", "L*"])
@@ -857,3 +902,34 @@ class TestExtended:
 
         monkeypatch.setattr(structure, "_partition", refused)
         assert abundance_report(3).left_abundant
+
+
+class TestTransientMemory:
+    """The transient peak of the brute sides at n = 5, beyond the table,
+    its bitsets and the memoised labels, traced in process by
+    ``tracemalloc``, to which numpy reports its buffers."""
+
+    @staticmethod
+    def peak_mb(build) -> float:
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_ideal_enumeration(self):
+        enumerate_ideals(5)  # the caches it reads, built untraced
+        # 12.6 MB while every ideal was a frozenset of indices.
+        assert self.peak_mb(lambda: enumerate_ideals(5)) < 3
+
+    # 12.4, 5.8, 6.0 and 5.7 MB with int32 kernel keys and a copy of the
+    # table's idempotent rows or columns.
+    @pytest.mark.parametrize(
+        "relation, bound_mb", [("L*", 6), ("R*", 2), ("L~", 2), ("R~", 2)]
+    )
+    def test_one_sided_brute_labels(self, relation, bound_mb):
+        uni = get_universe(5)
+        _idempotents(5)  # read by R*, L~ and R~, built untraced
+        build = _brute_labels.__wrapped__  # past the memo: built afresh
+        assert self.peak_mb(lambda: build(uni, relation)) < bound_mb

@@ -181,13 +181,13 @@ class TestDerivedSets:
             left = set(uni4.members(uni4.left_bits[i]).tolist())
             two = uni4.two_sided_ideal(i)
             assert right <= two and left <= two
-            assert uni4.is_two_sided_closed(two)
+            assert uni4.is_two_sided_closed(uni4.pack(two))
             j = rng.randrange(uni4.size)
             assert int(uni4.table[i, j]) in right
             assert int(uni4.table[j, i]) in left
 
     def test_closure_check_rejects_non_ideal(self, uni4):
-        assert not uni4.is_two_sided_closed(frozenset({uni4.of(epsilon(4))}))
+        assert not uni4.is_two_sided_closed(uni4.pack([uni4.of(epsilon(4))]))
 
 
 class TestBitsets:
@@ -201,7 +201,7 @@ class TestBitsets:
             assert uni.two_sided_ideal(i) == reference_two_sided_ideal(uni.table, i)
             # One-sided ideals are closed on one side only, unless two-sided.
             for one_sided in (right, left):
-                assert uni.is_two_sided_closed(frozenset(one_sided.tolist())) == (
+                assert uni.is_two_sided_closed(uni.pack(one_sided)) == (
                     reference_is_two_sided_closed(uni.table, one_sided)
                 )
 
@@ -233,9 +233,9 @@ class TestBitsets:
         rng = random.Random(n)
         for desc in enumerate_ideals(n):
             ideal = frozenset(map(uni.of, desc.elements))
-            assert uni.is_two_sided_closed(ideal)
+            assert uni.is_two_sided_closed(desc.mask)
             smaller = ideal - {rng.choice(sorted(ideal))}
-            assert uni.is_two_sided_closed(smaller) == (
+            assert uni.is_two_sided_closed(uni.pack(smaller)) == (
                 reference_is_two_sided_closed(uni.table, smaller)
             )
 
@@ -244,7 +244,7 @@ class TestBitsets:
         for _ in range(300):
             size = rng.randrange(uni4.size + 1)
             subset = frozenset(rng.sample(range(uni4.size), size))
-            assert uni4.is_two_sided_closed(subset) == (
+            assert uni4.is_two_sided_closed(uni4.pack(subset)) == (
                 reference_is_two_sided_closed(uni4.table, subset)
             )
 
@@ -263,7 +263,7 @@ class TestBitsets:
             if rest:
                 subsets.append(ideal | {rng.choice(rest)})
             for subset in subsets:
-                assert uni.is_two_sided_closed(subset) == (
+                assert uni.is_two_sided_closed(uni.pack(subset)) == (
                     reference_is_closed_by_reach(reach, subset)
                 )
         _, label = uni.two_sided_ideals
@@ -271,4 +271,4 @@ class TestBitsets:
             cls = frozenset(np.flatnonzero(label == c).tolist())
             expected = reference_is_two_sided_closed(uni.table, cls)
             assert reference_is_closed_by_reach(reach, cls) == expected
-            assert uni.is_two_sided_closed(cls) == expected
+            assert uni.is_two_sided_closed(uni.pack(cls)) == expected
