@@ -312,19 +312,20 @@ def cmd_fix(args) -> int:
 # -- plumbing ---------------------------------------------------------------
 
 
-def degree(text: str) -> int:
-    """argparse type of --n: a positive integer."""
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"degree must be positive, got {n}")
-    return n
-
-
 def non_negative(text: str) -> int:
-    """argparse type of --seed and --samples: a non-negative integer."""
+    """argparse type of --seed: a non-negative integer."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def positive(text: str) -> int:
+    """argparse type of --n and --samples: a positive integer (a sampled
+    run checks at least one pair)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
 
 
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text, verify=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--n", type=degree, required=True, help="degree")
+        p.add_argument("--n", type=positive, required=True, help="degree")
         p.add_argument(
             "--format",
             choices=("json", "csv", "table"),
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("counts", cmd_counts, "pair counts per square-root-compatible t", verify=True)
     m = add("verify-mult", cmd_verify_mult, "symbolic product vs composition oracle")
     m.add_argument("--seed", type=non_negative, default=0, help="sampling seed")
-    m.add_argument("--samples", type=non_negative, default=100_000, help="sample count")
+    m.add_argument("--samples", type=positive, default=100_000, help="sample count")
     g = add("green", cmd_green, "Green's relation partitions")
     g.add_argument(
         "--relation", choices=GREEN_RELATIONS, help="one relation (default: all)"

@@ -4,8 +4,12 @@ ideals, and the starred/tilde extensions of Green's relations.
 Everything here is computed twice: once from the closed-form
 characterisation (in terms of the Aut/D/E_3/A/B/E_2/C/E_1 decomposition)
 and once by brute force from the defining property, using the product
-table.  The two answers are compared and a VerificationError is raised
-on any disagreement, so a returned value is always doubly attested.
+table.  One function, ``_attest``, compares the two answers and raises
+a VerificationError on any disagreement, so a returned value is always
+doubly attested.  The R*/L* probe check goes through it too: it keys
+every line of the table by its kernel and attests those classes against
+the brute side's.  The one other VerificationError is raised by
+``enumerate_ideals`` for a listed ideal that is not two-sided closed.
 
 The closed forms read only the element index (``ElementIndex``, n <= 6),
 never the product table (``Universe``, n <= 5), so they run one degree
@@ -15,7 +19,7 @@ beyond the brute sides.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -679,10 +683,8 @@ class IdealDescription:
     odd-type elements) or "nonperm-closed" (only trivial or
     non-permutation types).  X, Y, Z identify the orbits contributed by
     A, B and C respectively, by each orbit's minimal element key.  The
-    members are kept as a packed mask over the element indices of
-    ``universe`` (404 bytes at n = 5), with their number; ``indices`` and
-    ``elements`` build them as indices and as endomorphisms on first
-    read, which the ``ideals`` verb never does.
+    members are kept only as a packed mask over the element indices (404
+    bytes at n = 5), with their number.
     """
 
     form: str
@@ -691,15 +693,6 @@ class IdealDescription:
     Z: frozenset[str]
     mask: np.ndarray = field(compare=False, repr=False)
     size: int = field(compare=False, repr=False)
-    universe: Universe = field(compare=False, repr=False)
-
-    @cached_property
-    def indices(self) -> frozenset[int]:
-        return frozenset(self.universe.members(self.mask).tolist())
-
-    @cached_property
-    def elements(self) -> frozenset[Endomorphism]:
-        return self.universe.element_set(self.universe.members(self.mask))
 
     def to_json(self) -> dict:
         return {
@@ -753,7 +746,6 @@ def _describe_ideal(uni: Universe, mask: np.ndarray) -> IdealDescription:
         Z=orbit_keys("C"),
         mask=mask,
         size=int(np.count_nonzero(inside)),
-        universe=uni,
     )
 
 
@@ -884,62 +876,26 @@ def extended_probe_check(n: int, relation: str) -> bool:
     a L* b when a gamma = a delta exactly where b gamma = b delta, for
     every (gamma, delta): rows a and b of the table have one kernel.  R*
     is the same on columns: the full column, not the idempotent rows the
-    brute side reads.  Every member of every class is compared with the
-    class's least member, and distinct classes must have distinct
-    kernels, so the check is exhaustive at every degree the table serves.
-    The classes checked are the brute side's (``_brute_labels``), which
-    ``extended_partition`` attests against the closed form.
+    brute side reads.  Every line is keyed by its kernel (at each position
+    the first position of the same value, read off a sort of the line, in
+    the smallest unsigned dtype that holds a position; not by
+    ``_kernel_keys``, the fast key under check), and "same class exactly
+    when same kernel" is the equality of those labels with the brute
+    side's (``_brute_labels``), attested by ``_attest``.
     """
     if relation not in ("R*", "L*"):
         raise ValueError("probe check applies to R* and L* only")
     uni = get_universe(n)
     lines = uni.table.T if relation == "R*" else uni.table
-    label = _brute_labels(uni, relation)
-    for start in range(0, uni.size, BLOCK_ROWS):
-        members = np.arange(start, min(start + BLOCK_ROWS, uni.size))
-        other = _separated(lines[members], lines[label[members]], uni.size)
-        if other is not None:
-            i = members[other]
-            raise VerificationError(
-                f"{relation} probe separated two same-class elements",
-                counterexample=(uni.elements[label[i]], uni.elements[i]),
-            )
-    # Distinct classes, distinct kernels: each kernel keyed by the first
-    # position of each value, read off a sort of the base's line, in the
-    # smallest unsigned dtype that holds a position.
-    seen: dict[bytes, int] = {}
     dtype = _unsigned(lines.shape[1])
-    for base in np.unique(label).tolist():
-        _, first, inverse = np.unique(
-            lines[base], return_index=True, return_inverse=True
-        )
-        other = seen.setdefault(first[inverse].astype(dtype).tobytes(), base)
-        if other != base:
-            raise VerificationError(
-                f"{relation} probe found one kernel on two classes",
-                counterexample=(uni.elements[other], uni.elements[base]),
-            )
+
+    def kernel(line: np.ndarray) -> bytes:
+        _, first, inverse = np.unique(line, return_index=True, return_inverse=True)
+        return first[inverse].astype(dtype).tobytes()
+
+    probe, brute = _labels_by_key(map(kernel, lines)), _brute_labels(uni, relation)
+    _attest(f"{relation} probe classes", uni.elements, probe, brute)
     return True
-
-
-def _separated(lines: np.ndarray, bases: np.ndarray, size: int) -> int | None:
-    """The first row of ``lines`` whose kernel differs from that of the
-    same row of ``bases`` (both of values below ``size``), or None.
-
-    Two lines have one kernel exactly when each is a function of the
-    other.  Each direction is one scatter of the one line's values into
-    slots keyed by the other's, checked by reading every slot back, so
-    the order the repeated writes land in cannot change the answer.
-    """
-    offset = np.arange(len(lines))[:, np.newaxis] * size
-    bad = np.zeros(len(lines), dtype=bool)
-    for keys, values in ((bases, lines), (lines, bases)):
-        slot = (offset + keys).ravel()
-        image = np.empty(len(lines) * size, dtype=values.dtype)
-        image[slot] = values.ravel()
-        bad |= (image[slot] != values.ravel()).reshape(len(lines), -1).any(axis=1)
-    hit = np.flatnonzero(bad)
-    return int(hit[0]) if len(hit) else None
 
 
 # -- abundance --------------------------------------------------------------

@@ -170,8 +170,8 @@ class TestStructureVerbs:
         assert "left_abundant" in out
 
     def test_extended_summary_verify_probes_both(self, capsys, monkeypatch):
-        """The summary's ``--verify`` runs the R* and L* probe checks with
-        the given samples and seed, and prints the same bytes as without."""
+        """The summary's ``--verify`` runs the R* and L* probe checks, and
+        prints the same bytes as without."""
         import endtn.cli as cli
 
         probed = []
@@ -186,6 +186,35 @@ class TestStructureVerbs:
         assert code == 0 and probed == [(4, "R*"), (4, "L*")]
         code, plain, _ = run(capsys, "extended", "--n", "4")
         assert code == 0 and verified == plain and len(probed) == 2
+
+    @pytest.mark.parametrize("relation", ["R*", "L*"])
+    def test_extended_verify_fails_on_an_intruder(self, capsys, monkeypatch, relation):
+        """With one element past the fourth member of the brute side's
+        largest class moved into it, the summary's ``--verify`` exits 1,
+        printing nothing to stdout, and stderr names the relation."""
+        import endtn.structure as structure
+        from endtn.universe import get_universe
+
+        uni, real = get_universe(4), structure._brute_labels
+        labels = real(uni, relation).copy()
+        members = max(structure._classes(labels), key=len)
+        intruder = next(
+            i for i in range(members[3] + 1, uni.size) if labels[i] != members[0]
+        )
+        own, labels[intruder] = int(labels[intruder]), members[0]
+        monkeypatch.setattr(
+            structure,
+            "_brute_labels",
+            lambda u, r: labels if r == relation else real(u, r),
+        )
+        code, out, err = run(capsys, "extended", "--n", "4", "--verify")
+        pair = (uni.elements[intruder], uni.elements[min(own, members[0])])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"verification failed: {relation} probe classes disagree between "
+            f"characterisation and brute force at {uni.elements[intruder]!r}\n"
+            f"counterexample: {pair}\n"
+        )
 
     @pytest.mark.parametrize("relation", ["H*", "J~"])
     def test_extended_verify_without_a_probe_is_a_usage_error(
@@ -416,11 +445,13 @@ class TestExitCodes:
                 "unrecognized arguments: --seed 3",
             ),
             (("verify-mult", "--n", "5", "--seed", "-1"), "must be non-negative"),
-            (("verify-mult", "--n", "5", "--samples", "-3"), "must be non-negative"),
+            (("verify-mult", "--n", "5", "--samples", "-3"), "must be positive"),
+            # Zero samples would check nothing and report that all agree.
+            (("verify-mult", "--n", "5", "--samples", "0"), "must be positive, got 0"),
         ],
         ids=[
             "extended-samples", "extended-seed", "presentation-samples",
-            "presentation-seed", "mult-seed", "mult-samples",
+            "presentation-seed", "mult-seed", "mult-samples", "mult-samples-zero",
         ],
     )
     def test_usage_negative_seed_or_samples(self, capsys, argv, message):

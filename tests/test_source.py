@@ -383,18 +383,54 @@ def test_brute_partner_scan_reads_no_construction():
 
 
 def test_probe_check_reads_no_kernel_keys():
-    """``extended_probe_check`` compares the R*/L* classes with the
-    definition without ``_kernel_keys``, the fast key it checks.  Only
-    the labels under check, ``_brute_labels``, may use it."""
+    """``extended_probe_check`` keys every line by its kernel and attests
+    those labels through ``_attest``, without ``_kernel_keys``, the fast
+    key it checks, or the blocks and keys of the other brute sides.  Only
+    the labels under check, ``_brute_labels``, may use them."""
     functions, reached = _names_reached(
         "structure.py", "extended_probe_check", skip={"_brute_labels"}
     )
-    assert "_separated" in reached
-    assert not any(
-        isinstance(n, ast.Name) and n.id == "_kernel_keys"
-        for name in reached
-        for n in ast.walk(functions[name])
-    )
+    fast = {"_kernel_keys", "_line_blocks", "_fixer_keys"}
+    assert fast <= functions.keys()
+    assert "_attest" in reached and not reached & fast
+
+
+def _verification_raises(source: Path) -> list[str]:
+    """The top-level definition of ``structure`` under ``source`` around
+    each ``raise VerificationError``, one entry per site, sorted."""
+    found = []
+    for node in ast.parse((source / "structure.py").read_text()).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Raise) and sub.exc is not None:
+                exc = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name == "VerificationError":
+                    found.append(getattr(node, "name", "<module>"))
+    return sorted(found)
+
+
+def test_structure_raises_verification_errors_in_two_places():
+    """Every formula-versus-brute mismatch of ``structure`` is raised by
+    ``_attest``; the one other check, that each emitted ideal is two-sided
+    closed, is ``enumerate_ideals``'s own."""
+    assert _verification_raises(SOURCE) == ["_attest", "enumerate_ideals"]
+
+
+@pytest.mark.parametrize(
+    "violation",
+    [
+        "def check(a, b):\n    if a != b:\n        raise VerificationError('x')\n",
+        "class Check:\n    def run(self):\n        raise errors.VerificationError\n",
+        "def _attest(what):\n    raise VerificationError(what)\n",
+    ],
+    ids=["function", "method", "second-site"],
+)
+def test_raise_scan_sees_one_elsewhere(tmp_path, violation):
+    for path in SOURCE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "structure.py", "a") as handle:
+        handle.write("\n\n" + violation)
+    assert _verification_raises(tmp_path) != _verification_raises(SOURCE)
 
 
 # The closed forms of ``structure``, which run on the element index at
@@ -466,14 +502,15 @@ def test_one_attest_site_for_partitions():
         "structure.extended_probe_check",
         "structure._brute_labels",
     }
-    # Each attest site: sets of elements, principal ideals, partitions, then
-    # the S_n fixers of a pair.
+    # Each attest site: sets of elements, principal ideals, partitions, the
+    # S_n fixers of a pair, then the R*/L* probe.
     assert _namers("_attest") == {
         "structure.idempotent_partition",
         "structure.regular_elements",
         "structure._attested_ideals",
         "structure._attested_labels",
         "structure.fix_set",
+        "structure.extended_probe_check",
     }
 
 

@@ -532,7 +532,7 @@ class TestIdeals:
     def test_every_ideal_is_closed(self):
         uni = get_universe(3)
         for desc in enumerate_ideals(3):
-            assert uni.is_two_sided_closed(uni.pack(map(uni.of, desc.elements)))
+            assert uni.is_two_sided_closed(desc.mask)
 
     def test_emitted_ideals_are_checked_closed(self, monkeypatch):
         import endtn.structure as structure
@@ -549,10 +549,9 @@ class TestIdeals:
             enumerate_ideals(4)
 
     def test_ideals_are_kept_as_masks_until_read(self, monkeypatch):
-        """Listing the ideals and rendering them builds no element set
-        and no index set: each ideal is a packed mask with its size.
-        ``indices`` and ``elements`` build the members once, on first
-        read."""
+        """Listing the ideals and rendering them builds no element set:
+        each ideal is a packed mask with its size, and its members are
+        read off the mask."""
         from endtn.universe import Universe
 
         uni = get_universe(4)
@@ -569,16 +568,13 @@ class TestIdeals:
         assert len(descs) == 583 and calls == []
         for desc, size in zip(descs, sizes):
             assert desc.mask.dtype == np.uint8 and len(desc.mask) == 44
-            assert desc.size == size and "indices" not in vars(desc)
-            members = frozenset(uni.elements[i] for i in desc.indices)
-            assert desc.elements == members and len(members) == size
-            assert desc.elements is desc.elements
-        assert calls == sizes
+            assert len(uni.members(desc.mask)) == desc.size == size
 
     def test_ideals_are_ordered_by_size_growth(self):
         descs = enumerate_ideals(3)
         whole = [d for d in descs if d.form == "whole"]
-        assert len(whole) == 1 and len(whole[0].elements) == uni_size(3)
+        uni = get_universe(3)
+        assert len(whole) == 1 and len(uni.members(whole[0].mask)) == uni_size(3)
 
     def test_brute_cross_check_runs_at_five(self, monkeypatch):
         import endtn.structure as structure
@@ -712,26 +708,37 @@ class TestExtended:
             extended_probe_check(3, "H*")
 
     def test_probe_check_is_exhaustive_at_four(self, monkeypatch):
+        """Two merged classes are caught: the probe names the later class's
+        least member, the first label that changed, and the earlier's."""
         import endtn.structure as structure
 
         uni = get_universe(4)
-        # Wrong on purpose: the identity and the trivial-type map share a class.
-        a, b = sorted((uni.of(epsilon(4)), uni.of(phi_trivial(4))))
-        labels = np.arange(uni.size)
-        labels[b] = a
-        monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
         for relation in ("R*", "L*"):
-            with pytest.raises(VerificationError):
+            real = _brute_labels(uni, relation)
+            # Wrong on purpose: the identity's and the trivial-type map's
+            # classes merged.
+            a, b = sorted(real[[uni.of(epsilon(4)), uni.of(phi_trivial(4))]].tolist())
+            assert a != b
+            labels = np.where(real == b, a, real).astype(real.dtype)
+            monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
+            with pytest.raises(VerificationError) as err:
                 extended_probe_check(4, relation)
+            assert str(err.value) == (
+                f"{relation} probe classes disagree between characterisation "
+                f"and brute force at {uni.elements[b]!r}"
+            )
+            assert err.value.counterexample == (uni.elements[b], uni.elements[a])
 
     @pytest.mark.parametrize("relation", ["R*", "L*"])
     def test_probe_check_compares_every_member(self, monkeypatch, relation):
         """A wrong member anywhere in a class is caught, not only among
-        the first four."""
+        the first four.  The probe names the intruder and the lesser of the
+        two least members, its own class's and the one it was put in."""
         import endtn.structure as structure
 
         uni = get_universe(4)
-        labels = _brute_labels(uni, relation).copy()
+        real = _brute_labels(uni, relation)
+        labels = real.copy()
         members = max(structure._classes(labels), key=len)
         assert len(members) >= 5
         intruder = next(
@@ -739,16 +746,26 @@ class TestExtended:
         )
         labels[intruder] = members[0]
         monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
-        with pytest.raises(VerificationError, match="probe separated") as err:
+        with pytest.raises(VerificationError) as err:
             extended_probe_check(4, relation)
+        assert str(err.value) == (
+            f"{relation} probe classes disagree between characterisation "
+            f"and brute force at {uni.elements[intruder]!r}"
+        )
+        # R*: 32 leaves the class of 24 for that of 25; L*: 38, the least
+        # member of its own class, joins that of 31.
+        own = int(real[intruder])
+        pinned = {"R*": (32, 24, 25), "L*": (38, 38, 31)}[relation]
+        assert (intruder, own, members[0]) == pinned
         assert err.value.counterexample == (
-            uni.elements[members[0]],
             uni.elements[intruder],
+            uni.elements[min(own, members[0])],
         )
 
     @pytest.mark.parametrize("relation", ["R*", "L*"])
     def test_probe_check_separates_classes(self, monkeypatch, relation):
-        """Two classes with one kernel are caught."""
+        """Two classes with one kernel are caught: the probe names the
+        member split off and its class's least member."""
         import endtn.structure as structure
 
         uni = get_universe(4)
@@ -756,8 +773,16 @@ class TestExtended:
         members = max(structure._classes(labels), key=len)
         labels[members[-1]] = members[-1]  # the last member split off
         monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
-        with pytest.raises(VerificationError, match="one kernel on two classes"):
+        with pytest.raises(VerificationError) as err:
             extended_probe_check(4, relation)
+        assert str(err.value) == (
+            f"{relation} probe classes disagree between characterisation "
+            f"and brute force at {uni.elements[members[-1]]!r}"
+        )
+        assert err.value.counterexample == (
+            uni.elements[members[-1]],
+            uni.elements[members[0]],
+        )
 
     def test_saturated_ideals_match_reference(self):
         for n in (2, 3, 4):

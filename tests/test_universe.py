@@ -232,7 +232,7 @@ class TestBitsets:
         uni = get_universe(n)
         rng = random.Random(n)
         for desc in enumerate_ideals(n):
-            ideal = frozenset(map(uni.of, desc.elements))
+            ideal = frozenset(uni.members(desc.mask).tolist())
             assert uni.is_two_sided_closed(desc.mask)
             smaller = ideal - {rng.choice(sorted(ideal))}
             assert uni.is_two_sided_closed(uni.pack(smaller)) == (
@@ -257,7 +257,7 @@ class TestBitsets:
         reach = reference_reach(uni.table)
         rng = random.Random(5)
         for desc in enumerate_ideals(5):
-            ideal = desc.indices
+            ideal = frozenset(uni.members(desc.mask).tolist())
             subsets = [ideal, ideal - {min(ideal)}]
             rest = sorted(set(range(uni.size)) - ideal)
             if rest:
