@@ -35,7 +35,6 @@ from .structure import (
     component_of,
     enumerate_ideals,
     extended_partition,
-    extended_probe_check,
     fix_set,
     green_partition,
     idempotent_partition,

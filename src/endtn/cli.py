@@ -42,7 +42,6 @@ from .structure import (
     component_of,
     enumerate_ideals,
     extended_partition,
-    extended_probe_check,
     fix_set,
     green_partition,
     idempotent_partition,
@@ -190,14 +189,9 @@ def cmd_green(args) -> int:
 
 
 def cmd_extended(args) -> int:
-    """One relation's partition, or the class counts and abundance summary.
-    ``--verify`` probes R* and L* against their definition first: the one
-    named, or both for the summary; no other relation has a probe check."""
-    if args.verify:
-        if args.relation not in (None, "R*", "L*"):
-            raise UsageError(f"--verify has no probe check for {args.relation}")
-        for rel in [args.relation] if args.relation else ["R*", "L*"]:
-            extended_probe_check(args.n, rel)
+    """One relation's partition, or the class counts and abundance summary,
+    each relation's closed form attested against its definition on the
+    table."""
     if args.relation:
         _emit_partitions(args, [extended_partition(args.n, args.relation)])
         return EXIT_OK
@@ -365,12 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument(
         "--relation", choices=GREEN_RELATIONS, help="one relation (default: all)"
     )
-    x = add(
-        "extended",
-        cmd_extended,
-        "extended Green's relations and abundance",
-        verify=True,
-    )
+    x = add("extended", cmd_extended, "extended Green's relations and abundance")
     x.add_argument(
         "--relation",
         choices=EXTENDED_RELATIONS,

@@ -6,9 +6,7 @@ characterisation (in terms of the Aut/D/E_3/A/B/E_2/C/E_1 decomposition)
 and once by brute force from the defining property, using the product
 table.  One function, ``_attest``, compares the two answers and raises
 a VerificationError on any disagreement, so a returned value is always
-doubly attested.  The R*/L* probe check goes through it too: it keys
-every line of the table by its kernel and attests those classes against
-the brute side's.  The one other VerificationError is raised by
+doubly attested.  The one other VerificationError is raised by
 ``enumerate_ideals`` for a listed ideal that is not two-sided closed.
 
 The closed forms read only the element index (``ElementIndex``, n <= 6),
@@ -389,24 +387,24 @@ def _line_blocks(lines: np.ndarray, columns=None):
         yield start, block if columns is None else block[:, columns]
 
 
-def _kernel_keys(lines: np.ndarray, columns=None):
+def _kernel_keys(lines: np.ndarray):
     """Canonical key of the kernel (partition by equal values) of each row
-    of element indices, restricted to ``columns`` when given, yielded row
-    by row: at every position, the first position that holds the same
-    value, as bytes of the smallest unsigned dtype that holds a position
-    (``uint16`` at n <= 5).
+    of element indices, yielded row by row: at every position, the first
+    position that holds the same value, as bytes of the smallest unsigned
+    dtype that holds a position (``uint16`` at n <= 5).
 
     Each block of rows (``_line_blocks``) gets one ``int32`` slot number
     per (row, value), and one ``np.minimum.at`` leaves in every slot the
     least position that holds the value, whatever order the repeated
     writes are applied in.  Slots start at the dtype's maximum, which no
-    position exceeds (the last position at N = 65,536).  Its operands are passed flat and of one length:
-    numpy 2.4.6 filled slots with wrong values, garbage among them, for a
-    2-D index and a 1-D ``positions`` left to broadcast.
+    position exceeds (the last position at N = 65,536).  Its operands are
+    passed flat and of one length: numpy 2.4.6 filled slots with wrong
+    values, garbage among them, for a 2-D index and a 1-D ``positions``
+    left to broadcast.
     """
-    width = lines.shape[1] if columns is None else len(columns)
+    width = lines.shape[1]
     dtype = _unsigned(width)
-    for _, block in _line_blocks(lines, columns):
+    for _, block in _line_blocks(lines):
         slots = int(block.max(initial=0)) + 1
         flat = np.arange(len(block), dtype=np.int32)[:, np.newaxis] * slots + block
         first = np.full(len(block) * slots, np.iinfo(dtype).max, dtype=dtype)
@@ -463,8 +461,8 @@ def _brute_labels(uni: Universe, relation: str) -> np.ndarray:
         # the kernel of each row
         label = _labels_by_key(_kernel_keys(uni.table))
     elif relation == "R*":
-        # the kernel of each column on the idempotent rows
-        label = _labels_by_key(_kernel_keys(uni.table.T, _idempotents(uni.n)))
+        # the kernel of each whole column
+        label = _labels_by_key(_kernel_keys(uni.table.T))
     elif relation in ("L~", "R~"):
         # the idempotents that fix each element on the right (on the left)
         lines = uni.table if kind == "L" else uni.table.T
@@ -865,37 +863,6 @@ def fix_set(pair: PermissiblePair) -> FixSet:
         lookup = [g in stabiliser for g in perms]
         _attest("fixers", perms, np.packbits(lookup), np.packbits(fixes))
     return FixSet(pair, frozenset(g for g, fixed in zip(perms, fixes) if fixed))
-
-
-# -- the R*/L* probe check -------------------------------------------------
-
-
-def extended_probe_check(n: int, relation: str) -> bool:
-    """Check the R*/L* classes against the two-sided-quantifier definition.
-
-    a L* b when a gamma = a delta exactly where b gamma = b delta, for
-    every (gamma, delta): rows a and b of the table have one kernel.  R*
-    is the same on columns: the full column, not the idempotent rows the
-    brute side reads.  Every line is keyed by its kernel (at each position
-    the first position of the same value, read off a sort of the line, in
-    the smallest unsigned dtype that holds a position; not by
-    ``_kernel_keys``, the fast key under check), and "same class exactly
-    when same kernel" is the equality of those labels with the brute
-    side's (``_brute_labels``), attested by ``_attest``.
-    """
-    if relation not in ("R*", "L*"):
-        raise ValueError("probe check applies to R* and L* only")
-    uni = get_universe(n)
-    lines = uni.table.T if relation == "R*" else uni.table
-    dtype = _unsigned(lines.shape[1])
-
-    def kernel(line: np.ndarray) -> bytes:
-        _, first, inverse = np.unique(line, return_index=True, return_inverse=True)
-        return first[inverse].astype(dtype).tobytes()
-
-    probe, brute = _labels_by_key(map(kernel, lines)), _brute_labels(uni, relation)
-    _attest(f"{relation} probe classes", uni.elements, probe, brute)
-    return True
 
 
 # -- abundance --------------------------------------------------------------

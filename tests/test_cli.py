@@ -169,29 +169,13 @@ class TestStructureVerbs:
         assert code == 0
         assert "left_abundant" in out
 
-    def test_extended_summary_verify_probes_both(self, capsys, monkeypatch):
-        """The summary's ``--verify`` runs the R* and L* probe checks, and
-        prints the same bytes as without."""
-        import endtn.cli as cli
-
-        probed = []
-        probe = cli.extended_probe_check
-
-        def counting(n, relation):
-            probed.append((n, relation))
-            return probe(n, relation)
-
-        monkeypatch.setattr(cli, "extended_probe_check", counting)
-        code, verified, _ = run(capsys, "extended", "--n", "4", "--verify")
-        assert code == 0 and probed == [(4, "R*"), (4, "L*")]
-        code, plain, _ = run(capsys, "extended", "--n", "4")
-        assert code == 0 and verified == plain and len(probed) == 2
-
     @pytest.mark.parametrize("relation", ["R*", "L*"])
     def test_extended_verify_fails_on_an_intruder(self, capsys, monkeypatch, relation):
         """With one element past the fourth member of the brute side's
-        largest class moved into it, the summary's ``--verify`` exits 1,
-        printing nothing to stdout, and stderr names the relation."""
+        largest class moved into it, the summary exits 1, printing nothing
+        to stdout, and stderr names the relation and the pair ``_attest``
+        reports: the intruder and the lesser of its two classes' least
+        members."""
         import endtn.structure as structure
         from endtn.universe import get_universe
 
@@ -207,28 +191,14 @@ class TestStructureVerbs:
             "_brute_labels",
             lambda u, r: labels if r == relation else real(u, r),
         )
-        code, out, err = run(capsys, "extended", "--n", "4", "--verify")
+        code, out, err = run(capsys, "extended", "--n", "4")
         pair = (uni.elements[intruder], uni.elements[min(own, members[0])])
         assert (code, out) == (1, "")
         assert err == (
-            f"verification failed: {relation} probe classes disagree between "
+            f"verification failed: {relation}-classes disagree between "
             f"characterisation and brute force at {uni.elements[intruder]!r}\n"
             f"counterexample: {pair}\n"
         )
-
-    @pytest.mark.parametrize("relation", ["H*", "J~"])
-    def test_extended_verify_without_a_probe_is_a_usage_error(
-        self, capsys, monkeypatch, relation
-    ):
-        import endtn.cli as cli
-
-        probed = []
-        monkeypatch.setattr(cli, "extended_probe_check", lambda *a, **k: probed.append(a))
-        code, out, err = run(
-            capsys, "extended", "--n", "4", "--relation", relation, "--verify"
-        )
-        assert code == 2 and out == "" and probed == []
-        assert err == f"error: --verify has no probe check for {relation}\n"
 
     def test_ideals(self, capsys):
         code, out, _ = run(capsys, "ideals", "--n", "3", "--format", "json")
@@ -429,13 +399,16 @@ class TestExitCodes:
             # ``extended`` and ``presentation-check`` sample nothing, so
             # they have neither flag.
             (
-                ("extended", "--n", "5", "--relation", "R*", "--verify", "--samples", "7"),
+                ("extended", "--n", "5", "--relation", "R*", "--samples", "7"),
                 "unrecognized arguments: --samples 7",
             ),
             (
-                ("extended", "--n", "5", "--relation", "R*", "--verify", "--seed", "3"),
+                ("extended", "--n", "5", "--relation", "R*", "--seed", "3"),
                 "unrecognized arguments: --seed 3",
             ),
+            # Every brute side of ``extended`` is its relation's definition,
+            # so it has no extra check to switch on.
+            (("extended", "--n", "4", "--verify"), "unrecognized arguments: --verify"),
             (
                 ("presentation-check", "--n", "5", "--samples", "3"),
                 "unrecognized arguments: --samples 3",
@@ -450,8 +423,9 @@ class TestExitCodes:
             (("verify-mult", "--n", "5", "--samples", "0"), "must be positive, got 0"),
         ],
         ids=[
-            "extended-samples", "extended-seed", "presentation-samples",
-            "presentation-seed", "mult-seed", "mult-samples", "mult-samples-zero",
+            "extended-samples", "extended-seed", "extended-verify",
+            "presentation-samples", "presentation-seed", "mult-seed", "mult-samples",
+            "mult-samples-zero",
         ],
     )
     def test_usage_negative_seed_or_samples(self, capsys, argv, message):
@@ -555,7 +529,6 @@ class TestMemoryBounds:
             ("extended --n 5", 64),
             ("ideals --n 5", 80),
             ("ideals --n 5", 64),
-            ("extended --n 5 --verify", 64),
             # Builds no table: 47 MB.
             ("idempotents --n 6", 60),
             # 89 MB while every R4 record was stored, 49-50 MB with R4 kept

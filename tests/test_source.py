@@ -345,9 +345,9 @@ def test_pairs_are_enumerated_by_array_passes():
     assert after_check == {"pairs._checked_pairs": True}
 
 
-def _names_reached(module: str, start: str, skip=frozenset()):
+def _names_reached(module: str, start: str):
     """The top-level functions of ``module``, and the names of those that
-    ``start`` names, directly or through another, not entering ``skip``."""
+    ``start`` names, directly or through another."""
     tree = ast.parse((SOURCE / module).read_text())
     functions = {
         node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
@@ -357,7 +357,7 @@ def _names_reached(module: str, start: str, skip=frozenset()):
         name = todo.pop()
         reached.add(name)
         names = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
-        todo += names & functions.keys() - reached - skip
+        todo += names & functions.keys() - reached
     return functions, reached
 
 
@@ -380,19 +380,6 @@ def test_brute_partner_scan_reads_no_construction():
     }
     assert construction <= functions.keys()
     assert "_idempotent_words" in reached and not reached & construction
-
-
-def test_probe_check_reads_no_kernel_keys():
-    """``extended_probe_check`` keys every line by its kernel and attests
-    those labels through ``_attest``, without ``_kernel_keys``, the fast
-    key it checks, or the blocks and keys of the other brute sides.  Only
-    the labels under check, ``_brute_labels``, may use them."""
-    functions, reached = _names_reached(
-        "structure.py", "extended_probe_check", skip={"_brute_labels"}
-    )
-    fast = {"_kernel_keys", "_line_blocks", "_fixer_keys"}
-    assert fast <= functions.keys()
-    assert "_attest" in reached and not reached & fast
 
 
 def _verification_raises(source: Path) -> list[str]:
@@ -494,23 +481,21 @@ def _namers(name: str) -> set[str]:
 
 def test_one_attest_site_for_partitions():
     """The closed form of a relation's classes is read only where it is
-    attested, and the brute side only there, by the probe check, which
-    checks it against the definition, and by itself, for H, D, J* and J~."""
+    attested, and the brute side only there and by itself, for H, D, J*
+    and J~."""
     assert _namers("_formula_labels") == {"structure._attested_labels"}
     assert _namers("_brute_labels") == {
         "structure._attested_labels",
-        "structure.extended_probe_check",
         "structure._brute_labels",
     }
-    # Each attest site: sets of elements, principal ideals, partitions, the
-    # S_n fixers of a pair, then the R*/L* probe.
+    # Each attest site: sets of elements, principal ideals, partitions and
+    # the S_n fixers of a pair.
     assert _namers("_attest") == {
         "structure.idempotent_partition",
         "structure.regular_elements",
         "structure._attested_ideals",
         "structure._attested_labels",
         "structure.fix_set",
-        "structure.extended_probe_check",
     }
 
 

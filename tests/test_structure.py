@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -39,7 +40,6 @@ from endtn.structure import (
     component_of,
     enumerate_ideals,
     extended_partition,
-    extended_probe_check,
     fix_set,
     green_partition,
     idempotent_partition,
@@ -701,89 +701,6 @@ class TestExtended:
                 == extended_partition(n, "R~").classes
             )
 
-    def test_probe_checks(self):
-        assert extended_probe_check(3, "R*")
-        assert extended_probe_check(3, "L*")
-        with pytest.raises(ValueError):
-            extended_probe_check(3, "H*")
-
-    def test_probe_check_is_exhaustive_at_four(self, monkeypatch):
-        """Two merged classes are caught: the probe names the later class's
-        least member, the first label that changed, and the earlier's."""
-        import endtn.structure as structure
-
-        uni = get_universe(4)
-        for relation in ("R*", "L*"):
-            real = _brute_labels(uni, relation)
-            # Wrong on purpose: the identity's and the trivial-type map's
-            # classes merged.
-            a, b = sorted(real[[uni.of(epsilon(4)), uni.of(phi_trivial(4))]].tolist())
-            assert a != b
-            labels = np.where(real == b, a, real).astype(real.dtype)
-            monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
-            with pytest.raises(VerificationError) as err:
-                extended_probe_check(4, relation)
-            assert str(err.value) == (
-                f"{relation} probe classes disagree between characterisation "
-                f"and brute force at {uni.elements[b]!r}"
-            )
-            assert err.value.counterexample == (uni.elements[b], uni.elements[a])
-
-    @pytest.mark.parametrize("relation", ["R*", "L*"])
-    def test_probe_check_compares_every_member(self, monkeypatch, relation):
-        """A wrong member anywhere in a class is caught, not only among
-        the first four.  The probe names the intruder and the lesser of the
-        two least members, its own class's and the one it was put in."""
-        import endtn.structure as structure
-
-        uni = get_universe(4)
-        real = _brute_labels(uni, relation)
-        labels = real.copy()
-        members = max(structure._classes(labels), key=len)
-        assert len(members) >= 5
-        intruder = next(
-            i for i in range(members[3] + 1, uni.size) if labels[i] != members[0]
-        )
-        labels[intruder] = members[0]
-        monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
-        with pytest.raises(VerificationError) as err:
-            extended_probe_check(4, relation)
-        assert str(err.value) == (
-            f"{relation} probe classes disagree between characterisation "
-            f"and brute force at {uni.elements[intruder]!r}"
-        )
-        # R*: 32 leaves the class of 24 for that of 25; L*: 38, the least
-        # member of its own class, joins that of 31.
-        own = int(real[intruder])
-        pinned = {"R*": (32, 24, 25), "L*": (38, 38, 31)}[relation]
-        assert (intruder, own, members[0]) == pinned
-        assert err.value.counterexample == (
-            uni.elements[intruder],
-            uni.elements[min(own, members[0])],
-        )
-
-    @pytest.mark.parametrize("relation", ["R*", "L*"])
-    def test_probe_check_separates_classes(self, monkeypatch, relation):
-        """Two classes with one kernel are caught: the probe names the
-        member split off and its class's least member."""
-        import endtn.structure as structure
-
-        uni = get_universe(4)
-        labels = _brute_labels(uni, relation).copy()
-        members = max(structure._classes(labels), key=len)
-        labels[members[-1]] = members[-1]  # the last member split off
-        monkeypatch.setattr(structure, "_brute_labels", lambda u, r: labels)
-        with pytest.raises(VerificationError) as err:
-            extended_probe_check(4, relation)
-        assert str(err.value) == (
-            f"{relation} probe classes disagree between characterisation "
-            f"and brute force at {uni.elements[members[-1]]!r}"
-        )
-        assert err.value.counterexample == (
-            uni.elements[members[-1]],
-            uni.elements[members[0]],
-        )
-
     def test_saturated_ideals_match_reference(self):
         for n in (2, 3, 4):
             uni = get_universe(n)
@@ -822,24 +739,19 @@ class TestExtended:
         assert reference_kernel_keys(decoded) == reference
         # The key depends on the kernel only, not on the values.
         assert list(_kernel_keys(np.array(relabel, dtype=np.int32)[rows])) == keys
-        # A column subset keys as the copy of those columns does.
-        columns = np.arange(0, rows.shape[1], 2)[::-1]
-        assert list(_kernel_keys(rows, columns)) == list(_kernel_keys(rows[:, columns]))
 
     def test_kernel_keys_pinned_at_five(self):
         """Byte for byte the keys of one ``np.unique`` per row, as
-        ``uint16``, on the inputs the brute side passes (the rows, and the
-        columns on the idempotent rows), on a copy of those columns and on
-        non-contiguous views."""
+        ``uint16``, on the inputs the brute sides pass (every row for L*,
+        every whole column for R*), on a copy of the idempotent rows'
+        columns and on non-contiguous views."""
         uni = get_universe(5)
         table = uni.table
         idem = _idempotents(5)
-        cases = [(table, None), (table.T, idem), (table[idem, :].T, None)]
-        cases += [(table.T, None), (table[:, ::-1], None), (table[::2], None)]
-        for lines, columns in cases:
-            rows = lines if columns is None else lines[:, columns]
-            keys = _kernel_keys(lines, columns)
-            pairs = zip(keys, unique_kernel_keys(rows, np.uint16), strict=True)
+        cases = [table, table.T, table[idem, :].T, table[:, ::-1], table[::2]]
+        for lines in cases:
+            keys = _kernel_keys(lines)
+            pairs = zip(keys, unique_kernel_keys(lines, np.uint16), strict=True)
             for key, expected in pairs:
                 assert key == expected
         assert list(_kernel_keys(np.empty((0, 7), dtype=np.int32))) == []
@@ -855,17 +767,25 @@ class TestExtended:
         assert list(_kernel_keys(rows)) == list(unique_kernel_keys(rows, np.uint16))
 
     @pytest.mark.parametrize("corruption", ["merge", "split"])
-    @pytest.mark.parametrize("relation", ["R", "L*"])
-    def test_mismatch_names_a_separating_pair(self, monkeypatch, relation, corruption):
-        """A corrupted formula side is reported at the first element whose
-        class differs, with an earlier element that exactly one side puts
-        in that class."""
+    @pytest.mark.parametrize(
+        "relation, side",
+        [(rel, side) for side in ("formula", "brute") for rel in ("R", "R*", "L*")],
+        ids=["R", "R*", "L*", "R-brute", "R*-brute", "L*-brute"],
+    )
+    def test_mismatch_names_a_separating_pair(
+        self, monkeypatch, relation, side, corruption
+    ):
+        """A corrupted formula or brute side is reported at the first
+        element whose class differs, with an earlier element that exactly
+        one side puts in that class."""
         import endtn.structure as structure
 
         uni = get_universe(4)
         check = green_partition if relation in GREEN_RELATIONS else extended_partition
-        brute = _brute_labels(uni, relation)
-        label = _formula_labels(uni, relation).copy()
+        name = f"_{side}_labels"
+        real = getattr(structure, name)
+        other = (_brute_labels if side == "formula" else _formula_labels)(uni, relation)
+        label = real(uni, relation).copy()
         classes = np.unique(label)
         if corruption == "merge":
             label[label == classes[-1]] = classes[-2]
@@ -873,13 +793,42 @@ class TestExtended:
             big = next(c for c in classes if np.count_nonzero(label == c) > 1)
             last = np.flatnonzero(label == big)[-1]
             label[last] = last
-        monkeypatch.setattr(structure, "_formula_labels", lambda u, r: label)
+        monkeypatch.setattr(
+            structure, name, lambda u, r: label if r == relation else real(u, r)
+        )
         message = re.escape(f"{relation}-classes disagree")
         with pytest.raises(VerificationError, match=message) as err:
             check(4, relation)
         x, y = map(uni.of, err.value.counterexample)
-        assert (label[x] == label[y]) != (brute[x] == brute[y])
-        assert x == np.flatnonzero(label != brute)[0] and y < x
+        assert (label[x] == label[y]) != (other[x] == other[y])
+        assert x == np.flatnonzero(label != other)[0] and y < x
+
+    def test_starred_R_brute_side_reads_every_left_factor(self, monkeypatch):
+        """a R* b when xa = ya exactly where xb = yb, for every x and y of
+        S, not only the idempotents.  In the monoid {1, a, 0} with a^2 = 0
+        and 0 a zero, whose idempotents are 1 and 0, two idempotents x != y
+        give x1 != y1 and xa != ya, so the idempotent rows relate 1 and a.
+        But x = a, y = 0 separates them: a1 = a != 0 = 01, while
+        aa = 0 = 0a.  Over all of S each element is its own class."""
+        import endtn.structure as structure
+
+        table = np.array([[0, 1, 2], [1, 2, 2], [2, 2, 2]])
+        idem = np.array([e for e in range(3) if table[e, e] == e])
+        assert idem.tolist() == [0, 2]
+        # Whichever idempotents the brute side reads, they are this monoid's.
+        monkeypatch.setattr(structure, "_idempotents", lambda n: idem)
+        stub = types.SimpleNamespace(table=table, n=3)
+        label = _brute_labels.__wrapped__(stub, "R*")
+
+        def related(a, b):
+            pairs = itertools.product(range(3), repeat=2)
+            return all(
+                (table[x, a] == table[y, a]) == (table[x, b] == table[y, b])
+                for x, y in pairs
+            )
+
+        naive = [min(b for b in range(3) if related(a, b)) for a in range(3)]
+        assert label.tolist() == naive == [0, 1, 2]
 
     def test_abundance_small(self):
         report = abundance_report(2)
@@ -949,12 +898,12 @@ class TestTransientMemory:
         assert self.peak_mb(lambda: enumerate_ideals(5)) < 3
 
     # 12.4, 5.8, 6.0 and 5.7 MB with int32 kernel keys and a copy of the
-    # table's idempotent rows or columns.
+    # table's idempotent rows or columns.  R* over whole columns: 1.0 MB.
     @pytest.mark.parametrize(
         "relation, bound_mb", [("L*", 6), ("R*", 2), ("L~", 2), ("R~", 2)]
     )
     def test_one_sided_brute_labels(self, relation, bound_mb):
         uni = get_universe(5)
-        _idempotents(5)  # read by R*, L~ and R~, built untraced
+        _idempotents(5)  # read by L~ and R~, built untraced
         build = _brute_labels.__wrapped__  # past the memo: built afresh
         assert self.peak_mb(lambda: build(uni, relation)) < bound_mb
