@@ -131,8 +131,8 @@ def main() -> int:
     }
     head_short = git("rev-parse", "--short", "HEAD")
     runs = []
-    with tempfile.TemporaryDirectory(prefix="bench-record-") as scratch:
-        trees = {side: Path(scratch) / side for side in commits}
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as workdir:
+        trees = {side: Path(workdir) / side for side in commits}
         for side, commit in commits.items():
             extract(commit, trees[side])
         bench = json.loads((trees["head"] / "BENCHMARK.json").read_text())
